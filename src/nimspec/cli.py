@@ -11,8 +11,9 @@ import sys
 from typing import Optional
 
 from . import deltoid, measures, series, subgroups, suites
-from .graphs import by_id, eigendata
-from .paths import moment_table, moment_table_csv
+from .errors import InvalidParameterError, NimspecError
+from .graphs import by_id, eigendata, parse_id
+from .paths import moment_path_count, moment_table_csv
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -83,17 +84,14 @@ def _export_payload(spec: str, args: argparse.Namespace):
     if spec.startswith("moments:"):
         g = by_id(spec[8:])
         upper = args.depth if g.trunc_depth else 2 * args.depth
-        if g.symmetric:
-            table = moment_table(g, upper)
-        else:
-            table = {
-                (m, n): v
-                for (m, n), v in moment_table(g, upper, upper).items()
-                if m + n <= upper
-            }
+        table = {
+            (m, n): moment_path_count(g, m, n)
+            for m in range(upper + 1)
+            for n in range(1 if g.symmetric else upper - m + 1)
+        }
         return moment_table_csv(table), "csv-text"
     if spec.startswith("series:"):
-        _, kind, gid = spec.split(":", 2)
+        kind, _, gid = spec[7:].partition(":")
         if kind == "T":
             return series.t_series(gid, args.order, "closed_form").to_json(), "json"
         if kind == "Theta":
@@ -103,21 +101,17 @@ def _export_payload(spec: str, args: argparse.Namespace):
             hs = series.hilbert_su2(g, args.order) if g.symmetric else \
                 series.hilbert_su3(g, order=args.order)
             return hs.to_json(), "json"
-        raise KeyError(f"unknown series kind {kind!r}")
+        raise InvalidParameterError(f"unknown series kind {kind!r}")
     if spec.startswith("classdata:"):
         name = spec[10:]
-        if "(" in name:
-            base, n = name.split("(")
-            grp = subgroups.generate_group(base, int(n.rstrip(")")))
-        else:
-            grp = subgroups.generate_group(name)
-        return subgroups.class_data(grp).to_json(), "json"
+        base, n = parse_id(name, check=False) if "(" in name else (name, None)
+        return subgroups.class_data(subgroups.generate_group(base, n)).to_json(), "json"
     if spec == "deltoid-density":
         rows = ["x,y,abs_J,inv_abs_J"]
         for x, y, aj, ij in deltoid.density_grid(args.grid):
             rows.append(f"{x!r},{y!r},{aj!r},{ij!r}")
         return "\n".join(rows) + "\n", "csv-text"
-    raise KeyError(f"unknown export object {spec!r}")
+    raise InvalidParameterError(f"unknown export object {spec!r}")
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -149,8 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--tol", type=float, default=1e-9)
     va.add_argument("--seed", type=int, default=0)
     va.add_argument("--jobs", type=int, default=1)
-    va.add_argument("--order", type=int, default=40)
-    va.add_argument("--depth", type=int, default=10)
     va.add_argument("--format", choices=["human", "json"], default="human")
     va.add_argument("--config", default=None)
     va.set_defaults(func=cmd_verify)
@@ -184,15 +176,14 @@ def _all_defaults(ap: argparse.ArgumentParser) -> dict:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = _load_config(getattr(args, "config", None))
-    _apply_config(args, cfg, _all_defaults(ap))
     try:
+        _apply_config(args, _load_config(args.config), _all_defaults(ap))
         return args.func(args)
-    except (KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (NimspecError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

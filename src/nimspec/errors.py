@@ -16,6 +16,8 @@ class UnsupportedConstructionError(NimspecError):
 class DataUnavailableError(NimspecError, KeyError):
     """No tabulated eigendata / closed form for the requested graph."""
 
+    __str__ = Exception.__str__      # KeyError's would quote the message
+
 
 class TruncationError(NimspecError):
     """A moment was requested beyond the safe depth of a truncated graph."""
@@ -34,7 +36,7 @@ class DataIntegrityError(NimspecError):
 
 
 class FailedIdentityError(NimspecError):
-    """A series identity that should hold exactly failed."""
+    """An identity that should hold (exactly, or to rounding) failed."""
 
 
 class SymmetryError(NimspecError):

@@ -15,10 +15,11 @@ import cmath
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
-from typing import Optional, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +41,7 @@ class Graph:
     coxeter_h: Optional[int] = None
     symmetric: bool = True    # SU(2) graphs; False for directed SU(3) graphs
     trunc_depth: Optional[int] = None
+    family: Optional[str] = None   # the FAMILIES row it was built from; None for McKay graphs
 
     @property
     def n_vertices(self) -> int:
@@ -54,9 +56,6 @@ class Graph:
     def spectral_radius(self) -> float:
         a = np.array(self.adjacency, dtype=float)
         return float(max(abs(np.linalg.eigvals(a))))
-
-    def index_of(self, label) -> int:
-        return self.vertices.index(label)
 
     def to_json(self) -> dict:
         return {
@@ -100,13 +99,15 @@ class EigenData:
 
 
 def _graph_from(id_, labels, edges, star, h=None, symmetric=True, depth=None, loops=()):
-    """Assemble a Graph from an undirected edge list (plus optional loops)."""
+    """Assemble a Graph from an edge list (plus optional loops); each edge
+    runs both ways unless symmetric is False."""
     n = len(labels)
     idx = {v: i for i, v in enumerate(labels)}
     adj = [[0] * n for _ in range(n)]
     for u, v in edges:
         adj[idx[u]][idx[v]] += 1
-        adj[idx[v]][idx[u]] += 1
+        if symmetric:
+            adj[idx[v]][idx[u]] += 1
     for u in loops:
         adj[idx[u]][idx[u]] += 1
     return Graph(
@@ -120,156 +121,67 @@ def _graph_from(id_, labels, edges, star, h=None, symmetric=True, depth=None, lo
     )
 
 
-def _directed_graph(id_, labels, directed_edges, star, h=None, depth=None):
-    n = len(labels)
-    idx = {v: i for i, v in enumerate(labels)}
-    adj = [[0] * n for _ in range(n)]
-    for u, v in directed_edges:
-        adj[idx[u]][idx[v]] += 1
-    return Graph(
-        id=id_,
-        vertices=tuple(labels),
-        adjacency=tuple(tuple(row) for row in adj),
-        distinguished=idx[star],
-        coxeter_h=h,
-        symmetric=False,
-        trunc_depth=depth,
-    )
-
-
 # ---------------------------------------------------------------------------
-# SU(2): Dynkin, tadpole and affine diagrams
+# Graph builders, one per id family; FAMILIES below checks their argument
 # ---------------------------------------------------------------------------
 
-def build_su2_graph(family: str, n: int) -> Graph:
-    """Dynkin diagram A_n, D_n, E_n or tadpole Tad_n with its * vertex."""
-    if family == "A":
-        if n < 1:
-            raise InvalidParameterError("A_n needs n >= 1")
-        labels = list(range(1, n + 1))
-        edges = [(i, i + 1) for i in range(1, n)]
-        return _graph_from(f"A({n})", labels, edges, star=1, h=n + 1)
-    if family == "D":
-        if n < 4:
-            raise InvalidParameterError("D_n needs n >= 4")
-        labels = list(range(1, n + 1))
-        edges = [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n)]
-        return _graph_from(f"D({n})", labels, edges, star=n, h=2 * n - 2)
-    if family == "E":
-        if n not in (6, 7, 8):
-            raise InvalidParameterError("E_n needs n in {6, 7, 8}")
-        if n == 6:
-            edges = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
-            h = 12
-        elif n == 7:
-            edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]
-            h = 18
-        else:
-            edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
-            h = 30
-        return _graph_from(f"E({n})", list(range(1, n + 1)), edges, star=1, h=h)
-    if family == "Tadpole":
-        if n < 1:
-            raise InvalidParameterError("Tad_n needs n >= 1")
-        labels = list(range(1, n + 1))
-        edges = [(i, i + 1) for i in range(1, n)]
-        return _graph_from(f"Tad({n})", labels, edges, star=1, h=2 * n + 1, loops=(n,))
-    raise InvalidParameterError(f"unknown SU(2) family {family!r}")
+def _path_graph(id_: str, n: int, h: Optional[int] = None, loops=(), depth=None) -> Graph:
+    """The path 1 - 2 - ... - n with * = 1."""
+    edges = [(i, i + 1) for i in range(1, n)]
+    return _graph_from(id_, list(range(1, n + 1)), edges, star=1, h=h, depth=depth, loops=loops)
+
+
+def _dn_graph(n: int) -> Graph:
+    labels = list(range(1, n + 1))
+    edges = [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n)]
+    return _graph_from(f"D({n})", labels, edges, star=n, h=2 * n - 2)
+
+
+def _en_graph(n: int) -> Graph:
+    if n == 6:
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
+        h = 12
+    elif n == 7:
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]
+        h = 18
+    else:
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
+        h = 30
+    return _graph_from(f"E({n})", list(range(1, n + 1)), edges, star=1, h=h)
 
 
 def _cycle_graph(m: int, id_: Optional[str] = None) -> Graph:
     """m-cycle (McKay graph of the cyclic group Z_m); m = 2 gives a double bond."""
-    if m < 2:
-        raise InvalidParameterError("cycle needs >= 2 vertices")
-    labels = list(range(m))
-    adj = [[0] * m for _ in range(m)]
-    for i in range(m):
-        adj[i][(i + 1) % m] += 1
-        adj[(i + 1) % m][i] += 1
-    return Graph(
-        id=id_ or f"Aff-A({m})",
-        vertices=tuple(labels),
-        adjacency=tuple(tuple(row) for row in adj),
-        distinguished=0,
-        coxeter_h=None,
-        symmetric=True,
-    )
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    return _graph_from(id_ or f"Aff-A({m})", list(range(m)), edges, star=0)
 
 
-def build_su2_affine_graph(family: str, n: int) -> Graph:
-    """Affine Dynkin diagram; * is always the extended vertex."""
-    if family == "A1":
-        # n is the vertex count of the cycle; only even cycles are the McKay
-        # graphs A^(1)_{2m} used here.
-        if n < 2 or n % 2 != 0:
-            raise InvalidParameterError("affine A needs an even vertex count >= 2")
-        return _cycle_graph(n)
-    if family == "D1":
-        if n < 4:
-            raise InvalidParameterError("affine D_n needs n >= 4")
-        labels = [0] + list(range(1, n + 1))
-        edges = [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n)] + [(0, n - 1)]
-        return _graph_from(f"Aff-D({n})", labels, edges, star=0)
-    if family == "E1":
-        if n not in (6, 7, 8):
-            raise InvalidParameterError("affine E_n needs n in {6, 7, 8}")
-        base = build_su2_graph("E", n)
-        attach = {6: 6, 7: 6, 8: 1}[n]   # tip extending an arm to the affine shape
-        labels = [0] + list(base.vertices)
-        edges = []
-        for i, row in enumerate(base.adjacency):
-            for j in range(i + 1, len(row)):
-                for _ in range(row[j]):
-                    edges.append((base.vertices[i], base.vertices[j]))
-        edges.append((0, attach))
-        return _graph_from(f"Aff-E({n})", labels, edges, star=0)
-    raise InvalidParameterError(f"unknown affine family {family!r}")
+def _affine_dn_graph(n: int) -> Graph:
+    labels = [0] + list(range(1, n + 1))
+    edges = [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, n)] + [(0, n - 1)]
+    return _graph_from(f"Aff-D({n})", labels, edges, star=0)
 
 
-# ---------------------------------------------------------------------------
-# Truncations of infinite graphs
-# ---------------------------------------------------------------------------
+def _affine_en_graph(n: int) -> Graph:
+    base = _en_graph(n)
+    attach = {6: 6, 7: 6, 8: 1}[n]   # tip extending an arm to the affine shape
+    labels = [0] + list(base.vertices)
+    edges = []
+    for i, row in enumerate(base.adjacency):
+        for j in range(i + 1, len(row)):
+            for _ in range(row[j]):
+                edges.append((base.vertices[i], base.vertices[j]))
+    edges.append((0, attach))
+    return _graph_from(f"Aff-E({n})", labels, edges, star=0)
 
-def truncate_infinite_graph(kind: str, depth: int) -> Graph:
-    """Finite induced subgraph of radius `depth` around *; moments with
-    m+n <= depth agree with the infinite graph."""
-    if depth < 1:
-        raise InvalidParameterError("depth must be >= 1")
-    if kind == "AinfInf":
-        labels = list(range(-depth, depth + 1))
-        edges = [(i, i + 1) for i in range(-depth, depth)]
-        return _graph_from(f"Trunc-Ainfinf({depth})", labels, edges, star=0, depth=depth)
-    if kind == "Ainf":
-        labels = list(range(1, depth + 2))
-        edges = [(i, i + 1) for i in range(1, depth + 1)]
-        return _graph_from(f"Trunc-Ainf({depth})", labels, edges, star=1, depth=depth)
-    if kind == "Dinf":
-        labels = [1, 2] + list(range(3, depth + 3))
-        edges = [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, depth + 2)]
-        return _graph_from(f"Trunc-Dinf({depth})", labels, edges, star=1, depth=depth)
-    if kind == "SU3_Ainf":
-        return _su3_triangle(f"Trunc-SU3Ainf({depth})", depth, depth=depth)
-    if kind == "SU3_A6inf":
-        verts = {(0, 0)}
-        frontier = {(0, 0)}
-        steps = [(1, 0), (0, -1), (-1, 1), (-1, 0), (0, 1), (1, -1)]
-        for _ in range(depth):
-            frontier = {
-                (v[0] + s[0], v[1] + s[1]) for v in frontier for s in steps
-            } - verts
-            verts |= frontier
-        labels = sorted(verts)
-        fwd = [(1, 0), (0, -1), (-1, 1)]
-        directed = [
-            (v, (v[0] + s[0], v[1] + s[1]))
-            for v in labels
-            for s in fwd
-            if (v[0] + s[0], v[1] + s[1]) in verts
-        ]
-        return _directed_graph(
-            f"Trunc-SU3A6inf({depth})", labels, directed, star=(0, 0), depth=depth
+
+def _su3_astar_graph(l: int) -> Graph:
+    if l % 2 != 0:
+        raise UnsupportedConstructionError(
+            "odd-l A^(l)* has no adjacency construction here; use eigendata"
         )
-    raise InvalidParameterError(f"unknown infinite graph kind {kind!r}")
+    # A_{l/2-1} with a loop at every vertex
+    return _path_graph(f"SU3-Astar({l})", l // 2 - 1, h=l, loops=range(1, l // 2))
 
 
 def _su3_triangle(id_: str, size: int, h: Optional[int] = None, depth: Optional[int] = None) -> Graph:
@@ -287,40 +199,82 @@ def _su3_triangle(id_: str, size: int, h: Optional[int] = None, depth: Optional[
         for tgt in ((l1 + 1, l2), (l1, l2 - 1), (l1 - 1, l2 + 1)):
             if tgt in inside:
                 directed.append(((l1, l2), tgt))
-    return _directed_graph(id_, labels, directed, star=(0, 0), h=h, depth=depth)
+    return _graph_from(id_, labels, directed, star=(0, 0), h=h, symmetric=False, depth=depth)
+
+
+# Truncations of infinite graphs: the finite induced subgraph of radius
+# `depth` around *; moments with m+n <= depth agree with the infinite graph.
+
+def _trunc_ainfinf_graph(depth: int) -> Graph:
+    labels = list(range(-depth, depth + 1))
+    edges = [(i, i + 1) for i in range(-depth, depth)]
+    return _graph_from(f"Trunc-Ainfinf({depth})", labels, edges, star=0, depth=depth)
+
+
+def _trunc_dinf_graph(depth: int) -> Graph:
+    labels = [1, 2] + list(range(3, depth + 3))
+    edges = [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, depth + 2)]
+    return _graph_from(f"Trunc-Dinf({depth})", labels, edges, star=1, depth=depth)
+
+
+def _trunc_su3a6inf_graph(depth: int) -> Graph:
+    verts = {(0, 0)}
+    frontier = {(0, 0)}
+    steps = [(1, 0), (0, -1), (-1, 1), (-1, 0), (0, 1), (1, -1)]
+    for _ in range(depth):
+        frontier = {
+            (v[0] + s[0], v[1] + s[1]) for v in frontier for s in steps
+        } - verts
+        verts |= frontier
+    labels = sorted(verts)
+    fwd = [(1, 0), (0, -1), (-1, 1)]
+    directed = [
+        (v, (v[0] + s[0], v[1] + s[1]))
+        for v in labels
+        for s in fwd
+        if (v[0] + s[0], v[1] + s[1]) in verts
+    ]
+    return _graph_from(f"Trunc-SU3A6inf({depth})", labels, directed, star=(0, 0),
+                       symmetric=False, depth=depth)
 
 
 # ---------------------------------------------------------------------------
-# SU(3) fusion graphs
+# The public builders name a family their own way; each checks its argument
+# against the family's row of FAMILIES
 # ---------------------------------------------------------------------------
+
+def _build_named(names: dict, what: str, family: str, n: int) -> Graph:
+    if family not in names:
+        raise InvalidParameterError(f"unknown {what} {family!r}")
+    return _build(names[family], n)
+
+
+def build_su2_graph(family: str, n: int) -> Graph:
+    """Dynkin diagram A_n, D_n, E_n or tadpole Tad_n with its * vertex."""
+    return _build_named({"A": "A", "D": "D", "E": "E", "Tadpole": "Tad"},
+                        "SU(2) family", family, n)
+
+
+def build_su2_affine_graph(family: str, n: int) -> Graph:
+    """Affine Dynkin diagram; * is always the extended vertex.  For 'A1', n
+    is the vertex count of the cycle; only even cycles are the McKay graphs
+    A^(1)_{2m} used here."""
+    return _build_named({"A1": "Aff-A", "D1": "Aff-D", "E1": "Aff-E"},
+                        "affine family", family, n)
+
+
+def truncate_infinite_graph(kind: str, depth: int) -> Graph:
+    """Finite induced subgraph of radius `depth` around *; moments with
+    m+n <= depth agree with the infinite graph."""
+    return _build_named({"AinfInf": "Trunc-Ainfinf", "Ainf": "Trunc-Ainf",
+                         "Dinf": "Trunc-Dinf", "SU3_Ainf": "Trunc-SU3Ainf",
+                         "SU3_A6inf": "Trunc-SU3A6inf"},
+                        "infinite graph kind", kind, depth)
+
 
 def build_su3_graph(family: str, l: int) -> Graph:
     """SU(3) graph: A^(l) (directed triangle) or A^(l)* for even l."""
-    if family == "A":
-        if l < 4:
-            raise InvalidParameterError("A^(l) needs l >= 4")
-        return _su3_triangle(f"SU3-A({l})", l - 3, h=l)
-    if family == "Astar":
-        if l < 4:
-            raise InvalidParameterError("A^(l)* needs l >= 4")
-        if l % 2 != 0:
-            raise UnsupportedConstructionError(
-                "odd-l A^(l)* has no adjacency construction here; use eigendata"
-            )
-        m = l // 2
-        base = build_su2_graph("A", m - 1)
-        adj = [list(row) for row in base.adjacency]
-        for i in range(m - 1):
-            adj[i][i] += 1
-        return Graph(
-            id=f"SU3-Astar({l})",
-            vertices=base.vertices,
-            adjacency=tuple(tuple(row) for row in adj),
-            distinguished=0,
-            coxeter_h=l,
-            symmetric=True,
-        )
-    raise InvalidParameterError(f"unknown SU(3) family {family!r}")
+    return _build_named({"A": "SU3-A", "Astar": "SU3-Astar"}, "SU(3) family", family, l)
 
 
 def su3_rotation(graph: Graph) -> tuple:
@@ -334,55 +288,6 @@ def su3_rotation(graph: Graph) -> tuple:
         w = (size - v[0] - v[1], v[0])
         p[idx[v]][idx[w]] = 1
     return tuple(tuple(row) for row in p)
-
-
-# ---------------------------------------------------------------------------
-# Graph id parsing
-# ---------------------------------------------------------------------------
-
-_ID_RE = re.compile(r"^(?P<fam>[A-Za-z0-9\-]+?)\((?P<arg>-?\d+)\)$")
-
-
-def by_id(graph_id: str) -> Graph:
-    """Build the graph named by an id like 'A(5)', 'Aff-E(7)', 'SU3-A(6)',
-    'Trunc-Ainfinf(8)'."""
-    m = _ID_RE.match(graph_id)
-    if not m:
-        raise InvalidParameterError(f"cannot parse graph id {graph_id!r}")
-    fam, arg = m.group("fam"), int(m.group("arg"))
-    if fam == "A":
-        return build_su2_graph("A", arg)
-    if fam == "D":
-        return build_su2_graph("D", arg)
-    if fam == "E":
-        return build_su2_graph("E", arg)
-    if fam == "Tad":
-        return build_su2_graph("Tadpole", arg)
-    if fam == "Aff-A":
-        return build_su2_affine_graph("A1", arg)
-    if fam == "Aff-D":
-        return build_su2_affine_graph("D1", arg)
-    if fam == "Aff-E":
-        return build_su2_affine_graph("E1", arg)
-    if fam == "SU3-A":
-        return build_su3_graph("A", arg)
-    if fam == "SU3-Astar":
-        return build_su3_graph("Astar", arg)
-    if fam == "Trunc-Ainf":
-        return truncate_infinite_graph("Ainf", arg)
-    if fam == "Trunc-Ainfinf":
-        return truncate_infinite_graph("AinfInf", arg)
-    if fam == "Trunc-Dinf":
-        return truncate_infinite_graph("Dinf", arg)
-    if fam == "Trunc-SU3Ainf":
-        return truncate_infinite_graph("SU3_Ainf", arg)
-    if fam == "Trunc-SU3A6inf":
-        return truncate_infinite_graph("SU3_A6inf", arg)
-    if fam in ("SU3-D", "SU3-E", "SU3-E1"):
-        raise DataUnavailableError(
-            f"{graph_id} is served as eigendata only (no adjacency figure here)"
-        )
-    raise InvalidParameterError(f"unknown graph id {graph_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +392,6 @@ def _su3_eigendata_a(l: int) -> list:
 
 
 def _su3_eigendata_d(n: int) -> list:
-    if n < 6 or n % 3 != 0:
-        raise InvalidParameterError("D^(n) needs n = 3k, k >= 2")
     from .deltoid import jacobian
 
     k = n // 3
@@ -519,45 +422,116 @@ def _su3_eigendata_astar(l: int) -> list:
     return out
 
 
-def _load_exceptional(graph_id: str) -> list:
+@lru_cache(maxsize=None)
+def _exceptional_tables() -> dict:
+    """graph id -> eigendata entries of data/su3_exceptional.json, read once."""
     ref = resources.files("nimspec").joinpath("data/su3_exceptional.json")
-    tables = json.loads(ref.read_text())
-    if graph_id not in tables:
-        raise DataUnavailableError(f"no eigendata table for {graph_id}")
-    return [
-        EigenEntry(
-            tuple(e["exponent"]) if isinstance(e["exponent"], list) else e["exponent"],
-            complex(e["eigenvalue"][0], e["eigenvalue"][1]),
-            e["weight"],
-            e["multiplicity"],
+    return {
+        graph_id: tuple(
+            EigenEntry(
+                tuple(e["exponent"]) if isinstance(e["exponent"], list) else e["exponent"],
+                complex(e["eigenvalue"][0], e["eigenvalue"][1]),
+                e["weight"],
+                e["multiplicity"],
+            )
+            for e in table["entries"]
         )
-        for e in tables[graph_id]["entries"]
-    ]
+        for graph_id, table in json.loads(ref.read_text()).items()
+    }
+
+
+def _exceptional_eigendata(graph_id: str) -> tuple:
+    entries = _exceptional_tables().get(graph_id)
+    if entries is None:
+        raise DataUnavailableError(f"no eigendata table for {graph_id}")
+    return entries
+
+
+# ---------------------------------------------------------------------------
+# The id families
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One id family: the ids 'name(n)' for the n that `accepts` admits."""
+    name: str
+    domain: str                           # `accepts` in words, for errors and docs
+    accepts: Callable[[int], bool]
+    graph: Optional[Callable[[int], Graph]]   # None: eigendata only, no adjacency here
+    eigen: Optional[Callable[[int], Sequence[EigenEntry]]] = None   # None: no eigendata
+
+    def check(self, n: int) -> None:
+        if not self.accepts(n):
+            raise InvalidParameterError(f"{self.name}(n) needs {self.domain}, got n = {n}")
+
+
+FAMILIES: Dict[str, Family] = {f.name: f for f in (
+    Family("A", "n >= 1", lambda n: n >= 1,
+           lambda n: _path_graph(f"A({n})", n, h=n + 1), _su2_eigendata_an),
+    Family("D", "n >= 4", lambda n: n >= 4, _dn_graph, _su2_eigendata_dn),
+    Family("E", "n in {6, 7, 8}", lambda n: n in (6, 7, 8), _en_graph, _su2_eigendata_en),
+    Family("Tad", "n >= 1", lambda n: n >= 1,
+           lambda n: _path_graph(f"Tad({n})", n, h=2 * n + 1, loops=(n,))),
+    Family("Aff-A", "n even, n >= 2", lambda n: n >= 2 and n % 2 == 0, _cycle_graph),
+    Family("Aff-D", "n >= 4", lambda n: n >= 4, _affine_dn_graph),
+    Family("Aff-E", "n in {6, 7, 8}", lambda n: n in (6, 7, 8), _affine_en_graph),
+    Family("SU3-A", "n >= 4", lambda n: n >= 4,
+           lambda l: _su3_triangle(f"SU3-A({l})", l - 3, h=l), _su3_eigendata_a),
+    Family("SU3-Astar", "n >= 4 (adjacency for even n only)", lambda n: n >= 4,
+           _su3_astar_graph, _su3_eigendata_astar),
+    Family("SU3-D", "n = 3k, k >= 2", lambda n: n >= 6 and n % 3 == 0,
+           None, _su3_eigendata_d),
+    Family("SU3-E", "n in {8, 24} (eigendata for n = 8 only)", lambda n: n in (8, 24),
+           None, lambda l: _exceptional_eigendata(f"SU3-E({l})")),
+    Family("SU3-E1", "n = 12", lambda n: n == 12,
+           None, lambda l: _exceptional_eigendata(f"SU3-E1({l})")),
+    Family("Trunc-Ainf", "n >= 1", lambda n: n >= 1,
+           lambda d: _path_graph(f"Trunc-Ainf({d})", d + 1, depth=d)),
+    Family("Trunc-Ainfinf", "n >= 1", lambda n: n >= 1, _trunc_ainfinf_graph),
+    Family("Trunc-Dinf", "n >= 1", lambda n: n >= 1, _trunc_dinf_graph),
+    Family("Trunc-SU3Ainf", "n >= 1", lambda n: n >= 1,
+           lambda d: _su3_triangle(f"Trunc-SU3Ainf({d})", d, depth=d)),
+    Family("Trunc-SU3A6inf", "n >= 1", lambda n: n >= 1, _trunc_su3a6inf_graph),
+)}
+
+
+def parse_id(graph_id: str, check: bool = True) -> Tuple[str, int]:
+    """Split an id like 'Aff-E(7)' into its family and argument, ('Aff-E', 7),
+    and check the argument against the family's row of FAMILIES.  With
+    check=False the text is only split, for ids outside the graph catalogue
+    such as the group ids 'BD(8)'."""
+    m = re.fullmatch(r"([A-Za-z0-9\-]+?)\((-?\d+)\)", graph_id)
+    if not m:
+        raise InvalidParameterError(f"cannot parse id {graph_id!r}")
+    name, n = m.group(1), int(m.group(2))
+    if check:
+        if name not in FAMILIES:
+            raise InvalidParameterError(f"unknown graph family {name!r} in {graph_id!r}")
+        FAMILIES[name].check(n)
+    return name, n
+
+
+def _build(name: str, n: int) -> Graph:
+    family = FAMILIES[name]
+    family.check(n)
+    if family.graph is None:
+        raise DataUnavailableError(f"{name}({n}) has no adjacency figure here")
+    return replace(family.graph(n), family=name)
+
+
+def by_id(graph_id: str) -> Graph:
+    """Build the graph named by an id like 'A(5)', 'Aff-E(7)', 'SU3-A(6)',
+    'Trunc-Ainfinf(8)'; FAMILIES lists the families and their domains."""
+    return _build(*parse_id(graph_id))
 
 
 def eigendata(graph_id: str) -> EigenData:
     """Closed-form (exponent, eigenvalue, |psi_*|^2, multiplicity) data."""
-    m = _ID_RE.match(graph_id)
-    if not m:
-        raise DataUnavailableError(f"cannot parse graph id {graph_id!r}")
-    fam, arg = m.group("fam"), int(m.group("arg"))
-    if fam == "A":
-        entries = _su2_eigendata_an(arg)
-    elif fam == "D":
-        entries = _su2_eigendata_dn(arg)
-    elif fam == "E":
-        entries = _su2_eigendata_en(arg)
-    elif fam == "SU3-A":
-        entries = _su3_eigendata_a(arg)
-    elif fam == "SU3-D":
-        entries = _su3_eigendata_d(arg)
-    elif fam == "SU3-Astar":
-        entries = _su3_eigendata_astar(arg)
-    elif fam in ("SU3-E", "SU3-E1"):
-        entries = _load_exceptional(graph_id)
-    else:
+    name, n = parse_id(graph_id)
+    eigen = FAMILIES[name].eigen
+    if eigen is None:
         raise DataUnavailableError(f"no tabulated eigendata for {graph_id}")
-    ed = EigenData(graph_id, tuple(entries))
+    ed = EigenData(graph_id, tuple(eigen(n)))
     mass = ed.total_mass()
     if abs(mass - 1.0) > 1e-12:
         raise AssertionError(f"eigendata for {graph_id} has mass {mass}")

@@ -14,13 +14,13 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import deltoid
-from .errors import InvalidParameterError, NoClosedFormError
-from .graphs import eigendata, su3_exponent_angles
+from .errors import FailedIdentityError, InvalidParameterError, NoClosedFormError
+from .graphs import eigendata, parse_id, su3_exponent_angles
 
 Weight = Union[Fraction, float]
 
@@ -237,11 +237,14 @@ def moment_t(mu: DiscreteMeasure, m: int, shift: int = 0) -> float:
     if mu.dimension != 1:
         raise InvalidParameterError("moment_t needs a circle measure")
     total = 0j
+    size = 0.0          # sum of |term|: the scale of the rounding in total
     for t, w in mu.atoms.items():
         u = cmath.exp(2j * math.pi * float(t))
-        total += complex(w) * (u + 1 / u + shift) ** m
-    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-        raise AssertionError(f"moment has imaginary residue {total.imag}")
+        term = complex(w) * (u + 1 / u + shift) ** m
+        total += term
+        size += abs(term)
+    if abs(total.imag) > 1e-12 * max(1.0, size):
+        raise FailedIdentityError(f"moment has imaginary residue {total.imag}")
     return total.real
 
 
@@ -273,6 +276,8 @@ def moment_t_exact(mu: DiscreteMeasure, m: int, shift: int = 0) -> Optional[Frac
 def circle_series(mu: DiscreteMeasure, order: int) -> list:
     """Taylor coefficients of int (1 - q u)^{-1} d mu, i.e. the Fourier
     moments int u^m d mu for m = 0..order; exact when possible."""
+    if mu.dimension != 1:
+        raise InvalidParameterError("circle_series needs a circle measure")
     if mu.fourier is not None:
         return [mu.fourier(m) for m in range(order + 1)]
     out = []
@@ -300,20 +305,9 @@ def moment_t2(mu: DiscreteMeasure, m: int, n: int) -> complex:
 
 # -- canonical measures ------------------------------------------------------
 
-def canonical_measure(graph_id: str) -> DiscreteMeasure:
-    """The closed-form spectral measure of a catalogue graph (over T or T^2)."""
-    import re
-
-    m = re.match(r"^(?P<fam>[A-Za-z0-9\-]+?)\((?P<arg>\d+)\)$", graph_id)
-    if not m:
-        raise InvalidParameterError(f"cannot parse graph id {graph_id!r}")
-    fam, arg = m.group("fam"), int(m.group("arg"))
-    if fam == "A":
-        mu = with_alpha(d_measure(arg + 1))
-    elif fam == "D":
-        mu = with_alpha(dprime_measure(arg - 1))
-    elif fam == "E" and arg == 6:
-        mu = add(
+def _e_measure(n: int) -> DiscreteMeasure:
+    if n == 6:
+        return add(
             with_alpha(d_measure(12)),
             combine(
                 (Fraction(1, 2), d_measure(12)),
@@ -322,47 +316,63 @@ def canonical_measure(graph_id: str) -> DiscreteMeasure:
                 (Fraction(1, 2), d_measure(3)),
             ),
         )
-    elif fam == "E" and arg == 7:
-        mu = combine(
+    if n == 7:
+        return combine(
             (Fraction(2, 3), with_alpha(ddprime_measure(3), j=2)),
             (Fraction(1, 3), dprime_measure(1)),
         )
-    elif fam == "E" and arg == 8:
-        a13_d5 = add(
-            with_alpha(ddprime_measure(5), j=1), with_alpha(ddprime_measure(5), j=3)
-        )
-        mu = combine((Fraction(2, 3), a13_d5), (Fraction(-1, 3), ddprime_measure(1)))
-    elif fam == "Aff-A":
-        if arg % 2 != 0:
-            raise InvalidParameterError("affine A measure needs an even cycle")
-        mu = d_measure(arg // 2)
-    elif fam == "Aff-D":
-        mu = combine(
-            (Fraction(1, 2), d_measure(arg - 2)), (Fraction(1, 2), dprime_measure(1))
-        )
-    elif fam == "Aff-E" and arg in (6, 7, 8):
-        k = {6: 3, 7: 4, 8: 6}[arg]
-        j = {6: 2, 7: 3, 8: 5}[arg]
-        mu = combine(
-            (Fraction(1), with_alpha(d_measure(k))),
-            (Fraction(-1, 2), d_measure(k)),
-            (Fraction(1, 2), d_measure(j)),
-        )
-    elif fam == "SU3-A":
-        mu = with_j2(dl_measure(arg))
-    elif fam == "SU3-D":
-        if arg % 3 != 0 or arg < 6:
-            raise InvalidParameterError("SU3-D needs index 3k, k >= 2")
-        mu = with_j2(product_measure(uniform_roots(arg), uniform_roots(arg)))
-        mu.provenance = f"J^2/(24pi^4)*(d_{arg}/2 x d_{arg}/2)"
-    elif fam == "SU3-Astar":
-        mu = with_alpha(uniform_roots(arg))
-    elif fam in ("SU3-E", "SU3-E1"):
+    a13_d5 = add(
+        with_alpha(ddprime_measure(5), j=1), with_alpha(ddprime_measure(5), j=3)
+    )
+    return combine((Fraction(2, 3), a13_d5), (Fraction(-1, 3), ddprime_measure(1)))
+
+
+def _affine_e_measure(n: int) -> DiscreteMeasure:
+    k = {6: 3, 7: 4, 8: 6}[n]
+    j = {6: 2, 7: 3, 8: 5}[n]
+    return combine(
+        (Fraction(1), with_alpha(d_measure(k))),
+        (Fraction(-1, 2), d_measure(k)),
+        (Fraction(1, 2), d_measure(j)),
+    )
+
+
+def _su3_d_measure(n: int) -> DiscreteMeasure:
+    mu = with_j2(product_measure(uniform_roots(n), uniform_roots(n)))
+    mu.provenance = f"J^2/(24pi^4)*(d_{n}/2 x d_{n}/2)"
+    return mu
+
+
+# family -> the closed form at the family's argument; None: the family has
+# no root-of-unity closed form
+_CANONICAL: Dict[str, Optional[Callable[[int], DiscreteMeasure]]] = {
+    "A": lambda n: with_alpha(d_measure(n + 1)),
+    "D": lambda n: with_alpha(dprime_measure(n - 1)),
+    "E": _e_measure,
+    "Aff-A": lambda n: d_measure(n // 2),
+    "Aff-D": lambda n: combine(
+        (Fraction(1, 2), d_measure(n - 2)), (Fraction(1, 2), dprime_measure(1))
+    ),
+    "Aff-E": _affine_e_measure,
+    "SU3-A": lambda l: with_j2(dl_measure(l)),
+    "SU3-D": _su3_d_measure,
+    "SU3-Astar": lambda l: with_alpha(uniform_roots(l)),
+    "SU3-E": None,
+    "SU3-E1": None,
+}
+
+
+def canonical_measure(graph_id: str) -> DiscreteMeasure:
+    """The closed-form spectral measure of a catalogue graph (over T or T^2)."""
+    name, n = parse_id(graph_id)
+    if name not in _CANONICAL:
+        raise InvalidParameterError(f"no canonical measure for {graph_id!r}")
+    build = _CANONICAL[name]
+    if build is None:
         raise NoClosedFormError(
             f"{graph_id} has no root-of-unity closed form; use eigendata atoms"
         )
-    else:
-        raise InvalidParameterError(f"no canonical measure for {graph_id!r}")
+    mu = build(n)
     mu.provenance = f"{graph_id}: {mu.provenance}"
     return mu
 
@@ -373,17 +383,19 @@ def canonical_graph_moment(graph_id: str, m: int, n: int = 0) -> complex:
     mu = canonical_measure(graph_id)
     if mu.dimension == 2:
         return moment_t2(mu, m, n)
-    if graph_id.startswith("SU3-Astar"):
+    if parse_id(graph_id)[0] == "SU3-Astar":
         return complex(moment_t(mu, m + n, shift=1))
     return complex(moment_t(mu, m + n))
 
 
 def exceptional_measure_atoms(graph_id: str) -> DiscreteMeasure:
-    """S3-symmetrized torus atom list for the exceptional SU(3) graphs,
-    assembled from eigendata (these measures are not root-of-unity
-    combinations; this is their atom-list representation)."""
+    """S3-symmetrized torus atom list of an SU(3) graph, assembled from
+    eigendata.  It exists for the exceptional graphs (their measures are not
+    root-of-unity combinations; this is their atom-list representation)."""
+    name, l = parse_id(graph_id)
+    if name not in ("SU3-A", "SU3-Astar", "SU3-D", "SU3-E", "SU3-E1"):
+        raise InvalidParameterError(f"{graph_id} has no SU(3) exponents")
     ed = eigendata(graph_id)
-    l = 8 if graph_id.startswith("SU3-E(") else 12
     atoms: dict = {}
     for e in ed.entries:
         t = su3_exponent_angles(l, e.exponent)

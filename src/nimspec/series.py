@@ -17,7 +17,7 @@ from .errors import (
     InvalidParameterError,
     SymmetryError,
 )
-from .graphs import Graph, _cycle_graph, by_id, su3_rotation
+from .graphs import Graph, _cycle_graph, by_id, parse_id, su3_rotation
 
 Number = Union[int, Fraction, float, complex]
 
@@ -141,23 +141,11 @@ class TruncatedSeries:
             out[2 * k] = c
         return TruncatedSeries(out, self.var)
 
-    def close_to(self, other: "TruncatedSeries", tol: float = 0.0) -> bool:
-        n = min(self.order, other.order)
-        for k in range(n + 1):
-            if abs(complex(self.coeffs[k]) - complex(other.coeffs[k])) > tol:
-                return False
-        return True
-
     def max_difference(self, other: "TruncatedSeries") -> float:
         n = min(self.order, other.order)
         return max(
             abs(complex(self.coeffs[k]) - complex(other.coeffs[k]))
             for k in range(n + 1)
-        )
-
-    def is_polynomial_of_degree(self, d: int, tol: float = 0.0) -> bool:
-        return all(
-            abs(complex(c)) <= tol for c in self.coeffs[d + 1:]
         )
 
     def to_json(self) -> dict:
@@ -264,7 +252,7 @@ def su2_involution(graph: Graph) -> Matrix:
     """The numerator permutation: the unique nontrivial involution for A_n,
     D_odd and E6; the identity for D_even, E7, E8 and tadpoles."""
     n = graph.n_vertices
-    fam = graph.id.split("(")[0]
+    fam = graph.family
     idx = {v: i for i, v in enumerate(graph.vertices)}
     perm = list(range(n))
     if fam == "A":
@@ -297,8 +285,7 @@ def hilbert_su2(graph: Graph, order: int = 40) -> MatrixSeries:
     polynomial of degree h - 2), (1 - Delta t + t^2)^{-1} otherwise."""
     if not graph.symmetric:
         raise InvalidParameterError("hilbert_su2 needs an unoriented graph")
-    fam = graph.id.split("(")[0]
-    adet = fam in ("A", "D", "E", "Tad")
+    adet = graph.family in ("A", "D", "E", "Tad")
     adj = graph.adjacency
     n = graph.n_vertices
     h = graph.coxeter_h if adet else None
@@ -353,13 +340,12 @@ def hilbert_su3(graph: Graph, p: Optional[Matrix] = None, h: Optional[int] = Non
     adj = graph.adjacency
     adjt = mat_transpose(adj)
     n = graph.n_vertices
-    fam = graph.id.split("(")[0]
     if h is None:
         h = graph.coxeter_h
     if h is None:
         raise InvalidParameterError("hilbert_su3 needs the Coxeter number h")
     if p is None:
-        if fam == "SU3-A":
+        if graph.family == "SU3-A":
             p = su3_rotation(graph)
         else:
             p = mat_identity(n)
@@ -497,43 +483,30 @@ def loop_series(graph: Graph, order: int) -> TruncatedSeries:
     )
 
 
-_T_CLOSED_FORMS: Dict[str, Callable[[int, int], tuple]] = {}
+# family -> (numerator, denominator) factors (sign, k) of 1 + sign q^k at the
+# family's argument
+_T_FACTORS: Dict[str, Callable[[int], tuple]] = {
+    "A": lambda k: ([(-1, k)], [(-1, k + 1)]),
+    # as derived from the measure alpha d'_{n-1} (and from loop counts);
+    # tables sometimes print this row with the index shifted by one
+    "D": lambda k: ([(1, k - 2)], [(1, k - 1)]),
+    "E": {6: ([(-1, 6), (-1, 8)], [(-1, 3), (-1, 12)]),
+          7: ([(-1, 9), (-1, 12)], [(-1, 4), (-1, 18)]),
+          8: ([(-1, 10), (-1, 15), (-1, 18)], [(-1, 5), (-1, 9), (-1, 30)])}.get,
+    "Aff-A": lambda k: ([(1, k // 2)], [(-1, 1), (-1, k // 2)]),
+    "Aff-D": lambda k: ([(1, k - 1)], [(-1, 2), (-1, k - 2)]),
+    "Aff-E": {6: ([(1, 6)], [(-1, 3), (-1, 4)]),
+              7: ([(1, 9)], [(-1, 4), (-1, 6)]),
+              8: ([(1, 15)], [(-1, 6), (-1, 10)])}.get,
+}
 
 
 def t_closed_form(graph_id: str, order: int) -> TruncatedSeries:
     """The tabulated closed forms of the T series."""
-    import re
-
-    m = re.match(r"^(?P<fam>[A-Za-z0-9\-]+?)\((?P<arg>\d+)\)$", graph_id)
-    if not m:
-        raise InvalidParameterError(f"cannot parse graph id {graph_id!r}")
-    fam, k = m.group("fam"), int(m.group("arg"))
-    if fam == "A":
-        num, den = [(-1, k)], [(-1, k + 1)]
-    elif fam == "D":
-        # as derived from the measure alpha d'_{n-1} (and from loop counts);
-        # tables sometimes print this row with the index shifted by one
-        num, den = [(1, k - 2)], [(1, k - 1)]
-    elif fam == "E" and k == 6:
-        num, den = [(-1, 6), (-1, 8)], [(-1, 3), (-1, 12)]
-    elif fam == "E" and k == 7:
-        num, den = [(-1, 9), (-1, 12)], [(-1, 4), (-1, 18)]
-    elif fam == "E" and k == 8:
-        num, den = [(-1, 10), (-1, 15), (-1, 18)], [(-1, 5), (-1, 9), (-1, 30)]
-    elif fam == "Aff-A":
-        if k % 2 != 0:
-            raise InvalidParameterError("affine A closed form needs an even cycle")
-        num, den = [(1, k // 2)], [(-1, 1), (-1, k // 2)]
-    elif fam == "Aff-D":
-        num, den = [(1, k - 1)], [(-1, 2), (-1, k - 2)]
-    elif fam == "Aff-E" and k == 6:
-        num, den = [(1, 6)], [(-1, 3), (-1, 4)]
-    elif fam == "Aff-E" and k == 7:
-        num, den = [(1, 9)], [(-1, 4), (-1, 6)]
-    elif fam == "Aff-E" and k == 8:
-        num, den = [(1, 15)], [(-1, 6), (-1, 10)]
-    else:
+    name, k = parse_id(graph_id)
+    if name not in _T_FACTORS:
         raise InvalidParameterError(f"no closed-form T series for {graph_id!r}")
+    num, den = _T_FACTORS[name](k)
     return rational_series(num, den, order)
 
 
@@ -655,34 +628,35 @@ def g_composition_route(cd, order: int) -> TruncatedSeries:
 # Kostant numerators
 # ---------------------------------------------------------------------------
 
-_KOSTANT_AB = {"E": {6: (6, 8), 7: (8, 12), 8: (12, 20)}}
+# family -> (a, b) at the family's argument
+_KOSTANT_AB: Dict[str, Callable[[int], Tuple[int, int]]] = {
+    "A": lambda k: (2, k + 1),
+    "D": lambda k: (4, 2 * k - 4),
+    "E": {6: (6, 8), 7: (8, 12), 8: (12, 20)}.get,
+}
+
+# family -> the affine (McKay) graph of the same subgroup
+_KOSTANT_PARTNER: Dict[str, Callable[[int], Graph]] = {
+    "A": lambda k: _cycle_graph(k + 1, id_=f"McKay-Z({k + 1})"),
+    "D": lambda k: by_id(f"Aff-D({k})"),
+    "E": lambda k: by_id(f"Aff-E({k})"),
+}
+
+
+def _kostant_row(table: dict, graph_id: str):
+    name, k = parse_id(graph_id)
+    if name not in table:
+        raise InvalidParameterError(f"no Kostant data for {graph_id!r}")
+    return table[name](k)
 
 
 def kostant_parameters(graph_id: str) -> Tuple[int, int]:
     """(a, b) with a + b = h + 2 and a b = 2 |Gamma|."""
-    import re
-
-    m = re.match(r"^(?P<fam>[ADE])\((?P<arg>\d+)\)$", graph_id)
-    if not m:
-        raise InvalidParameterError(f"no Kostant parameters for {graph_id!r}")
-    fam, k = m.group("fam"), int(m.group("arg"))
-    if fam == "A":
-        return (2, k + 1)
-    if fam == "D":
-        return (4, 2 * k - 4)
-    return _KOSTANT_AB["E"][k]
+    return _kostant_row(_KOSTANT_AB, graph_id)
 
 
 def kostant_affine_partner(graph_id: str) -> Graph:
-    import re
-
-    m = re.match(r"^(?P<fam>[ADE])\((?P<arg>\d+)\)$", graph_id)
-    fam, k = m.group("fam"), int(m.group("arg"))
-    if fam == "A":
-        return _cycle_graph(k + 1, id_=f"McKay-Z({k + 1})")
-    if fam == "D":
-        return by_id(f"Aff-D({k})")
-    return by_id(f"Aff-E({k})")
+    return _kostant_row(_KOSTANT_PARTNER, graph_id)
 
 
 def kostant_closed_form_check(graph_id: str, order: Optional[int] = None) -> list:

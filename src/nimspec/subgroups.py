@@ -27,9 +27,14 @@ _EXPECTED_ORDER = {"BT": 24, "BO": 48, "BI": 120}
 
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
-    name: str
+    base: str                  # 'Z2n', 'BD', 'BT', 'BO' or 'BI'
+    n: Optional[int]           # the parameter of Z2n and BD, else None
     elements: tuple            # tuple of 2x2 numpy arrays
     generators: tuple
+
+    @property
+    def name(self) -> str:
+        return self.base if self.n is None else f"{self.base}({self.n})"
 
     @property
     def order(self) -> int:
@@ -145,8 +150,7 @@ def generate_group(name: str, n: Optional[int] = None) -> FiniteMatrixGroup:
     for g in elems.values():
         if abs(np.linalg.det(g) - 1) > 1e-10:
             raise GeneratorTranscriptionError(f"{name}: non-unimodular element")
-    label = name if n is None else f"{name}({n})"
-    return FiniteMatrixGroup(label, tuple(elems.values()), tuple(gens))
+    return FiniteMatrixGroup(name, n, tuple(elems.values()), tuple(gens))
 
 
 # -- character tables as printed (double-entry bookkeeping vs enumeration) ---
@@ -207,11 +211,7 @@ def conjugacy_classes(group: FiniteMatrixGroup) -> List[List[np.ndarray]]:
 def class_data(group: FiniteMatrixGroup) -> ClassData:
     """Conjugacy classes by orbit partition, matched against the shipped
     table rows; any mismatch is a data-integrity error naming the class."""
-    name = group.name.split("(")[0]
-    n = None
-    if "(" in group.name:
-        n = int(group.name.split("(")[1].rstrip(")"))
-    table = reference_table(name, n)
+    table = reference_table(group.base, group.n)
     classes = conjugacy_classes(group)
     computed = [(len(c), float(np.trace(c[0]).real)) for c in classes]
     for c in classes:

@@ -158,3 +158,52 @@ def test_config_file_defaults(capsys, tmp_path):
     code, out, _ = run_cli(["export", "series:T:A(2)", "--config", str(cfg),
                             "--order", "4"], capsys)
     assert json.loads(out)["order"] == 4
+
+
+@pytest.mark.parametrize("spec", ["graph:A(0)", "graph:D(3)", "measure:D(2)",
+                                  "eigendata:E(9)", "series:T:SU3-A(5)",
+                                  "measure:SU3-E(8)", "classdata:BD(x)",
+                                  "eigendata:SU3-E(24)", "series:T", "graph:"])
+def test_bad_id_exits_2_with_one_line(capsys, spec):
+    code, out, err = run_cli(["export", spec], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not err.startswith("error: '")       # the reason, not a KeyError repr
+
+
+def test_missing_config_file_exits_2(capsys, tmp_path):
+    code, _, err = run_cli(["export", "graph:A(2)", "--config",
+                            str(tmp_path / "absent.cfg")], capsys)
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_export_moments_at_the_truncation_depth(capsys):
+    code, out, _ = run_cli(["export", "moments:Trunc-SU3Ainf(6)", "--depth", "6"], capsys)
+    assert code == 0
+    rows = [tuple(int(x) for x in line.split(",")) for line in out.splitlines()[1:]]
+    assert {(m, n) for m, n, _ in rows} == {(m, n) for m in range(7) for n in range(7 - m)}
+    assert dict(((m, n), v) for m, n, v in rows)[(3, 3)] == 6
+
+
+def test_export_classdata_with_parameter(capsys):
+    code, out, _ = run_cli(["export", "classdata:BD(6)"], capsys)
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["group"] == "BD(6)"
+    assert sum(c["size"] for c in blob["classes"]) == 16
+
+
+def test_broken_pipe_exits_0(monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["export", "graph:A(2)"]) == 0
+
+
+def test_verify_has_no_order_or_depth_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "hilbert", "--order", "5"])
+    assert exc.value.code == 2

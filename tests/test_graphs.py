@@ -185,6 +185,14 @@ def test_eigendata_unavailable():
         eigendata("SU3-E(24)")
 
 
+def test_exceptional_tables_are_read_once():
+    for gid in ("SU3-E(8)", "SU3-E1(12)", "SU3-E(8)"):
+        eigendata(gid)
+    with pytest.raises(DataUnavailableError):
+        eigendata("SU3-E(24)")
+    assert graphs._exceptional_tables.cache_info().misses == 1
+
+
 def test_graph_json_roundtrip():
     g = by_id("SU3-A(5)")
     blob = json.loads(json.dumps(g.to_json()))

@@ -96,6 +96,19 @@ def test_su2_measure_reproduces_path_counts(gid):
         assert moment_t_exact(mu, m) == pc       # exact Fourier route
 
 
+@pytest.mark.parametrize("gid", ["D(4)", "Aff-A(12)", "Aff-D(10)", "E(8)", "A(8)",
+                                 "E(7)", "Aff-E(8)"])
+def test_high_moments_match_path_counts_to_rounding(gid):
+    # odd moments vanish while the terms grow like 2^m: the float sum is
+    # good to the rounding of the term sizes, not of its (zero) value
+    mu = canonical_measure(gid)
+    g = by_id(gid)
+    for m in range(31):
+        size = sum(abs(float(w)) * abs(2 * math.cos(2 * math.pi * float(t))) ** m
+                   for t, w in mu.atoms.items())
+        assert abs(moment_t(mu, m) - moment_path_count(g, m)) <= 1e-13 * size
+
+
 def test_su2_measure_vs_eigendata_atoms():
     # same moments out of the closed-form measure and the eigendata sum
     for gid in ["A(5)", "D(6)", "E(6)", "E(7)", "E(8)"]:
@@ -168,7 +181,7 @@ def test_no_closed_form_for_exceptional():
 
 def test_exceptional_atom_measure_matches_eigendata():
     # the S3-symmetrized atom list is an independent route to the moments
-    for gid in ["SU3-E(8)", "SU3-E1(12)"]:
+    for gid in ["SU3-E(8)", "SU3-E1(12)", "SU3-A(6)", "SU3-D(9)", "SU3-Astar(7)"]:
         mu = exceptional_measure_atoms(gid)
         ed = eigendata(gid)
         assert abs(mu.total_mass() - 1) < 1e-12
