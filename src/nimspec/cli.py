@@ -8,18 +8,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from . import deltoid, measures, series, subgroups, suites
 from .errors import InvalidParameterError, NimspecError
 from .graphs import by_id, eigendata, parse_id
-from .paths import moment_path_count, moment_table_csv
+from .paths import moment_table_csv, moments
 
 
-def _load_config(path: Optional[str]) -> dict:
+def _load_config(path: str) -> dict:
     """key=value config lines; '#' comments; flags always win."""
-    if not path:
-        return {}
     out = {}
     with open(path) as fh:
         for raw in fh:
@@ -31,13 +28,22 @@ def _load_config(path: Optional[str]) -> dict:
     return out
 
 
-def _apply_config(args: argparse.Namespace, cfg: dict, parser_defaults: dict) -> None:
-    casts = {"order": int, "depth": int, "tol": float, "seed": int,
-             "jobs": int, "grid": int, "format": str, "out": str}
+def _apply_config(args: argparse.Namespace, cfg: dict, options: dict,
+                  passed: set) -> None:
+    """Set each option named in the config file that was not passed on the
+    command line, typed and checked like the flag itself."""
     for key, val in cfg.items():
-        if key in casts and hasattr(args, key):
-            if getattr(args, key) == parser_defaults.get(key):
-                setattr(args, key, casts[key](val))
+        action = options.get(key)
+        if action is None or key in passed:
+            continue
+        try:
+            value = action.type(val) if action.type else val
+            if action.choices and value not in action.choices:
+                raise ValueError(val)
+        except ValueError:
+            raise InvalidParameterError(
+                f"config value {key} = {val!r} is not a valid --{key}") from None
+        setattr(args, key, value)
 
 
 def _human_report(report: suites.SuiteReport) -> str:
@@ -84,11 +90,8 @@ def _export_payload(spec: str, args: argparse.Namespace):
     if spec.startswith("moments:"):
         g = by_id(spec[8:])
         upper = args.depth if g.trunc_depth else 2 * args.depth
-        table = {
-            (m, n): moment_path_count(g, m, n)
-            for m in range(upper + 1)
-            for n in range(1 if g.symmetric else upper - m + 1)
-        }
+        table = moments(g, [(m, n) for m in range(upper + 1)
+                            for n in range(1 if g.symmetric else upper - m + 1)])
         return moment_table_csv(table), "csv-text"
     if spec.startswith("series:"):
         kind, _, gid = spec[7:].partition(":")
@@ -162,22 +165,34 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _all_defaults(ap: argparse.ArgumentParser) -> dict:
-    out = {}
-    for action in ap._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                out.update(_all_defaults(sub))
-        else:
-            out[action.dest] = action.default
-    return out
+def _subparsers(ap: argparse.ArgumentParser) -> dict:
+    """command name -> its parser."""
+    return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _subcommand_options(ap: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> action for the options of a subcommand a config file may set."""
+    return {a.dest: a for a in _subparsers(ap)[command]._actions
+            if a.option_strings and a.dest not in ("help", "config")}
+
+
+def _passed_options(argv) -> set:
+    """dests of the options given on the command line: the same parse, with
+    every default suppressed."""
+    ap = build_parser()
+    for parser in _subparsers(ap).values():
+        for action in parser._actions:
+            action.default = argparse.SUPPRESS
+    return set(vars(ap.parse_args(argv)))
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _apply_config(args, _load_config(args.config), _all_defaults(ap))
+        if args.config:
+            _apply_config(args, _load_config(args.config),
+                          _subcommand_options(ap, args.command), _passed_options(argv))
         return args.func(args)
     except BrokenPipeError:
         return 0

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Tuple, Union
 
-from .errors import InvalidParameterError
+from .errors import FailedIdentityError, InvalidParameterError
 
 Angle = Union[Fraction, float]
 TorusPoint = Tuple[Angle, Angle]
@@ -67,7 +67,7 @@ def s3_orbit(p: TorusPoint) -> List[TorusPoint]:
     z = phi(p)
     for q in orbit:
         if abs(phi(q) - z) > 1e-12:
-            raise AssertionError("Phi is not constant on the S3 orbit")
+            raise FailedIdentityError("Phi is not constant on the S3 orbit")
     return orbit
 
 
@@ -109,7 +109,7 @@ def jacobian(p: TorusPoint, form: str = "theta") -> float:
             - w2 ** 2 / w1 + w1 / w2 ** 2
         )
         if abs(val.imag) > 1e-9:
-            raise AssertionError("omega-form Jacobian should be real")
+            raise FailedIdentityError("omega-form Jacobian should be real")
         return val.real
     if form == "abs_z":
         d = discriminant(phi(p))
@@ -177,7 +177,7 @@ def invert_phi(z: complex, tol: float = 1e-9) -> List[complex]:
         roots.append(_polish_root(w, z))
     for w in roots:
         if abs(w ** 3 - z * w ** 2 + zb * w - 1) > tol:
-            raise AssertionError(f"cubic root {w} fails the residual check at z={z}")
+            raise FailedIdentityError(f"cubic root {w} fails the residual check at z={z}")
     return roots
 
 
@@ -206,7 +206,8 @@ def generate_Dl(l: int) -> List[Tuple[Fraction, Fraction]]:
         for q2 in range(3 * l)
         if (q1 + q2) % 3 == 0
     ]
-    assert len(pts) == 3 * l * l
+    if len(pts) != 3 * l * l:
+        raise FailedIdentityError(f"D_l grid has {len(pts)} points, not 3 l^2 = {3 * l * l}")
     return pts
 
 
@@ -228,8 +229,10 @@ def density_grid(n: int) -> Iterable[tuple]:
 
     This is the plotting payload for the continuous deltoid measures: the
     1/|J| density integrates the torus-uniform spectral measure and |J| the
-    group-invariant one.
+    group-invariant one.  The grid has n >= 2 points a side.
     """
+    if n < 2:
+        raise InvalidParameterError(f"density grid needs n >= 2 points a side, got {n}")
     nan = float("nan")
     for i in range(n):
         x = -3.0 + 6.0 * i / (n - 1)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     DataUnavailableError,
+    FailedIdentityError,
     InvalidParameterError,
     UnsupportedConstructionError,
 )
@@ -384,7 +385,7 @@ def _su3_eigendata_a(l: int) -> list:
             psi = su3_psi_star(l, lam)
             jpsi = -jv / (2 * math.sqrt(3) * math.pi ** 2 * l)
             if abs(psi - jpsi) > 1e-12:
-                raise AssertionError(
+                raise FailedIdentityError(
                     f"eigenvector/Jacobian mismatch at {lam}: {psi} vs {jpsi}"
                 )
             out.append(EigenEntry(lam, su3_eigenvalue(l, lam), w, 1))
@@ -534,7 +535,7 @@ def eigendata(graph_id: str) -> EigenData:
     ed = EigenData(graph_id, tuple(eigen(n)))
     mass = ed.total_mass()
     if abs(mass - 1.0) > 1e-12:
-        raise AssertionError(f"eigendata for {graph_id} has mass {mass}")
+        raise FailedIdentityError(f"eigendata for {graph_id} has mass {mass}")
     return ed
 
 

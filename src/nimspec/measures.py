@@ -287,7 +287,7 @@ def circle_series(mu: DiscreteMeasure, order: int) -> list:
             for t, w in mu.atoms.items()
         )
         if abs(val.imag) > 1e-10:
-            raise AssertionError("circle series should be real for symmetric measures")
+            raise FailedIdentityError("circle series should be real for symmetric measures")
         out.append(val.real)
     return out
 

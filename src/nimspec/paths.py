@@ -1,5 +1,11 @@
-"""Exact big-integer moment and dimension computations: adjacency-power path
-counting plus the closed-form combinatorial formulas (binomial/Catalan,
+"""Exact big-integer moment and dimension computations.
+
+Path counts: [Delta^m (Delta^T)^n]_{*,*} = <x_m, x_n>, where
+x_k = (Delta^T)^k e_* is the k-step forward walk from the distinguished
+vertex.  A single moment, a moment table and the loop series are all read
+off one walk over sparse out-edge lists (`moments`).
+
+Alongside are the closed-form combinatorial formulas (binomial/Catalan,
 hexagonal and triangular lattice moments, path counts on the SU(3) quadrant
 graph, Hecke algebra dimensions).
 
@@ -11,26 +17,47 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from .errors import InvalidParameterError, TruncationError
+from .errors import FailedIdentityError, InvalidParameterError, TruncationError
 from .graphs import Graph
 
 
-def _matvec(adj, v):
-    return [sum(row[j] * v[j] for j in range(len(v)) if row[j]) for row in adj]
+def _forward_walk(graph: Graph, steps: int) -> List[Dict[int, int]]:
+    """x_0 .. x_steps with x_k = (Delta^T)^k e_*: x_k[v] counts the k-step
+    paths from * to v.  Vectors are sparse dicts, stepped over sparse
+    out-edge lists."""
+    out_edges = [[(j, a) for j, a in enumerate(row) if a] for row in graph.adjacency]
+    walk = [{graph.distinguished: 1}]
+    for _ in range(steps):
+        nxt: Dict[int, int] = {}
+        for i, c in walk[-1].items():
+            for j, a in out_edges[i]:
+                nxt[j] = nxt.get(j, 0) + a * c
+        walk.append(nxt)
+    return walk
 
 
-def _matvec_t(adj, v):
-    n = len(v)
-    out = [0] * n
-    for i in range(n):
-        vi = v[i]
-        if vi:
-            row = adj[i]
-            for j in range(n):
-                if row[j]:
-                    out[j] += row[j] * vi
+def moments(graph: Graph, pairs: Iterable[Tuple[int, int]]) -> Dict[Tuple[int, int], int]:
+    """[Delta^m (Delta^T)^n]_{*,*} for each pair (m, n), as exact integers.
+
+    The entry is <x_m, x_n>, the number of pairs of paths from * of lengths
+    m and n with a common endpoint, so every entry is read off one forward
+    walk of max(m, n) steps.  Every pair is checked before the walk starts.
+    """
+    pairs = list(pairs)
+    for m, n in pairs:
+        if m < 0 or n < 0:
+            raise InvalidParameterError("moment orders must be non-negative")
+        if graph.trunc_depth is not None and m + n > graph.trunc_depth:
+            raise TruncationError(
+                f"moment ({m},{n}) exceeds safe depth {graph.trunc_depth} of {graph.id}"
+            )
+    walk = _forward_walk(graph, max((max(p) for p in pairs), default=0))
+    out = {}
+    for m, n in pairs:
+        xn = walk[n]
+        out[(m, n)] = sum(c * xn.get(v, 0) for v, c in walk[m].items())
     return out
 
 
@@ -40,31 +67,13 @@ def moment_path_count(graph: Graph, m: int, n: int = 0):
     Counts pairs of paths from * of lengths m and n meeting at a common
     endpoint (for symmetric graphs this only depends on m+n).
     """
-    if m < 0 or n < 0:
-        raise InvalidParameterError("moment orders must be non-negative")
-    if graph.trunc_depth is not None and m + n > graph.trunc_depth:
-        raise TruncationError(
-            f"moment ({m},{n}) exceeds safe depth {graph.trunc_depth} of {graph.id}"
-        )
-    star = graph.distinguished
-    v = [0] * graph.n_vertices
-    v[star] = 1
-    # walk columns: y = (Delta^T)^n e_*, i.e. forward n-step counts from *
-    y = v
-    for _ in range(n):
-        y = _matvec_t(graph.adjacency, y)
-    for _ in range(m):
-        y = _matvec(graph.adjacency, y)
-    return y[star]
+    return moments(graph, [(m, n)])[(m, n)]
 
 
 def moment_table(graph: Graph, max_m: int, max_n: int = 0) -> Dict[Tuple[int, int], int]:
-    """All moments (m, n) with m <= max_m, n <= max_n as a dict."""
-    return {
-        (m, n): moment_path_count(graph, m, n)
-        for m in range(max_m + 1)
-        for n in range(max_n + 1)
-    }
+    """All moments (m, n) with m <= max_m, n <= max_n as a dict: the Gram
+    matrix of one forward walk."""
+    return moments(graph, [(m, n) for m in range(max_m + 1) for n in range(max_n + 1)])
 
 
 def moment_table_csv(table: Dict[Tuple[int, int], int]) -> str:
@@ -157,7 +166,7 @@ def moment_formula_su3_Ainf(m: int, n: int):
     signed = 0
     for (a1, a2), g in gamma.items():
         if (a1 - a2) % 3 != 0:
-            raise AssertionError("gamma support must have a1 = a2 mod 3")
+            raise FailedIdentityError("gamma support must have a1 = a2 mod 3")
         b1 = (2 * a1 + a2) // 3
         b2 = (a1 + 2 * a2) // 3
         for k1 in range(m + 1):
@@ -171,10 +180,10 @@ def moment_formula_su3_Ainf(m: int, n: int):
                 if second:
                     signed += g * first * second
     if signed % 6 != 0:
-        raise AssertionError(f"signed moment sum {signed} is not divisible by 6")
+        raise FailedIdentityError(f"signed moment sum {signed} is not divisible by 6")
     value = -signed // 6
     if value < 0:
-        raise AssertionError(f"moment ({m},{n}) came out negative: {value}")
+        raise FailedIdentityError(f"moment ({m},{n}) came out negative: {value}")
     return value
 
 
@@ -191,7 +200,7 @@ def su3_path_count_formula(n: int, l1: int, l2: int):
         den *= math.factorial(p // 3)
     val = Fraction(num, den)
     if val.denominator != 1:
-        raise AssertionError("path count formula produced a non-integer")
+        raise FailedIdentityError("path count formula produced a non-integer")
     return int(val)
 
 
@@ -219,7 +228,7 @@ def hecke_dimension(n: int, p1: int, p2: int, method: str = "determinantal"):
         )
         val = math.factorial(n) * det
         if val.denominator != 1:
-            raise AssertionError("determinantal formula gave a non-integer")
+            raise FailedIdentityError("determinantal formula gave a non-integer")
         return int(val)
     if method == "multinomial":
         return (

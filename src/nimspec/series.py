@@ -8,6 +8,7 @@ extraction, and Molien series of abelian SU(3) subgroups.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -115,15 +116,36 @@ class TruncatedSeries:
         return TruncatedSeries(out, self.var)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner), requiring inner to have zero constant term."""
+        """self(inner) to inner's order, exactly; inner needs a zero constant
+        term, and both series rational (int or Fraction) coefficients.
+
+        Horner's rule runs on integer numerators: with L and M the lcm of
+        the denominators of self (a_k = A_k / L) and of inner (inner = J / M),
+        acc <- acc * J + A_k * M^(N-k) for k = N..0, truncated at the order,
+        and the result is acc / (L * M^N), one division per coefficient.
+        Terms a_k with k above the order vanish and are dropped.
+        """
         if inner.coeffs[0] != 0:
             raise InvalidParameterError("composition needs zero constant term")
         order = inner.order
-        acc = TruncatedSeries.zero(order, inner.var)
-        for c in reversed(self.coeffs):
-            acc = acc * inner
-            acc.coeffs[0] = acc.coeffs[0] + c
-        return acc
+        outer, den_outer = _integer_numerators(self.coeffs[: order + 1])
+        j_coeffs, den_inner = _integer_numerators(inner.coeffs)
+        j_terms = [(d, c) for d, c in enumerate(j_coeffs) if c]
+        acc = [0] * (order + 1)
+        scale = 1                                   # M^(N-k)
+        for a in reversed(outer):
+            nxt = [0] * (order + 1)
+            for i, ai in enumerate(acc):
+                if ai:
+                    for d, c in j_terms:
+                        if i + d > order:
+                            break
+                        nxt[i + d] += ai * c
+            nxt[0] += a * scale
+            acc = nxt
+            scale *= den_inner
+        den = den_outer * den_inner ** max(len(outer) - 1, 0)    # L * M^N
+        return TruncatedSeries([Fraction(c, den) for c in acc], inner.var)
 
     def even_part_sqrt(self) -> "TruncatedSeries":
         """Coefficients of q^{2k} reinterpreted at q^k (asserting odd = 0)."""
@@ -158,6 +180,17 @@ class TruncatedSeries:
 
         return {"variable": self.var, "order": self.order,
                 "coeffs": [fmt(c) for c in self.coeffs]}
+
+
+def _integer_numerators(coeffs) -> Tuple[List[int], int]:
+    """(A, L) with L the lcm of the coefficients' denominators and
+    A_k = c_k * L integers; non-rational coefficients are rejected."""
+    for c in coeffs:
+        if not isinstance(c, numbers.Rational):
+            raise InvalidParameterError(
+                f"exact composition needs int or Fraction coefficients, got {c!r}")
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def poly_from_factors(factors: Sequence[Tuple[int, int]], order: int) -> TruncatedSeries:
@@ -465,7 +498,7 @@ def molien_abelian_det(m: int, weights: Tuple[int, int, int], j: int,
     out = []
     for cc in coeffs:
         if abs(cc.imag) > 1e-9:
-            raise AssertionError("Molien coefficients must be real")
+            raise FailedIdentityError("Molien coefficients must be real")
         out.append(cc.real)
     return TruncatedSeries(out, "t")
 
@@ -475,12 +508,12 @@ def molien_abelian_det(m: int, weights: Tuple[int, int, int], j: int,
 # ---------------------------------------------------------------------------
 
 def loop_series(graph: Graph, order: int) -> TruncatedSeries:
-    """f(z) = sum_k [Delta^{2k}]_{*,*} z^k (exact loop counts)."""
-    from .paths import moment_path_count
+    """f(z) = sum_k [Delta^{2k}]_{*,*} z^k (exact loop counts, from one
+    forward walk of 2 * order steps)."""
+    from .paths import moments
 
-    return TruncatedSeries(
-        [Fraction(moment_path_count(graph, 2 * k)) for k in range(order + 1)], "z"
-    )
+    loops = moments(graph, [(2 * k, 0) for k in range(order + 1)])
+    return TruncatedSeries([Fraction(loops[(2 * k, 0)]) for k in range(order + 1)], "z")
 
 
 # family -> (numerator, denominator) factors (sign, k) of 1 + sign q^k at the

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DataIntegrityError,
+    FailedIdentityError,
     GeneratorTranscriptionError,
     InvalidParameterError,
 )
@@ -267,7 +268,7 @@ def molien_series_trivial(group: FiniteMatrixGroup, order: int) -> TruncatedSeri
         c1 = np.trace(gc)
         c2 = np.linalg.det(gc)
         if abs(c1.imag) > 1e-10 or abs(c2 - 1) > 1e-10:
-            raise AssertionError("conjugate determinant polynomial is not 1 - chi t + t^2")
+            raise FailedIdentityError("conjugate determinant polynomial is not 1 - chi t + t^2")
         total = total + TruncatedSeries.inverse_quadratic(c1.real, order)
     return total * (1.0 / group.order)
 

@@ -2,7 +2,8 @@
 
 Nothing here calls the library's closed-form or matrix-power routes: path
 counts are DFS enumerations, algebra dimensions come from Gaussian
-elimination on explicit path bases, tableau counts from direct recursion.
+elimination on explicit path bases, tableau counts from direct recursion,
+series composition is Horner's rule on Fractions.
 """
 
 from __future__ import annotations
@@ -30,6 +31,21 @@ def brute_pair_paths(adjacency, start: int, m: int, n: int) -> int:
     fwd = endpoints(m, False)
     rev = endpoints(n, False)   # n forward steps from start, then reversed
     return sum(c * rev.get(v, 0) for v, c in fwd.items())
+
+
+def horner_compose(outer, inner):
+    """outer(inner) truncated at inner's order, by Horner's rule on Fraction
+    coefficient lists: acc <- acc * inner + a_k, for k from the top down."""
+    order = len(inner) - 1
+    acc = [Fraction(0)] * (order + 1)
+    for a in reversed(outer):
+        nxt = [Fraction(0)] * (order + 1)
+        for i, ai in enumerate(acc):
+            for j in range(order + 1 - i):
+                nxt[i + j] += ai * Fraction(inner[j])
+        nxt[0] += Fraction(a)
+        acc = nxt
+    return acc
 
 
 def dfs_path_count(adjacency, start: int, end: int, length: int) -> int:

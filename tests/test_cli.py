@@ -104,6 +104,14 @@ def test_export_deltoid_density_masks_outside(capsys, tmp_path):
     assert any("nan" in line for line in lines[1:])
 
 
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_export_deltoid_density_rejects_a_grid_below_2(capsys, grid):
+    code, out, err = run_cli(["export", "deltoid-density", "--grid", grid], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_export_moment_table_csv(capsys):
     code, out, _ = run_cli(["export", "moments:SU3-A(6)", "--depth", "3"], capsys)
     assert code == 0
@@ -158,6 +166,27 @@ def test_config_file_defaults(capsys, tmp_path):
     code, out, _ = run_cli(["export", "series:T:A(2)", "--config", str(cfg),
                             "--order", "4"], capsys)
     assert json.loads(out)["order"] == 4
+
+
+def test_explicit_flag_at_its_default_beats_the_config_file(capsys, tmp_path):
+    cfg = tmp_path / "nimspec.cfg"
+    cfg.write_text("order = 6\n")
+    code, out, _ = run_cli(["export", "series:T:A(2)", "--config", str(cfg),
+                            "--order", "40"], capsys)
+    assert code == 0 and json.loads(out)["order"] == 40
+    code, out, _ = run_cli(["export", "series:T:A(2)", "--config", str(cfg),
+                            "--order=40"], capsys)
+    assert code == 0 and json.loads(out)["order"] == 40
+
+
+@pytest.mark.parametrize("line", ["order = abc", "grid = 1.5", "format = xml"])
+def test_bad_config_value_exits_2_with_one_line(capsys, tmp_path, line):
+    cfg = tmp_path / "nimspec.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(["export", "series:T:A(2)", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("spec", ["graph:A(0)", "graph:D(3)", "measure:D(2)",

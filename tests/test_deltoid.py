@@ -172,3 +172,9 @@ def test_density_grid_masks_outside():
     # a point well outside the deltoid must be masked
     far = [r for r in rows if r[0] < -2.5 and abs(r[1]) > 2.5]
     assert all(math.isnan(r[2]) for r in far)
+
+
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_density_grid_needs_two_points_a_side(n):
+    with pytest.raises(InvalidParameterError):
+        list(deltoid.density_grid(n))

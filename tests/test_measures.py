@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nimspec.errors import InvalidParameterError, NoClosedFormError
+from nimspec.errors import FailedIdentityError, InvalidParameterError, NoClosedFormError
 from nimspec.graphs import by_id, eigen_moment, eigendata
 from nimspec.measures import (
     DiscreteMeasure,
@@ -288,6 +288,12 @@ def test_exceptional_obstruction_systems():
     fit = fit_linear_system(rows, rhs)
     assert not fit.feasible
     assert abs(fit.max_certificate_residual - 1 / 36) < 1e-12
+
+
+def test_circle_series_of_an_asymmetric_measure_raises_a_typed_error():
+    # the internal reality check raises a NimspecError, so it survives python -O
+    with pytest.raises(FailedIdentityError):
+        circle_series(dirac(Fraction(1, 4)), 2)
 
 
 def test_circle_series_is_exact_for_uniform_measures():

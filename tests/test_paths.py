@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nimspec.errors import InvalidParameterError, TruncationError
-from nimspec.graphs import build_su3_graph, by_id, truncate_infinite_graph
+from nimspec.graphs import Graph, build_su3_graph, by_id, truncate_infinite_graph
 from nimspec.paths import (
     combinatorial_dimension,
     hecke_dimension,
@@ -16,6 +18,7 @@ from nimspec.paths import (
     su3_path_count_formula,
     upsilon_set,
 )
+from nimspec.series import loop_series
 
 from oracles import brute_pair_paths, standard_tableaux, su3_quadrant_paths
 
@@ -39,6 +42,12 @@ def test_truncation_guard():
         moment_path_count(tr, 9)
     with pytest.raises(TruncationError):
         moment_path_count(tr, 5, 4)
+    with pytest.raises(TruncationError):
+        moment_table(tr, 4, 5)
+    assert len(moment_table(tr, 4, 4)) == 25
+    with pytest.raises(TruncationError):
+        loop_series(tr, 5)
+    assert loop_series(tr, 4).coeffs == [1, 1, 2, 5, 14]
 
 
 def test_su3_small_pair_path_counts():
@@ -185,3 +194,36 @@ def test_su3_finite_graph_agrees_with_truncation():
         for m in range(bound + 1):
             for n in range(bound + 1 - m):
                 assert moment_path_count(g, m, n) == moment_path_count(tr, m, n)
+
+
+@st.composite
+def digraphs(draw):
+    """Small weighted digraphs, mostly sparse, with a random start vertex."""
+    size = draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 0, 1, 1, 2, 3])
+    adj = draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                        min_size=size, max_size=size))
+    return Graph(id="random", vertices=tuple(range(size)),
+                 adjacency=tuple(tuple(r) for r in adj),
+                 distinguished=draw(st.integers(0, size - 1)), symmetric=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(digraphs(), st.integers(0, 5), st.integers(0, 5))
+def test_path_counts_match_brute_force_on_random_digraphs(g, m, n):
+    adj = [list(r) for r in g.adjacency]
+    star = g.distinguished
+    assert moment_path_count(g, m, n) == brute_pair_paths(adj, star, m, n)
+    assert moment_path_count(g, n, m) == moment_path_count(g, m, n)
+    assert moment_table(g, m, n) == {
+        (i, j): brute_pair_paths(adj, star, i, j) for i in range(m + 1) for j in range(n + 1)
+    }
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs(), st.integers(0, 4))
+def test_loop_series_reads_the_even_closed_walks(g, order):
+    adj = [list(r) for r in g.adjacency]
+    coeffs = loop_series(g, order).coeffs
+    assert coeffs == [moment_path_count(g, 2 * k) for k in range(order + 1)]
+    assert coeffs == [brute_pair_paths(adj, g.distinguished, 2 * k, 0) for k in range(order + 1)]

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nimspec.errors import InvalidParameterError, SymmetryError
 from nimspec.graphs import by_id, su3_rotation
@@ -28,7 +30,7 @@ from nimspec.series import (
 )
 from nimspec.subgroups import class_data, generate_group
 
-from oracles import preprojective_dimensions
+from oracles import horner_compose, preprojective_dimensions
 
 
 # -- series arithmetic -------------------------------------------------------
@@ -52,6 +54,35 @@ def test_compose_requires_zero_constant():
     f = TruncatedSeries.from_coeffs([1, 1], 5)
     with pytest.raises(InvalidParameterError):
         f.compose(TruncatedSeries.from_coeffs([1, 1], 5))
+
+
+rationals = st.one_of(st.integers(-40, 40),
+                      st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=12), st.lists(rationals, max_size=10))
+@example([Fraction(1, 3), 2, Fraction(-5, 7)], [Fraction(1, 2), Fraction(2, 3)])
+@example([1, 1, 1, 1], [Fraction(1, 6)])
+def test_compose_matches_fraction_horner(outer, inner_tail):
+    inner = [0] + inner_tail
+    got = TruncatedSeries(outer).compose(TruncatedSeries(inner, "t"))
+    assert got.coeffs == horner_compose(outer, inner)
+    assert got.var == "t"
+
+
+@pytest.mark.parametrize("outer,inner", [([1.0, 2], [0, 1]), ([1, 2], [0, 0.5]),
+                                         ([1, 2j], [0, 1])])
+def test_compose_rejects_non_rational_coefficients(outer, inner):
+    with pytest.raises(InvalidParameterError):
+        TruncatedSeries(outer).compose(TruncatedSeries(inner))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=12).filter(lambda c: c[0] != 0))
+def test_series_times_its_inverse_is_one(coeffs):
+    a = TruncatedSeries(coeffs)
+    assert (a * a.inverse()).coeffs == TruncatedSeries.one(a.order).coeffs
 
 
 # -- pre-projective Hilbert series -------------------------------------------
