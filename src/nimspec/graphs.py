@@ -99,6 +99,12 @@ class EigenData:
         }
 
 
+def _out_edges(matrix) -> list:
+    """Sparse rows of a square matrix: row i lists (j, a) for each nonzero
+    a = matrix[i][j]; for an adjacency matrix, the out-edges of vertex i."""
+    return [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
+
+
 def _graph_from(id_, labels, edges, star, h=None, symmetric=True, depth=None, loops=()):
     """Assemble a Graph from an edge list (plus optional loops); each edge
     runs both ways unless symmetric is False."""

@@ -18,7 +18,7 @@ from .errors import (
     InvalidParameterError,
     SymmetryError,
 )
-from .graphs import Graph, _cycle_graph, by_id, parse_id, su3_rotation
+from .graphs import Graph, _cycle_graph, _out_edges, by_id, parse_id, su3_rotation
 
 Number = Union[int, Fraction, float, complex]
 
@@ -226,21 +226,10 @@ def mat_zero(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def mat_add(a: Matrix, b: Matrix, sign: int = 1) -> Matrix:
-    return tuple(
-        tuple(x + sign * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def mat_scale(c: int, a: Matrix) -> Matrix:
@@ -257,10 +246,6 @@ class MatrixSeries:
     def order(self) -> int:
         return len(self.mats) - 1
 
-    @property
-    def size(self) -> int:
-        return len(self.mats[0])
-
     def entry(self, i: int, j: int) -> TruncatedSeries:
         return TruncatedSeries([m[i][j] for m in self.mats], self.var)
 
@@ -275,6 +260,84 @@ class MatrixSeries:
             "order": self.order,
             "coefficient_matrices": [[list(r) for r in m] for m in self.mats],
         }
+
+
+# ---------------------------------------------------------------------------
+# The matrix-recurrence kernel: each Hilbert series is H = D(t)^{-1} N(t),
+# and each numerator check computes D(t) H(t)
+# ---------------------------------------------------------------------------
+
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise InvalidParameterError(f"series order must be non-negative, got {order}")
+
+
+def _denominator(graph: Graph, directed: bool) -> list:
+    """D(t) = 1 + sum_j c_j M_j t^j as terms (j, c_j, M_j, sparse rows of M_j):
+    1 - Delta t + t^2, or 1 - Delta t + Delta^T t^2 - t^3 when directed."""
+    adj = graph.adjacency
+    one = mat_identity(len(adj))
+    terms = ([(1, -1, adj), (2, 1, tuple(zip(*adj))), (3, -1, one)] if directed
+             else [(1, -1, adj), (2, 1, one)])
+    return [(j, c, m, _out_edges(m)) for j, c, m in terms]
+
+
+def _mul_add(acc: Matrix, rows: list, mat: Matrix, c: int = 1) -> Matrix:
+    """acc + c S mat, with S given by its sparse rows: row i of S mat sums
+    a * mat[l] over the entries (l, a) of row i of S, so the product costs
+    nnz(S) * n steps instead of n^3."""
+    out = []
+    for acc_row, row in zip(acc, rows):
+        for l, a in row:
+            ca = c * a
+            acc_row = [x + ca * y for x, y in zip(acc_row, mat[l])]
+        out.append(tuple(acc_row))
+    return tuple(out)
+
+
+def _convolve(terms: list, mats: Sequence[Matrix], k: int, acc: Matrix,
+              sign: int) -> Matrix:
+    """acc + sign * sum_{1 <= j <= k} D_j H_{k-j}, with H_i = mats[i]."""
+    for j, c, _, rows in terms:
+        if j <= k:
+            acc = _mul_add(acc, rows, mats[k - j], sign * c)
+    return acc
+
+
+def _solve(graph: Graph, directed: bool, order: int,
+           numerator: Optional[Tuple[int, Matrix]] = None) -> List[Matrix]:
+    """H_0 .. H_order of H(t) = D(t)^{-1} N(t), where N(t) = 1 + Q t^h for
+    numerator (h, Q) and N(t) = 1 for None:  H_k = N_k - sum_{j>=1} D_j H_{k-j}.
+    Q must commute with every D_j, so that the series is also N(t) D(t)^{-1}."""
+    _check_order(order)
+    n = graph.n_vertices
+    terms = _denominator(graph, directed)
+    zero = mat_zero(n)
+    num = {0: mat_identity(n)}
+    if numerator is not None:
+        h, q = numerator
+        q_rows = _out_edges(q)
+        for j, _, m, m_rows in terms:
+            if _mul_add(zero, q_rows, m) != _mul_add(zero, m_rows, q):
+                raise SymmetryError(f"numerator permutation does not commute with "
+                                    f"the t^{j} coefficient of the denominator")
+        num[h] = q
+    mats: List[Matrix] = []
+    for k in range(order + 1):
+        mats.append(_convolve(terms, mats, k, num.get(k, zero), -1))
+    return mats
+
+
+def _multiply(graph: Graph, directed: bool, mats: Sequence[Matrix]) -> List[Matrix]:
+    """The coefficients N_k = H_k + sum_{j>=1} D_j H_{k-j} of D(t) H(t)."""
+    terms = _denominator(graph, directed)
+    return [_convolve(terms, mats, k, m, 1) for k, m in enumerate(mats)]
+
+
+def _check_nonnegative(graph_id: str, mats: Sequence[Matrix]) -> None:
+    for m in mats:
+        if any(min(row) < 0 for row in m):
+            raise FailedIdentityError(f"{graph_id}: negative Hilbert coefficient")
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +366,6 @@ def su2_involution(graph: Graph) -> Matrix:
     return tuple(tuple(row) for row in p)
 
 
-def _check_automorphism(p: Matrix, adj: Matrix, transpose_too: bool = False) -> None:
-    if mat_mul(p, adj) != mat_mul(adj, p):
-        raise SymmetryError("numerator permutation does not commute with the adjacency")
-    if transpose_too:
-        at = mat_transpose(adj)
-        if mat_mul(p, at) != mat_mul(at, p):
-            raise SymmetryError("numerator permutation does not commute with Delta^T")
-
-
 def hilbert_su2(graph: Graph, order: int = 40) -> MatrixSeries:
     """Matrix Hilbert series of the pre-projective algebra of an unoriented
     graph: (1 + P t^h)(1 - Delta t + t^2)^{-1} for ADET graphs (a matrix
@@ -319,120 +373,55 @@ def hilbert_su2(graph: Graph, order: int = 40) -> MatrixSeries:
     if not graph.symmetric:
         raise InvalidParameterError("hilbert_su2 needs an unoriented graph")
     adet = graph.family in ("A", "D", "E", "Tad")
-    adj = graph.adjacency
-    n = graph.n_vertices
-    h = graph.coxeter_h if adet else None
-    p = su2_involution(graph) if adet else None
-    if p is not None:
-        _check_automorphism(p, adj)
-    mats: List[Matrix] = [mat_identity(n)]
-    for k in range(1, order + 1):
-        m = mat_mul(adj, mats[k - 1])
-        if k >= 2:
-            m = mat_add(m, mats[k - 2], sign=-1)
-        if adet and k == h:
-            m = mat_add(m, p)
-        mats.append(m)
-    hs = MatrixSeries(graph.id, mats)
+    h = graph.coxeter_h
+    mats = _solve(graph, False, order, (h, su2_involution(graph)) if adet else None)
     if adet:
         for k in range(h - 1, order + 1):
-            if mats[k] != mat_zero(n):
+            if any(map(any, mats[k])):
                 raise FailedIdentityError(
                     f"{graph.id}: pre-projective series fails to terminate at degree {k}"
                 )
-    for m in mats:
-        if any(x < 0 for row in m for x in row):
-            raise FailedIdentityError(f"{graph.id}: negative Hilbert coefficient")
-    return hs
+    _check_nonnegative(graph.id, mats)
+    return MatrixSeries(graph.id, mats)
 
 
 def su2_numerator(hs: MatrixSeries, graph: Graph) -> List[Matrix]:
     """Coefficients of (1 - Delta t + t^2) * H, for identity checks."""
-    adj = graph.adjacency
-    n = graph.n_vertices
-    out = []
-    for k in range(hs.order + 1):
-        m = hs.mats[k]
-        if k >= 1:
-            m = mat_add(m, mat_mul(adj, hs.mats[k - 1]), sign=-1)
-        if k >= 2:
-            m = mat_add(m, hs.mats[k - 2])
-        out.append(m)
-    return out
+    return _multiply(graph, False, hs.mats)
 
 
 # ---------------------------------------------------------------------------
 # SU(3) Hilbert series
 # ---------------------------------------------------------------------------
 
-def hilbert_su3(graph: Graph, p: Optional[Matrix] = None, h: Optional[int] = None,
+def hilbert_su3(graph: Graph, p: Optional[Matrix] = None,
                 order: Optional[int] = None) -> MatrixSeries:
     """(1 - P t^h)(1 - Delta t + Delta^T t^2 - t^3)^{-1} for a directed
-    SU(3) fusion graph; P defaults to the triangle rotation for A^(l) and
-    the identity for A^(l)*."""
-    adj = graph.adjacency
-    adjt = mat_transpose(adj)
+    SU(3) fusion graph with Coxeter number h, to order 3h by default; P is
+    an n x n permutation matrix commuting with Delta, by default the
+    triangle rotation for A^(l) and the identity for A^(l)*."""
     n = graph.n_vertices
-    if h is None:
-        h = graph.coxeter_h
+    h = graph.coxeter_h
     if h is None:
         raise InvalidParameterError("hilbert_su3 needs the Coxeter number h")
     if p is None:
-        if graph.family == "SU3-A":
-            p = su3_rotation(graph)
-        else:
-            p = mat_identity(n)
-    _check_automorphism(p, adj, transpose_too=True)
-    if order is None:
-        order = 3 * h
-    mats: List[Matrix] = [mat_identity(n)]
-    for k in range(1, order + 1):
-        m = mat_mul(adj, mats[k - 1])
-        if k >= 2:
-            m = mat_add(m, mat_mul(adjt, mats[k - 2]), sign=-1)
-        if k >= 3:
-            m = mat_add(m, mats[k - 3])
-        if k == h:
-            m = mat_add(m, p, sign=-1)
-        mats.append(m)
-    hs = MatrixSeries(graph.id, mats)
-    for m in mats:
-        if any(x < 0 for row in m for x in row):
-            raise FailedIdentityError(f"{graph.id}: negative Hilbert coefficient")
-    return hs
+        p = su3_rotation(graph) if graph.family == "SU3-A" else mat_identity(n)
+    elif (len(p) != n or any(len(row) != n for row in p)
+          or sorted(_out_edges(p)) != [[(j, 1)] for j in range(n)]):
+        raise InvalidParameterError(f"P must be an {n}x{n} permutation matrix")
+    mats = _solve(graph, True, 3 * h if order is None else order, (h, mat_scale(-1, p)))
+    _check_nonnegative(graph.id, mats)
+    return MatrixSeries(graph.id, mats)
 
 
 def su3_numerator(hs: MatrixSeries, graph: Graph) -> List[Matrix]:
     """Coefficients of (1 - Delta t + Delta^T t^2 - t^3) * H."""
-    adj = graph.adjacency
-    adjt = mat_transpose(adj)
-    out = []
-    for k in range(hs.order + 1):
-        m = hs.mats[k]
-        if k >= 1:
-            m = mat_add(m, mat_mul(adj, hs.mats[k - 1]), sign=-1)
-        if k >= 2:
-            m = mat_add(m, mat_mul(adjt, hs.mats[k - 2]))
-        if k >= 3:
-            m = mat_add(m, hs.mats[k - 3], sign=-1)
-        out.append(m)
-    return out
+    return _multiply(graph, True, hs.mats)
 
 
 def cy3_hilbert(mckay: Graph, order: int = 30) -> MatrixSeries:
     """(1 - Delta t + Delta^T t^2 - t^3)^{-1} for a subgroup McKay graph."""
-    adj = mckay.adjacency
-    adjt = mat_transpose(adj)
-    n = mckay.n_vertices
-    mats: List[Matrix] = [mat_identity(n)]
-    for k in range(1, order + 1):
-        m = mat_mul(adj, mats[k - 1])
-        if k >= 2:
-            m = mat_add(m, mat_mul(adjt, mats[k - 2]), sign=-1)
-        if k >= 3:
-            m = mat_add(m, mats[k - 3])
-        mats.append(m)
-    return MatrixSeries(mckay.id, mats)
+    return MatrixSeries(mckay.id, _solve(mckay, True, order))
 
 
 def abelian_mckay(m: int, weights: Tuple[int, int, int]) -> Graph:
@@ -557,6 +546,7 @@ def t_series(graph_id: str, order: int = 40, route: str = "closed_form") -> Trun
     """T series of a graph by one of three routes: the tabulated closed form,
     the circle-moment series of the canonical measure, or composition of the
     loop series with q/(1+q)^2."""
+    _check_order(order)
     if route == "closed_form":
         return t_closed_form(graph_id, order)
     if route == "measure":
@@ -581,6 +571,7 @@ def theta_series(graph_id: str, order: int = 24, route: str = "measure") -> Trun
 
     measure route: Theta(q^2) = 2 G(q) + q^2 - 1 with G the circle-moment
     series;  f route: Theta(q) = q + (1-q)/(1+q) * f(q/(1+q)^2)."""
+    _check_order(order)
     if route == "measure":
         from .measures import canonical_measure, circle_series
 

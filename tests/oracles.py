@@ -3,7 +3,8 @@
 Nothing here calls the library's closed-form or matrix-power routes: path
 counts are DFS enumerations, algebra dimensions come from Gaussian
 elimination on explicit path bases, tableau counts from direct recursion,
-series composition is Horner's rule on Fractions.
+series composition is Horner's rule on Fractions, and matrix Hilbert series
+are dense tuple-of-tuples recurrences.
 """
 
 from __future__ import annotations
@@ -46,6 +47,41 @@ def horner_compose(outer, inner):
         nxt[0] += Fraction(a)
         acc = nxt
     return acc
+
+
+def _dense_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def _dense_add(a, b, sign=1):
+    return tuple(
+        tuple(x + sign * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+    )
+
+
+def dense_hilbert(adjacency, order, directed=False, numerator=None):
+    """H_0 .. H_order of D(t)^{-1} N(t) by dense matrix products, with
+    D(t) = 1 - A t + t^2, or 1 - A t + A^T t^2 - t^3 when directed, and
+    N(t) = 1 + Q t^h for numerator (h, Q), N(t) = 1 for None:
+    H_k = A H_{k-1} - H_{k-2} (+ Q at k = h), or
+    H_k = A H_{k-1} - A^T H_{k-2} + H_{k-3} (+ Q at k = h)."""
+    n = len(adjacency)
+    adjt = tuple(zip(*adjacency))
+    mats = [tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))]
+    for k in range(1, order + 1):
+        m = _dense_mul(adjacency, mats[k - 1])
+        if k >= 2:
+            m = _dense_add(m, _dense_mul(adjt, mats[k - 2]) if directed else mats[k - 2],
+                           sign=-1)
+        if directed and k >= 3:
+            m = _dense_add(m, mats[k - 3])
+        if numerator is not None and k == numerator[0]:
+            m = _dense_add(m, numerator[1])
+        mats.append(m)
+    return mats
 
 
 def dfs_path_count(adjacency, start: int, end: int, length: int) -> int:

@@ -112,6 +112,15 @@ def test_export_deltoid_density_rejects_a_grid_below_2(capsys, grid):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec", ["series:T:A(3)", "series:Theta:A(3)",
+                                  "series:hilbert:A(3)"])
+def test_export_series_rejects_a_negative_order(capsys, spec):
+    code, out, err = run_cli(["export", spec, "--order", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_export_moment_table_csv(capsys):
     code, out, _ = run_cli(["export", "moments:SU3-A(6)", "--depth", "3"], capsys)
     assert code == 0

@@ -140,10 +140,8 @@ def test_library_id_routes_raise_only_typed_errors(gid):
             pass
 
 
-# series:hilbert is left out: its cost grows as n^3 per degree, minutes for
-# SU3-A(40).
 EXPORT_KINDS = ["graph:", "eigendata:", "measure:", "moments:", "series:T:",
-                "series:Theta:"]
+                "series:Theta:", "series:hilbert:"]
 
 
 @settings(max_examples=100, deadline=None)

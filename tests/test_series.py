@@ -4,9 +4,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nimspec.errors import InvalidParameterError, SymmetryError
-from nimspec.graphs import by_id, su3_rotation
+from nimspec.errors import (
+    FailedIdentityError,
+    InvalidParameterError,
+    NimspecError,
+    SymmetryError,
+)
+from nimspec.graphs import Graph, by_id, su3_rotation
 from nimspec.series import (
+    MatrixSeries,
     TruncatedSeries,
     abelian_mckay,
     cy3_hilbert,
@@ -30,7 +36,7 @@ from nimspec.series import (
 )
 from nimspec.subgroups import class_data, generate_group
 
-from oracles import horner_compose, preprojective_dimensions
+from oracles import dense_hilbert, horner_compose, preprojective_dimensions
 
 
 # -- series arithmetic -------------------------------------------------------
@@ -171,10 +177,8 @@ def test_su3_astar_hilbert_nonnegative():
 
 def test_su3_symmetry_validation():
     g = by_id("SU3-A(5)")
-    bad = mat_identity(g.n_vertices - 1) + ((0,) * (g.n_vertices - 1),)
-    bad = tuple(row + (0,) for row in mat_identity(g.n_vertices - 1)) + (
-        (0,) * (g.n_vertices - 1) + (1,),
-    )
+    with pytest.raises(InvalidParameterError):
+        hilbert_su3(g, p=mat_identity(g.n_vertices - 1))
     swapped = list(list(r) for r in mat_identity(g.n_vertices))
     swapped[0][0], swapped[0][1] = 0, 1
     swapped[1][1], swapped[1][0] = 0, 1
@@ -214,6 +218,63 @@ def test_molien_det_route_cross_check():
     mol = molien_abelian(5, (1, 1, 3), 0, 25)
     det = molien_abelian_det(5, (1, 1, 3), 0, 25)
     assert mol.max_difference(det) < 1e-9
+
+
+# -- the matrix-recurrence kernel against the dense oracle ---------------------
+
+@st.composite
+def weighted_adjacency(draw, symmetric):
+    n = draw(st.integers(1, 5))
+    rows = [[draw(st.integers(0, 2)) for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return tuple(tuple(r) for r in rows)
+
+
+def _outcome(call):
+    """The call's value, or the type of the NimspecError it raised."""
+    try:
+        return call()
+    except NimspecError as exc:
+        return type(exc)
+
+
+def _oracle(adjacency, order, directed, numerator=None, nonnegative=True):
+    """dense_hilbert under the library's error contract."""
+    if order < 0:
+        raise InvalidParameterError("negative order")
+    mats = dense_hilbert(adjacency, order, directed, numerator)
+    if nonnegative and any(x < 0 for m in mats for row in m for x in row):
+        raise FailedIdentityError("negative coefficient")
+    return mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_adjacency(symmetric=True), weighted_adjacency(symmetric=False),
+       st.integers(-2, 9), st.integers(1, 6))
+def test_matrix_recurrences_match_the_dense_oracle(sym, digraph, order, h):
+    su2 = Graph("sym", tuple(range(len(sym))), sym, 0, symmetric=True)
+    su3 = Graph("digraph", tuple(range(len(digraph))), digraph, 0, coxeter_h=h,
+                symmetric=False)
+    minus_one = tuple(tuple(-1 if i == j else 0 for j in range(su3.n_vertices))
+                      for i in range(su3.n_vertices))
+    cases = [
+        (su2, su2_numerator, None, lambda: hilbert_su2(su2, order).mats,
+         lambda: _oracle(sym, order, False)),
+        (su3, su3_numerator, None, lambda: cy3_hilbert(su3, order).mats,
+         lambda: _oracle(digraph, order, True, nonnegative=False)),
+        (su3, su3_numerator, minus_one, lambda: hilbert_su3(su3, order=order).mats,
+         lambda: _oracle(digraph, order, True, (h, minus_one))),
+    ]
+    for g, numerator, at_h, route, oracle in cases:
+        got = _outcome(route)
+        assert got == _outcome(oracle)
+        if isinstance(got, list):
+            n = g.n_vertices
+            want = [mat_identity(n)] + [mat_zero(n)] * order
+            if at_h is not None and h <= order:
+                want[h] = at_h
+            assert numerator(MatrixSeries(g.id, got), g) == want
 
 
 # -- T and Theta series -------------------------------------------------------
