@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
@@ -47,6 +47,11 @@ class Graph:
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
+
+    @cached_property
+    def out_edges(self) -> list:
+        """The sparse rows of the adjacency, built once per graph."""
+        return _out_edges(self.adjacency)
 
     def degree(self, i: int) -> int:
         return sum(self.adjacency[i])

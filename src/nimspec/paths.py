@@ -20,14 +20,14 @@ from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
 
 from .errors import FailedIdentityError, InvalidParameterError, TruncationError
-from .graphs import Graph, _out_edges
+from .graphs import Graph
 
 
 def _forward_walk(graph: Graph, steps: int) -> List[Dict[int, int]]:
     """x_0 .. x_steps with x_k = (Delta^T)^k e_*: x_k[v] counts the k-step
     paths from * to v.  Vectors are sparse dicts, stepped over sparse
     out-edge lists."""
-    out_edges = _out_edges(graph.adjacency)
+    out_edges = graph.out_edges
     walk = [{graph.distinguished: 1}]
     for _ in range(steps):
         nxt: Dict[int, int] = {}

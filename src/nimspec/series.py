@@ -11,6 +11,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -83,18 +84,21 @@ class TruncatedSeries:
         return TruncatedSeries([a[k] - b[k] for k in range(n + 1)], self.var)
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            out = [0] * (n + 1)
-            for i, ai in enumerate(self.coeffs[: n + 1]):
-                if ai == 0:
-                    continue
-                for j in range(0, n + 1 - i):
-                    bj = other.coeffs[j]
-                    if bj != 0:
-                        out[i + j] += ai * bj
-            return TruncatedSeries(out, self.var)
-        return TruncatedSeries([c * other for c in self.coeffs], self.var)
+        """Truncated product, or the product with a scalar.
+
+        With rational coefficients a = A / L and b = B / M on both sides, the
+        integer convolution A * B is divided once by L * M per coefficient;
+        with any float or complex coefficient the convolution runs on the
+        coefficients themselves."""
+        if not isinstance(other, TruncatedSeries):
+            return TruncatedSeries([c * other for c in self.coeffs], self.var)
+        n = min(self.order, other.order)
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        if not (_rational(a) and _rational(b)):
+            return TruncatedSeries(_product(a, b), self.var)
+        (a, den_a), (b, den_b) = _integer_numerators(a), _integer_numerators(b)
+        den = den_a * den_b
+        return TruncatedSeries([Fraction(c, den) for c in _product(a, b)], self.var)
 
     __rmul__ = __mul__
 
@@ -102,9 +106,23 @@ class TruncatedSeries:
         return TruncatedSeries([-c for c in self.coeffs], self.var)
 
     def inverse(self) -> "TruncatedSeries":
+        """1 / self to the same order; the constant term must be nonzero.
+
+        With rational coefficients a = A / L, the inverse is b_k =
+        L B_k / A_0^(k+1) for the integers B_0 = 1 and
+        B_k = -sum_{j>=1} A_j A_0^(j-1) B_{k-j}; any float or complex
+        coefficient selects the direct recurrence."""
         a0 = self.coeffs[0]
         if a0 == 0:
             raise InvalidParameterError("series inverse needs a unit constant term")
+        if _rational(self.coeffs):
+            a, den = _integer_numerators(self.coeffs)
+            terms = [(j, aj * a[0] ** (j - 1)) for j, aj in enumerate(a) if j and aj]
+            big = [1]
+            for k in range(1, len(a)):
+                big.append(-sum(c * big[k - j] for j, c in terms if j <= k))
+            return TruncatedSeries([Fraction(den * bk, a[0] ** (k + 1))
+                                    for k, bk in enumerate(big)], self.var)
         inv0 = Fraction(1, 1) / a0 if isinstance(a0, (int, Fraction)) else 1.0 / a0
         out = [inv0]
         for k in range(1, self.order + 1):
@@ -182,6 +200,26 @@ class TruncatedSeries:
                 "coeffs": [fmt(c) for c in self.coeffs]}
 
 
+def _product(a: list, b: list) -> list:
+    """The truncated product of two coefficient lists of equal length,
+    summed for each degree in order of the first factor's index and
+    skipping zero terms."""
+    n = len(a) - 1
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in b_terms:
+                if i + j > n:
+                    break
+                out[i + j] += ai * bj
+    return out
+
+
+def _rational(coeffs) -> bool:
+    return all(isinstance(c, numbers.Rational) for c in coeffs)
+
+
 def _integer_numerators(coeffs) -> Tuple[List[int], int]:
     """(A, L) with L the lcm of the coefficients' denominators and
     A_k = c_k * L integers; non-rational coefficients are rejected."""
@@ -193,10 +231,18 @@ def _integer_numerators(coeffs) -> Tuple[List[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise InvalidParameterError(f"series order must be non-negative, got {order}")
+
+
 def poly_from_factors(factors: Sequence[Tuple[int, int]], order: int) -> TruncatedSeries:
-    """Product of (1 + sign * q^k) over (sign, k) pairs, as a series."""
+    """Product of (1 + sign * q^k) over (sign, k) pairs with k >= 1, as a series."""
+    _check_order(order)
     out = TruncatedSeries.one(order)
     for sign, k in factors:
+        if k < 1:
+            raise InvalidParameterError(f"factor 1 + sign q^k needs k >= 1, got k = {k}")
         f = TruncatedSeries.zero(order)
         f.coeffs[0] = Fraction(1)
         if k <= order:
@@ -267,19 +313,14 @@ class MatrixSeries:
 # and each numerator check computes D(t) H(t)
 # ---------------------------------------------------------------------------
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise InvalidParameterError(f"series order must be non-negative, got {order}")
-
-
 def _denominator(graph: Graph, directed: bool) -> list:
     """D(t) = 1 + sum_j c_j M_j t^j as terms (j, c_j, M_j, sparse rows of M_j):
     1 - Delta t + t^2, or 1 - Delta t + Delta^T t^2 - t^3 when directed."""
     adj = graph.adjacency
     one = mat_identity(len(adj))
-    terms = ([(1, -1, adj), (2, 1, tuple(zip(*adj))), (3, -1, one)] if directed
-             else [(1, -1, adj), (2, 1, one)])
-    return [(j, c, m, _out_edges(m)) for j, c, m in terms]
+    terms = [(2, 1, tuple(zip(*adj))), (3, -1, one)] if directed else [(2, 1, one)]
+    return ([(1, -1, adj, graph.out_edges)]
+            + [(j, c, m, _out_edges(m)) for j, c, m in terms])
 
 
 def _mul_add(acc: Matrix, rows: list, mat: Matrix, c: int = 1) -> Matrix:
@@ -454,17 +495,27 @@ def molien_abelian(m: int, weights: Tuple[int, int, int], j: int,
     Exact, by enumeration of monomial weights: the dual module carries the
     negated weights.
     """
-    a, b, c = (w % m for w in weights)
-    coeffs = []
+    if m < 1:
+        raise InvalidParameterError(f"cyclic subgroup needs order >= 1, got {m}")
+    _check_order(order)
+    counts = _monomial_characters(m, tuple(w % m for w in weights), order)
+    return TruncatedSeries([Fraction(row[j % m]) for row in counts], "t")
+
+
+@lru_cache(maxsize=64)
+def _monomial_characters(m: int, weights: Tuple[int, int, int],
+                         order: int) -> Tuple[Tuple[int, ...], ...]:
+    """counts[k][j]: the degree-k monomials x^a y^b z^c of character j,
+    one enumeration bucketing every character."""
+    a, b, c = weights
+    counts = []
     for k in range(order + 1):
-        cnt = 0
+        row = [0] * m
         for x in range(k + 1):
             for y in range(k + 1 - x):
-                z = k - x - y
-                if (-(a * x + b * y + c * z)) % m == j % m:
-                    cnt += 1
-        coeffs.append(Fraction(cnt))
-    return TruncatedSeries(coeffs, "t")
+                row[-(a * x + b * y + c * (k - x - y)) % m] += 1
+        counts.append(tuple(row))
+    return tuple(counts)
 
 
 def molien_abelian_det(m: int, weights: Tuple[int, int, int], j: int,
@@ -589,7 +640,8 @@ def theta_series(graph_id: str, order: int = 24, route: str = "measure") -> Trun
         composed = TruncatedSeries(f.coeffs, "q").compose(_w_substitution(order))
         one_minus = TruncatedSeries.from_coeffs([1, -1], order)
         out = composed * one_minus * _one_plus_q(order).inverse()
-        out.coeffs[1] = out.coeffs[1] + 1
+        if order >= 1:
+            out.coeffs[1] = out.coeffs[1] + 1
         return out
     raise InvalidParameterError(f"unknown Theta route {route!r}")
 
@@ -597,34 +649,26 @@ def theta_series(graph_id: str, order: int = 24, route: str = "measure") -> Trun
 def generalized_t(graph: Graph, order: int = 24) -> MatrixSeries:
     """The matrix series (1+q)^{-1} ftilde(q/(1+q)^2) evaluated at q = t^2,
     where ftilde(z) = (1 - z^{1/2} Delta)^{-1} is handled in the auxiliary
-    variable w = z^{1/2} = t/(1+t^2).
+    variable w = z^{1/2} = t/(1+t^2): the sum over k of
+    t^k / (1+t^2)^{k+1} Delta^k, whose t^d coefficient is
+    (-1)^m C(k+m, m) at d = k + 2m.
 
     Coded independently of hilbert_su2; the two must agree entrywise.
     """
     if not graph.symmetric:
         raise InvalidParameterError("generalized T series needs an unoriented graph")
+    _check_order(order)
     n = graph.n_vertices
-    t = TruncatedSeries.from_coeffs([Fraction(0), Fraction(1)], order)
-    one_t2 = TruncatedSeries.from_coeffs([Fraction(1), Fraction(0), Fraction(1)], order)
-    w = t * one_t2.inverse()
-    prefactor = one_t2.inverse()
-    entries = [[TruncatedSeries.zero(order, "t") for _ in range(n)] for _ in range(n)]
+    mats = [[[0] * n for _ in range(n)] for _ in range(order + 1)]
     power = mat_identity(n)
-    wk = TruncatedSeries.one(order, "t")
     for k in range(order + 1):
-        term_scalar = wk * prefactor
-        for i in range(n):
-            for j in range(n):
-                if power[i][j]:
-                    entries[i][j] = entries[i][j] + power[i][j] * term_scalar
+        for d in range(k, order + 1, 2):
+            m = (d - k) // 2
+            c = (-1) ** m * math.comb(k + m, m)
+            mats[d] = [[x + c * p for x, p in zip(row, p_row)]
+                       for row, p_row in zip(mats[d], power)]
         power = mat_mul(power, graph.adjacency)
-        wk = wk * w
-    mats = []
-    for k in range(order + 1):
-        mats.append(
-            tuple(tuple(entries[i][j].coeffs[k] for j in range(n)) for i in range(n))
-        )
-    return MatrixSeries(graph.id, mats)
+    return MatrixSeries(graph.id, [tuple(map(tuple, m)) for m in mats])
 
 
 def g_composition_route(cd, order: int) -> TruncatedSeries:
@@ -636,15 +680,16 @@ def g_composition_route(cd, order: int) -> TruncatedSeries:
     lose everything; the character values are rationalized to 40 digits and
     the composition runs in exact arithmetic.
     """
+    _check_order(order)
     n = cd.order
-    g = TruncatedSeries.zero(order)
     scale = 10 ** 40
-    for r in cd.rows:
-        chi = Fraction(round(r.chi_rho * scale), scale)
-        g = g + TruncatedSeries.geometric(chi, order) * Fraction(r.size, n)
+    rows = [(r.size, round(r.chi_rho * scale)) for r in cd.rows]
+    # G = sum_r (size_r / n) / (1 - chi_r q) with chi_r = c_r / 10^40
+    g = TruncatedSeries([Fraction(sum(size * c ** k for size, c in rows), n * scale ** k)
+                         for k in range(order + 1)])
     one_t2 = TruncatedSeries.from_coeffs([Fraction(1), Fraction(0), Fraction(1)], order)
     inner = TruncatedSeries.from_coeffs([Fraction(0), Fraction(1)], order) * one_t2.inverse()
-    composed = TruncatedSeries(g.coeffs, "t").compose(inner) * one_t2.inverse()
+    composed = g.compose(inner) * one_t2.inverse()
     return TruncatedSeries([float(c) for c in composed.coeffs], "t")
 
 
@@ -690,6 +735,10 @@ def kostant_closed_form_check(graph_id: str, order: Optional[int] = None) -> lis
     a, b = kostant_parameters(graph_id)
     if order is None:
         order = 2 * (a + b)
+    elif order < a + b - 1:
+        raise InvalidParameterError(
+            f"{graph_id}: order {order} is below a + b - 1 = {a + b - 1}, "
+            f"so no numerator coefficient would be checked")
     affine = kostant_affine_partner(graph_id)
     hs = hilbert_su2(affine, order)
     star = affine.distinguished

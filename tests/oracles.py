@@ -3,8 +3,9 @@
 Nothing here calls the library's closed-form or matrix-power routes: path
 counts are DFS enumerations, algebra dimensions come from Gaussian
 elimination on explicit path bases, tableau counts from direct recursion,
-series composition is Horner's rule on Fractions, and matrix Hilbert series
-are dense tuple-of-tuples recurrences.
+series products, inverses and composition are direct loops on Fraction
+coefficient lists, and matrix Hilbert series are dense tuple-of-tuples
+recurrences.
 """
 
 from __future__ import annotations
@@ -47,6 +48,60 @@ def horner_compose(outer, inner):
         nxt[0] += Fraction(a)
         acc = nxt
     return acc
+
+
+def fraction_mul(a, b):
+    """The truncated product of two coefficient lists by the direct
+    convolution loop, coefficient by coefficient in the inputs' own
+    arithmetic (Fraction, float or complex)."""
+    n = min(len(a), len(b)) - 1
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a[: n + 1]):
+        if ai == 0:
+            continue
+        for j in range(0, n + 1 - i):
+            bj = b[j]
+            if bj != 0:
+                out[i + j] += ai * bj
+    return out
+
+
+def fraction_inverse(a):
+    """1 / a to len(a) - 1 terms by the direct recurrence
+    b_k = -b_0 sum_{j>=1} a_j b_{k-j}, with b_0 = 1 / a_0 a Fraction when
+    a_0 is rational."""
+    a0 = a[0]
+    inv0 = Fraction(1, 1) / a0 if isinstance(a0, (int, Fraction)) else 1.0 / a0
+    out = [inv0]
+    for k in range(1, len(a)):
+        acc = 0
+        for j in range(1, k + 1):
+            acc += a[j] * out[k - j]
+        out.append(-inv0 * acc)
+    return out
+
+
+def fraction_generalized_t(adjacency, order):
+    """Coefficient matrices of sum_k w^k (1+t^2)^{-1} A^k with
+    w = t / (1+t^2), to the given order: Fraction series per entry, added
+    one power of A at a time."""
+    n = len(adjacency)
+    one_t2 = [Fraction(1), Fraction(0), Fraction(1)] + [Fraction(0)] * order
+    prefactor = fraction_inverse(one_t2[: order + 1])
+    w = fraction_mul([Fraction(0), Fraction(1)] + [Fraction(0)] * order, prefactor)
+    entries = [[[Fraction(0)] * (order + 1) for _ in range(n)] for _ in range(n)]
+    power = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    wk = [Fraction(1)] + [Fraction(0)] * order
+    for _ in range(order + 1):
+        term = fraction_mul(wk, prefactor)
+        for i in range(n):
+            for j in range(n):
+                if power[i][j]:
+                    entries[i][j] = [x + power[i][j] * y for x, y in zip(entries[i][j], term)]
+        power = _dense_mul(power, adjacency)
+        wk = fraction_mul(wk, w)
+    return [tuple(tuple(entries[i][j][d] for j in range(n)) for i in range(n))
+            for d in range(order + 1)]
 
 
 def _dense_mul(a, b):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nimspec import graphs, series
 from nimspec.errors import InvalidParameterError, TruncationError
 from nimspec.graphs import Graph, build_su3_graph, by_id, truncate_infinite_graph
 from nimspec.paths import (
@@ -227,3 +228,15 @@ def test_loop_series_reads_the_even_closed_walks(g, order):
     coeffs = loop_series(g, order).coeffs
     assert coeffs == [moment_path_count(g, 2 * k) for k in range(order + 1)]
     assert coeffs == [brute_pair_paths(adj, g.distinguished, 2 * k, 0) for k in range(order + 1)]
+
+
+def test_sparse_rows_are_built_once_per_graph(monkeypatch):
+    built = []
+    real = graphs._out_edges
+    monkeypatch.setattr(graphs, "_out_edges", lambda matrix: built.append(matrix) or real(matrix))
+    adjacency = ((0, 1, 0), (1, 0, 2), (0, 2, 1))
+    g = Graph("g", (0, 1, 2), adjacency, 0)
+    counts = [moment_path_count(g, m, n) for m in range(4) for n in range(4)]
+    assert counts == [brute_pair_paths(adjacency, 0, m, n) for m in range(4) for n in range(4)]
+    assert series._denominator(g, False)[0][3] is g.out_edges == real(adjacency)
+    assert built == [adjacency]

@@ -27,6 +27,7 @@ from nimspec.series import (
     mat_zero,
     molien_abelian,
     molien_abelian_det,
+    poly_from_factors,
     rational_series,
     su2_involution,
     su2_numerator,
@@ -34,9 +35,16 @@ from nimspec.series import (
     t_series,
     theta_series,
 )
-from nimspec.subgroups import class_data, generate_group
+from nimspec.subgroups import ClassData, ClassRow, class_data, generate_group
 
-from oracles import dense_hilbert, horner_compose, preprojective_dimensions
+from oracles import (
+    dense_hilbert,
+    fraction_generalized_t,
+    fraction_inverse,
+    fraction_mul,
+    horner_compose,
+    preprojective_dimensions,
+)
 
 
 # -- series arithmetic -------------------------------------------------------
@@ -89,6 +97,31 @@ def test_compose_rejects_non_rational_coefficients(outer, inner):
 def test_series_times_its_inverse_is_one(coeffs):
     a = TruncatedSeries(coeffs)
     assert (a * a.inverse()).coeffs == TruncatedSeries.one(a.order).coeffs
+
+
+inexact = st.one_of(st.floats(-4, 4), st.complex_numbers(max_magnitude=4, allow_nan=False,
+                                                        allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(rationals, inexact), min_size=1, max_size=10),
+       st.lists(st.one_of(rationals, inexact), min_size=1, max_size=10))
+@example([Fraction(-3, 4), 2, Fraction(5, 6), 0, 7], [3, Fraction(1, 9), -2])
+@example([2, 0.5, 1], [Fraction(1, 3), 1, 1])
+@example([1j, 2, Fraction(1, 2)], [0.25, 0, 1])
+def test_product_and_inverse_match_the_direct_loops(a, b):
+    """Rational inputs give the loops' values; a float or complex
+    coefficient gives the loops' results bit for bit."""
+    def check(got, want, inputs):
+        if all(isinstance(c, (int, Fraction)) for c in inputs):
+            assert got == want
+        else:
+            assert repr(got) == repr(want)
+
+    n = min(len(a), len(b))
+    check((TruncatedSeries(a) * TruncatedSeries(b)).coeffs, fraction_mul(a, b), a[:n] + b[:n])
+    if a[0] != 0:
+        check(TruncatedSeries(a).inverse().coeffs, fraction_inverse(a), a)
 
 
 # -- pre-projective Hilbert series -------------------------------------------
@@ -331,6 +364,17 @@ def test_generalized_t_equals_hilbert():
         assert all(hs.mats[k] == gt.mats[k] for k in range(25))
 
 
+@settings(max_examples=100, deadline=None)
+@given(weighted_adjacency(symmetric=True), st.integers(0, 9))
+def test_generalized_t_matches_the_fraction_route_and_hilbert(adjacency, order):
+    g = Graph("sym", tuple(range(len(adjacency))), adjacency, 0, symmetric=True)
+    mats = generalized_t(g, order).mats
+    assert mats == fraction_generalized_t(adjacency, order)
+    assert mats == dense_hilbert(adjacency, order)
+    hs = _outcome(lambda: hilbert_su2(g, order).mats)
+    assert hs is FailedIdentityError or hs == mats
+
+
 def test_generalized_t_star_entry_is_scalar_t():
     g = by_id("Aff-E(6)")
     gt = generalized_t(g, 24)
@@ -391,3 +435,66 @@ def test_g_composition_route_is_stable():
     g = by_id("Aff-E(8)")
     hid = hilbert_su2(g, 40).entry(g.distinguished, g.distinguished)
     assert comp.max_difference(hid) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 30), st.floats(-2, 2)), min_size=1, max_size=5),
+       st.integers(0, 14))
+def test_g_composition_route_matches_the_fraction_route(rows, order):
+    cd = ClassData("G", tuple(ClassRow(f"c{i}", size, chi)
+                              for i, (size, chi) in enumerate(rows)))
+    n, scale = cd.order, 10 ** 40
+    g = [sum(Fraction(size, n) * Fraction(round(chi * scale), scale) ** k
+             for size, chi in rows) for k in range(order + 1)]
+    t = [Fraction(0), Fraction(1)] + [Fraction(0)] * order
+    one_t2 = [Fraction(1), Fraction(0), Fraction(1)] + [Fraction(0)] * order
+    over_one_t2 = fraction_inverse(one_t2[: order + 1])
+    composed = fraction_mul(horner_compose(g, fraction_mul(t, over_one_t2)), over_one_t2)
+    assert g_composition_route(cd, order).coeffs == [float(c) for c in composed]
+
+
+# -- order guards and input checks -------------------------------------------
+
+def _bi_class_data():
+    return class_data(generate_group("BI"))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: generalized_t(by_id("Aff-A(4)"), -1),
+    lambda: g_composition_route(_bi_class_data(), -1),
+    lambda: rational_series([(-1, 2)], [(-1, 3)], -1),
+    lambda: poly_from_factors([(-1, 2)], -1),
+    lambda: molien_abelian(3, (1, 1, 1), 0, -1),
+], ids=["generalized_t", "g_composition_route", "rational_series",
+        "poly_from_factors", "molien_abelian"])
+def test_negative_order_is_rejected(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_molien_abelian_rejects_a_nonpositive_group_order(m):
+    with pytest.raises(InvalidParameterError):
+        molien_abelian(m, (1, 1, 1), 0, 4)
+
+
+@pytest.mark.parametrize("gid", ["A(3)", "D(5)", "Aff-E(6)"])
+def test_theta_routes_agree_at_order_zero(gid):
+    assert theta_series(gid, 0, "f").coeffs == theta_series(gid, 0, "measure").coeffs == [1]
+
+
+@pytest.mark.parametrize("factors", [[(1, 0)], [(-1, 2), (1, -1)]])
+def test_poly_from_factors_rejects_nonpositive_exponents(factors):
+    with pytest.raises(InvalidParameterError):
+        poly_from_factors(factors, 6)
+
+
+@pytest.mark.parametrize("gid,order", [("E(6)", 3), ("E(6)", 12), ("A(3)", 2), ("D(4)", 0)])
+def test_kostant_check_rejects_an_order_too_short_to_check(gid, order):
+    with pytest.raises(InvalidParameterError):
+        kostant_closed_form_check(gid, order)
+
+
+def test_kostant_check_at_the_shortest_order():
+    a, b = kostant_parameters("E(6)")
+    assert kostant_closed_form_check("E(6)", a + b - 1) == kostant_closed_form_check("E(6)")
