@@ -20,6 +20,7 @@ from .paths import (
     moment_formula_su3_A6inf,
     moment_formula_su3_Ainf,
     moment_path_count,
+    moments,
     su3_path_count_formula,
 )
 from .measures import (
@@ -29,6 +30,7 @@ from .measures import (
     make_measure,
     moment_t,
     moment_t2,
+    moments_t2,
 )
 from .series import (
     MatrixSeries,

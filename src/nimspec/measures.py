@@ -14,7 +14,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -232,10 +232,16 @@ def make_measure(spec) -> DiscreteMeasure:
 
 # -- moment evaluation -------------------------------------------------------
 
+def _check_orders(*orders: int) -> None:
+    if any(k < 0 for k in orders):
+        raise InvalidParameterError("moment orders must be non-negative")
+
+
 def moment_t(mu: DiscreteMeasure, m: int, shift: int = 0) -> float:
     """Integral of (u + u^{-1} + shift)^m, by direct atom summation."""
     if mu.dimension != 1:
         raise InvalidParameterError("moment_t needs a circle measure")
+    _check_orders(m)
     total = 0j
     size = 0.0          # sum of |term|: the scale of the rounding in total
     for t, w in mu.atoms.items():
@@ -254,6 +260,7 @@ def moment_t_exact(mu: DiscreteMeasure, m: int, shift: int = 0) -> Optional[Frac
     (u + u^{-1} + shift)^m expands into powers u^{i-j};   only rational
     Fourier coefficients enter.
     """
+    _check_orders(m)
     if mu.fourier is None:
         return None
     total = Fraction(0)
@@ -292,15 +299,31 @@ def circle_series(mu: DiscreteMeasure, order: int) -> list:
     return out
 
 
-def moment_t2(mu: DiscreteMeasure, m: int, n: int) -> complex:
-    """Integral of Phi^m conj(Phi)^n for a torus measure."""
+def moments_t2(mu: DiscreteMeasure,
+               pairs: Iterable[Tuple[int, int]]) -> Dict[Tuple[int, int], complex]:
+    """Integral of Phi^m conj(Phi)^n for each pair (m, n), for a torus measure.
+
+    Phi is evaluated once per atom; each pair is then one weighted sum over
+    the stacked powers z^m conj(z)^n.  Every pair is checked first.
+    """
     if mu.dimension != 2:
         raise InvalidParameterError("moment_t2 needs a torus measure")
-    total = 0j
-    for (t1, t2), w in mu.atoms.items():
-        z = deltoid.phi((t1, t2))
-        total += complex(w) * z ** m * z.conjugate() ** n
-    return total
+    pairs = list(pairs)
+    _check_orders(*(k for pair in pairs for k in pair))
+    z = np.array([deltoid.phi(t) for t in mu.atoms], dtype=complex)
+    w = np.array([complex(x) for x in mu.atoms.values()], dtype=complex)
+    powers = [np.ones_like(z)]
+    for _ in range(max((max(p) for p in pairs), default=0)):
+        powers.append(powers[-1] * z)
+    return {
+        (m, n): complex(np.sum(w * powers[m] * powers[n].conj()))
+        for m, n in pairs
+    }
+
+
+def moment_t2(mu: DiscreteMeasure, m: int, n: int) -> complex:
+    """Integral of Phi^m conj(Phi)^n for a torus measure."""
+    return moments_t2(mu, [(m, n)])[(m, n)]
 
 
 # -- canonical measures ------------------------------------------------------
@@ -380,6 +403,7 @@ def canonical_measure(graph_id: str) -> DiscreteMeasure:
 def canonical_graph_moment(graph_id: str, m: int, n: int = 0) -> complex:
     """Moment of the canonical measure in the chart of its graph family
     (SU(2): (u+1/u)^{m+n};  SU3-Astar: shifted by +1;  SU(3): R_{m,n})."""
+    _check_orders(m, n)
     mu = canonical_measure(graph_id)
     if mu.dimension == 2:
         return moment_t2(mu, m, n)

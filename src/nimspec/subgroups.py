@@ -112,45 +112,47 @@ def _gen_matrices(name: str, n: Optional[int]) -> List[np.ndarray]:
     raise InvalidParameterError(f"unknown group {name!r}")
 
 
-def _key(g: np.ndarray) -> tuple:
-    return tuple(
-        (round(z.real, 7), round(z.imag, 7)) for z in g.flatten()
-    )
+def _keys(stack: np.ndarray) -> List[bytes]:
+    """One hashable key per matrix of a stack: the real and imaginary parts
+    of every entry scaled by 1e7 and rounded to int64, one row per matrix."""
+    parts = np.ascontiguousarray(stack).view(np.float64).reshape(len(stack), -1)
+    return [row.tobytes() for row in np.rint(parts * 1e7).astype(np.int64)]
 
 
 def generate_group(name: str, n: Optional[int] = None) -> FiniteMatrixGroup:
     """Enumerate the group by closure under multiplication.
 
-    Element equality uses entrywise rounding; the minimum gap between
-    distinct elements of these groups is O(0.1), far above the rounding.
+    Each breadth-first step multiplies the whole frontier by every generator
+    in one stacked product; new elements keep the order of the element-wise
+    loop g @ h (g in the frontier, h in the generators).  Elements are equal
+    when their integer keys are: every real and imaginary part scaled by 1e7
+    and rounded.  The minimum gap between distinct elements of these groups
+    is O(0.1), far above the rounding.
     """
     gens = _gen_matrices(name, n)
+    gen_stack = np.array(gens)
     expected = _EXPECTED_ORDER.get(name) or (2 * n if name == "Z2n" else 4 * (n - 2))
-    elems: Dict[tuple, np.ndarray] = {}
     ident = np.eye(2, dtype=complex)
-    frontier = [ident]
-    elems[_key(ident)] = ident
-    while frontier:
+    elems: Dict[bytes, np.ndarray] = {_keys(ident[None])[0]: ident}
+    frontier = ident[None]
+    while len(frontier):
+        prods = (frontier[:, None] @ gen_stack[None]).reshape(-1, 2, 2)
         new = []
-        for g in frontier:
-            for h in gens:
-                prod = g @ h
-                k = _key(prod)
-                if k not in elems:
-                    elems[k] = prod
-                    new.append(prod)
-            if len(elems) > 10 * expected:
-                raise GeneratorTranscriptionError(
-                    f"{name}: closure exceeded 10x the expected order {expected}"
-                )
-        frontier = new
+        for k, prod in zip(_keys(prods), prods):
+            if k not in elems:
+                elems[k] = prod
+                new.append(prod)
+        if len(elems) > 10 * expected:
+            raise GeneratorTranscriptionError(
+                f"{name}: closure exceeded 10x the expected order {expected}"
+            )
+        frontier = np.array(new).reshape(-1, 2, 2)
     if len(elems) != expected:
         raise GeneratorTranscriptionError(
             f"{name}: enumerated order {len(elems)} != expected {expected}"
         )
-    for g in elems.values():
-        if abs(np.linalg.det(g) - 1) > 1e-10:
-            raise GeneratorTranscriptionError(f"{name}: non-unimodular element")
+    if np.any(np.abs(np.linalg.det(np.array(list(elems.values()))) - 1) > 1e-10):
+        raise GeneratorTranscriptionError(f"{name}: non-unimodular element")
     return FiniteMatrixGroup(name, n, tuple(elems.values()), tuple(gens))
 
 
@@ -193,17 +195,29 @@ def reference_table(name: str, n: Optional[int] = None) -> List[Tuple[str, int, 
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> List[List[np.ndarray]]:
-    elems = list(group.elements)
-    keys = {_key(g): i for i, g in enumerate(elems)}
+    """Orbits of the conjugation action, in order of their first element.
+
+    For each representative g not yet in a class, all conjugates h g h^H
+    come from one stacked product, and their keys index the element list.
+    A conjugate missing from the list is a data-integrity error: the
+    elements are not closed under conjugation.
+    """
+    elems = group.elements
+    stack = np.array(elems)
+    stack_h = stack.conj().transpose(0, 2, 1)
+    index = {k: i for i, k in enumerate(_keys(stack))}
     seen = set()
     classes = []
     for i, g in enumerate(elems):
         if i in seen:
             continue
-        orbit = set()
-        for h in elems:
-            k = _key(h @ g @ h.conj().T)
-            orbit.add(keys[k])
+        try:
+            orbit = {index[k] for k in _keys(stack @ g @ stack_h)}
+        except KeyError:
+            raise DataIntegrityError(
+                f"{group.name}: a conjugate of element {i} is not in the "
+                f"element list"
+            ) from None
         seen |= orbit
         classes.append([elems[j] for j in sorted(orbit)])
     return classes

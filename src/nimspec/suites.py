@@ -22,6 +22,7 @@ from .paths import (
     moment_formula_su3_A6inf,
     moment_formula_su3_Ainf,
     moment_path_count,
+    moments,
     su3_path_count_formula,
 )
 
@@ -104,15 +105,16 @@ def _suite_su2_measures(tol: float, rng: random.Random) -> List[Check]:
     checks: List[Check] = []
 
     def binomial_catalan():
-        tr2 = truncate_infinite_graph("AinfInf", 26)
-        tr1 = truncate_infinite_graph("Ainf", 26)
+        pairs = [(m, 0) for m in range(25)]
+        p2 = moments(truncate_infinite_graph("AinfInf", 26), pairs)
+        p1 = moments(truncate_infinite_graph("Ainf", 26), pairs)
         ok = True
         for k in range(13):
-            ok &= moment_path_count(tr2, 2 * k) == combinatorial_dimension("su2_torus", k)
-            ok &= moment_path_count(tr1, 2 * k) == combinatorial_dimension("su2_group", k)
+            ok &= p2[(2 * k, 0)] == combinatorial_dimension("su2_torus", k)
+            ok &= p1[(2 * k, 0)] == combinatorial_dimension("su2_group", k)
             if k:
-                ok &= moment_path_count(tr2, 2 * k - 1) == 0
-                ok &= moment_path_count(tr1, 2 * k - 1) == 0
+                ok &= p2[(2 * k - 1, 0)] == 0
+                ok &= p1[(2 * k - 1, 0)] == 0
         return (ok, "exact", "binomial/Catalan identities, k <= 12", 0.0)
 
     checks.append(("binomial-catalan-dimensions", binomial_catalan))
@@ -120,9 +122,9 @@ def _suite_su2_measures(tol: float, rng: random.Random) -> List[Check]:
     for gid in _su2_catalogue():
         def run(gid=gid):
             mu = measures.canonical_measure(gid)
-            g = by_id(gid)
+            counts = moments(by_id(gid), [(m, 0) for m in range(13)])
             err = max(
-                abs(measures.moment_t(mu, m) - moment_path_count(g, m))
+                abs(measures.moment_t(mu, m) - counts[(m, 0)])
                 for m in range(13)
             )
             return _case_max_err(err, tol, "measure moments = path counts, m <= 12")
@@ -180,9 +182,9 @@ def _suite_su2_subgroups(tol: float, rng: random.Random) -> List[Check]:
             cd = subgroups.class_data(grp)       # raises on table mismatch
             if grp.order != expected_order:
                 return (False, f"order {grp.order}", f"order {expected_order}", 0.0)
-            g = by_id(gid)
+            counts = moments(by_id(gid), [(m, 0) for m in range(13)])
             err = max(
-                abs(subgroups.subgroup_moment(cd, m) - moment_path_count(g, m))
+                abs(subgroups.subgroup_moment(cd, m) - counts[(m, 0)])
                 for m in range(13)
             )
             return _case_max_err(err, tol, f"order {expected_order}; moments = {gid} path counts")
@@ -265,13 +267,10 @@ def _suite_su3_dimensions(tol: float, rng: random.Random) -> List[Check]:
     def formula_vs_paths(kind: str):
         tr = truncate_infinite_graph(kind, 9)
         formula = moment_formula_su3_A6inf if kind == "SU3_A6inf" else moment_formula_su3_Ainf
+        counts = moments(tr, [(m, n) for m in range(10) for n in range(10 - m)])
         ok = True
-        for m in range(10):
-            for n in range(10 - m):
-                if (m - n) % 3 == 0:
-                    ok &= formula(m, n) == moment_path_count(tr, m, n)
-                else:
-                    ok &= moment_path_count(tr, m, n) == 0
+        for (m, n), count in counts.items():
+            ok &= count == (formula(m, n) if (m - n) % 3 == 0 else 0)
         return (ok, "exact", f"{kind} closed form = path counts, m+n <= 9", 0.0)
 
     checks.append(("moments:SU3_A6inf", lambda: formula_vs_paths("SU3_A6inf")))
@@ -319,17 +318,17 @@ def _suite_su3_dimensions(tol: float, rng: random.Random) -> List[Check]:
 
 def _suite_su3_measures(tol: float, rng: random.Random) -> List[Check]:
     checks: List[Check] = []
+    pairs = [(m, n) for m in range(9) for n in range(9 - m)]
     for l in range(4, 10):
         def run(l=l):
-            mu = measures.canonical_measure(f"SU3-A({l})")
-            g = by_id(f"SU3-A({l})")
-            ed = eigendata(f"SU3-A({l})")
+            gid = f"SU3-A({l})"
+            grid = measures.moments_t2(measures.canonical_measure(gid), pairs)
+            counts = moments(by_id(gid), pairs)
+            ed = eigendata(gid)
             err = 0.0
-            for m in range(9):
-                for n in range(9 - m):
-                    mm = measures.moment_t2(mu, m, n)
-                    err = max(err, abs(mm - moment_path_count(g, m, n)),
-                              abs(mm - eigen_moment(ed, m, n)))
+            for (m, n), mm in grid.items():
+                err = max(err, abs(mm - counts[(m, n)]),
+                          abs(mm - eigen_moment(ed, m, n)))
             return _case_max_err(err, tol, "grid measure = eigendata = path counts")
 
         checks.append((f"measure:SU3-A({l})", run))
@@ -337,13 +336,9 @@ def _suite_su3_measures(tol: float, rng: random.Random) -> List[Check]:
     for k in (2, 3):
         def run(k=k):
             gid = f"SU3-D({3 * k})"
-            mu = measures.canonical_measure(gid)
+            grid = measures.moments_t2(measures.canonical_measure(gid), pairs)
             ed = eigendata(gid)
-            err = max(
-                abs(measures.moment_t2(mu, m, n) - eigen_moment(ed, m, n))
-                for m in range(9)
-                for n in range(9 - m)
-            )
+            err = max(abs(mm - eigen_moment(ed, m, n)) for (m, n), mm in grid.items())
             return _case_max_err(err, tol, "full-grid J^2 measure = eigendata, m+n <= 8")
 
         checks.append((f"measure:SU3-D({3 * k})", run))
@@ -351,16 +346,16 @@ def _suite_su3_measures(tol: float, rng: random.Random) -> List[Check]:
     for l in (4, 6, 8, 10, 12, 14, 16):
         def run(l=l):
             mu = measures.canonical_measure(f"SU3-Astar({l})")
-            g = by_id(f"SU3-Astar({l})")
-            base = by_id(f"A({l // 2 - 1})") if l >= 6 else None
+            loops = [(m, 0) for m in range(9)]
+            counts = moments(by_id(f"SU3-Astar({l})"), loops)
+            base = moments(by_id(f"A({l // 2 - 1})"), loops) if l >= 6 else None
             ok = True
             for mm in range(9):
                 exact = measures.moment_t_exact(mu, mm, shift=1)
-                ok &= exact == moment_path_count(g, mm)
+                ok &= exact == counts[(mm, 0)]
                 if base is not None:
                     shift_sum = sum(
-                        math.comb(mm, j) * moment_path_count(base, j)
-                        for j in range(mm + 1)
+                        math.comb(mm, j) * base[(j, 0)] for j in range(mm + 1)
                     )
                     ok &= exact == shift_sum
             return (ok, "exact", "alpha d_{l/2} = shifted A_{l/2-1} moments", 0.0)

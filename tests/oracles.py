@@ -4,13 +4,18 @@ Nothing here calls the library's closed-form or matrix-power routes: path
 counts are DFS enumerations, algebra dimensions come from Gaussian
 elimination on explicit path bases, tableau counts from direct recursion,
 series products, inverses and composition are direct loops on Fraction
-coefficient lists, and matrix Hilbert series are dense tuple-of-tuples
-recurrences.
+coefficient lists, matrix Hilbert series are dense tuple-of-tuples
+recurrences, finite groups are closed and partitioned one matrix product at
+a time, and torus moments are summed one atom at a time.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def brute_pair_paths(adjacency, start: int, m: int, n: int) -> int:
@@ -285,3 +290,57 @@ def su3_quadrant_paths(n: int, target) -> int:
             if w[0] >= 0 and w[1] >= 0:
                 stack.append((w, steps + 1))
     return total
+
+
+def _round_key(g) -> tuple:
+    return tuple((round(z.real, 7), round(z.imag, 7)) for z in g.flatten())
+
+
+def loop_generate_group(gens):
+    """Closure of 2x2 complex generators by breadth-first multiplication,
+    one product g @ h at a time, elements identified by entrywise
+    round(., 7) keys; elements in order of discovery."""
+    ident = np.eye(2, dtype=complex)
+    elems = {_round_key(ident): ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for g in frontier:
+            for h in gens:
+                prod = g @ h
+                k = _round_key(prod)
+                if k not in elems:
+                    elems[k] = prod
+                    new.append(prod)
+        frontier = new
+    return list(elems.values())
+
+
+def loop_conjugacy_classes(elements):
+    """Conjugation orbits as sorted index lists, in order of their first
+    element: every h g h^H keyed one at a time."""
+    keys = {_round_key(g): i for i, g in enumerate(elements)}
+    seen = set()
+    classes = []
+    for i, g in enumerate(elements):
+        if i in seen:
+            continue
+        orbit = {keys[_round_key(h @ g @ h.conj().T)] for h in elements}
+        seen |= orbit
+        classes.append(sorted(orbit))
+    return classes
+
+
+def atom_moment_t2(atoms, m: int, n: int):
+    """(sum, sum of |term|) of w Phi^m conj(Phi)^n over torus atoms
+    {(t1, t2): w}, Phi = w1 + 1/w2 + w2/w1, one atom at a time."""
+    total = 0j
+    size = 0.0
+    for (t1, t2), w in atoms.items():
+        w1 = cmath.exp(2j * math.pi * float(t1))
+        w2 = cmath.exp(2j * math.pi * float(t2))
+        z = w1 + 1 / w2 + w2 / w1
+        term = complex(w) * z ** m * z.conjugate() ** n
+        total += term
+        size += abs(term)
+    return total, size

@@ -1,8 +1,11 @@
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nimspec.errors import FailedIdentityError, InvalidParameterError, NoClosedFormError
 from nimspec.graphs import by_id, eigen_moment, eigendata
@@ -24,9 +27,12 @@ from nimspec.measures import (
     moment_t,
     moment_t2,
     moment_t_exact,
+    moments_t2,
     with_alpha,
 )
 from nimspec.paths import moment_path_count
+
+from oracles import atom_moment_t2
 
 SU2_IDS = (
     [f"A({n})" for n in range(1, 9)]
@@ -322,3 +328,67 @@ def test_measure_json_export():
     mu2 = canonical_measure("SU3-A(4)")
     blob2 = mu2.to_json()
     assert blob2["atoms"][0]["theta"] == ["0/1", "0/1"]
+
+
+@lru_cache(maxsize=None)
+def _torus_measure(kind, gid):
+    return canonical_measure(gid) if kind == "canonical" else exceptional_measure_atoms(gid)
+
+
+TORUS_MEASURES = (
+    [("canonical", f"SU3-A({l})") for l in range(4, 16)]
+    + [("canonical", f"SU3-D({3 * k})") for k in range(2, 6)]
+    + [("atoms", gid) for gid in ("SU3-E(8)", "SU3-E1(12)", "SU3-A(7)", "SU3-D(9)",
+                                  "SU3-Astar(7)", "SU3-Astar(10)")]
+)
+moment_pairs = st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                        min_size=1, max_size=12)
+
+
+def _assert_matches_the_atom_loop(mu, pairs):
+    got = moments_t2(mu, pairs)
+    assert list(got) == list(dict.fromkeys(pairs))
+    for m, n in pairs:
+        want, size = atom_moment_t2(mu.atoms, m, n)
+        assert abs(got[(m, n)] - want) <= 1e-12 * size
+        assert moment_t2(mu, m, n) == got[(m, n)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TORUS_MEASURES), moment_pairs)
+def test_batched_torus_moments_match_the_atom_loop(which, pairs):
+    _assert_matches_the_atom_loop(_torus_measure(*which), pairs)
+
+
+torus_atoms = st.dictionaries(
+    st.tuples(*[st.builds(Fraction, st.integers(0, 23), st.just(24))] * 2),
+    st.floats(-2, 2), min_size=1, max_size=20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(torus_atoms, moment_pairs)
+def test_batched_moments_of_an_asymmetric_measure_match_the_atom_loop(atoms, pairs):
+    """Moments of a measure without the S3 and conjugation symmetries tell
+    (m, n) from (n, m)."""
+    _assert_matches_the_atom_loop(DiscreteMeasure(2, atoms, "random atoms"), pairs)
+
+
+def test_batched_moments_of_no_pairs_are_empty():
+    assert moments_t2(canonical_measure("SU3-A(4)"), []) == {}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: moment_t(canonical_measure("A(3)"), -1),
+    lambda: moment_t(canonical_measure("SU3-Astar(8)"), -2, shift=1),
+    lambda: moment_t_exact(canonical_measure("A(3)"), -1),
+    lambda: moment_t_exact(canonical_measure("SU3-Astar(8)"), -1, shift=1),
+    lambda: moment_t2(canonical_measure("SU3-A(6)"), -1, 0),
+    lambda: moment_t2(canonical_measure("SU3-A(6)"), 0, -1),
+    lambda: moments_t2(canonical_measure("SU3-A(6)"), [(1, 1), (2, -1)]),
+    lambda: canonical_graph_moment("A(3)", -1),
+    lambda: canonical_graph_moment("SU3-A(6)", 2, -1),
+    lambda: canonical_graph_moment("SU3-Astar(8)", -1),
+])
+def test_negative_moment_orders_are_rejected(call):
+    with pytest.raises(InvalidParameterError, match="moment orders must be non-negative"):
+        call()

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nimspec.errors import InvalidParameterError
+from nimspec.errors import DataIntegrityError, InvalidParameterError
 from nimspec.graphs import by_id
 from nimspec.paths import moment_path_count
 from nimspec.series import hilbert_su2, rational_series
 from nimspec.subgroups import (
+    FiniteMatrixGroup,
+    _gen_matrices,
     class_data,
+    conjugacy_classes,
     generate_group,
     kostant_trivial,
     molien_series_trivial,
@@ -16,6 +21,8 @@ from nimspec.subgroups import (
     reference_table,
     subgroup_moment,
 )
+
+from oracles import loop_conjugacy_classes, loop_generate_group
 
 ORDERS = [("Z2n", 2, 4), ("Z2n", 3, 6), ("BD", 4, 8), ("BD", 5, 12),
           ("BT", None, 24), ("BO", None, 48), ("BI", None, 120)]
@@ -128,3 +135,40 @@ def test_table_mismatch_detection():
     # a deliberately wrong reference row must be flagged, not silently used
     rows = reference_table("BT")
     assert rows[2][1] == 6
+
+
+def _same_closure_and_partition(name, n):
+    grp = generate_group(name, n)
+    want = loop_generate_group(_gen_matrices(name, n))
+    assert [g.tobytes() for g in grp.elements] == [g.tobytes() for g in want]
+    position = {g.tobytes(): i for i, g in enumerate(grp.elements)}
+    classes = [[position[g.tobytes()] for g in c] for c in conjugacy_classes(grp)]
+    assert classes == loop_conjugacy_classes(want)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(1, 30))
+@example(30)
+def test_cyclic_closure_and_classes_match_the_loops(n):
+    """Same elements bit for bit and in the same order, and the same class
+    partition, as the one-product-at-a-time loops."""
+    _same_closure_and_partition("Z2n", n)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(3, 30))
+@example(30)
+def test_binary_dihedral_closure_and_classes_match_the_loops(n):
+    _same_closure_and_partition("BD", n)
+
+
+@pytest.mark.parametrize("name", ["BT", "BO", "BI"])
+def test_exceptional_closure_and_classes_match_the_loops(name):
+    _same_closure_and_partition(name, None)
+
+
+def test_an_element_list_not_closed_under_conjugation_is_a_typed_error():
+    i, j = np.eye(2, dtype=complex), np.array([[0, 1], [-1, 0]], dtype=complex)
+    grp = FiniteMatrixGroup("BD", 3, (i, j, np.diag([1j, -1j])), (j,))
+    with pytest.raises(DataIntegrityError, match=r"BD\(3\)"):
+        conjugacy_classes(grp)
