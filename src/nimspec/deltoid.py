@@ -3,7 +3,9 @@ the Jacobian of the change of variables in its several equivalent forms,
 deltoid membership, the cubic inversion of Phi, and the D_l grids.
 
 Angles are taken in [0,1); rational angles are kept as Fractions so that
-grid membership and S3 orbits are exact.
+grid membership and S3 orbits are exact.  Stacked measures use the array
+forms: Phi and the sine-product Jacobian over an (N, 2) array of float
+angles, and D_l as integer numerators over 3l.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import cmath
 import math
 from fractions import Fraction
 from typing import Iterable, List, Tuple, Union
+
+import numpy as np
 
 from .errors import FailedIdentityError, InvalidParameterError
 
@@ -33,6 +37,14 @@ def phi(p: TorusPoint) -> complex:
     """Phi(w1, w2) = w1 + w2^{-1} + w1^{-1} w2."""
     w1 = cmath.exp(2j * math.pi * _to_float(p[0]))
     w2 = cmath.exp(2j * math.pi * _to_float(p[1]))
+    return w1 + 1 / w2 + w2 / w1
+
+
+def phi_array(theta: np.ndarray) -> np.ndarray:
+    """Phi at each row (theta1, theta2) of an (N, 2) float array; it agrees
+    with phi to rounding (numpy divides complex numbers in another order)."""
+    w1 = np.exp(2j * math.pi * theta[:, 0])
+    w2 = np.exp(2j * math.pi * theta[:, 1])
     return w1 + 1 / w2 + w2 / w1
 
 
@@ -115,6 +127,17 @@ def jacobian(p: TorusPoint, form: str = "theta") -> float:
         d = discriminant(phi(p))
         return 2 * math.pi ** 2 * math.sqrt(max(d.real, 0.0))
     raise InvalidParameterError(f"unknown Jacobian form {form!r}")
+
+
+def jacobian_array(theta: np.ndarray) -> np.ndarray:
+    """The sine_product form of the Jacobian at each row of an (N, 2) float
+    array, by the arithmetic of jacobian applied elementwise."""
+    t1, t2 = theta[:, 0], theta[:, 1]
+    return -16 * math.pi ** 2 * (
+        np.sin((2 * t2 - t1) * math.pi)
+        * np.sin((2 * t1 - t2) * math.pi)
+        * np.sin((t1 + t2) * math.pi)
+    )
 
 
 def _polish_root(w: complex, z: complex) -> complex:
@@ -209,6 +232,20 @@ def generate_Dl(l: int) -> List[Tuple[Fraction, Fraction]]:
     if len(pts) != 3 * l * l:
         raise FailedIdentityError(f"D_l grid has {len(pts)} points, not 3 l^2 = {3 * l * l}")
     return pts
+
+
+def dl_numerators(l: int) -> np.ndarray:
+    """D_l as integer numerators over 3l: the (3 l^2, 2) array of all
+    (q1, q2) with q1 + q2 = 0 mod 3, q1 outer and q2 inner (the order of
+    generate_Dl)."""
+    if l < 4:
+        raise InvalidParameterError("D_l grid needs l >= 4")
+    q1, q2 = np.divmod(np.arange(9 * l * l), 3 * l)
+    keep = (q1 + q2) % 3 == 0
+    q = np.stack([q1[keep], q2[keep]], axis=1)
+    if len(q) != 3 * l * l:
+        raise FailedIdentityError(f"D_l grid has {len(q)} points, not 3 l^2 = {3 * l * l}")
+    return q
 
 
 def fundamental_domain_contains(p: TorusPoint) -> bool:

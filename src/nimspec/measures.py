@@ -2,6 +2,13 @@
 angles, weighted by the densities that appear in the spectral measures of the
 graph catalogue (alpha_j(u) = 2 Im(u^j)^2, the squared Jacobian on the torus).
 
+A measure is built from a dict of atoms, or, for the D_l grids of the SU(3)
+measures, from integer arrays: numerators over one denominator 3l, with one
+exact weight or an array of float weights.  A grid-built measure builds its
+Fraction-keyed atom dict only when it is read.  Every measure caches a stacked
+view (float angles, float weights and, on the torus, the values of Phi), and
+the float torus routes (with_j2, moments_t2) read only that view.
+
 Moments are evaluated two independent ways wherever possible: a direct atom
 sum in complex floats, and an exact rational route through the Fourier
 coefficients of the measure (uniform root-of-unity measures and the alpha_j
@@ -14,7 +21,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from itertools import repeat
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,12 +35,87 @@ from .graphs import eigendata, parse_id, su3_exponent_angles
 Weight = Union[Fraction, float]
 
 
-@dataclass
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class DiscreteMeasure:
-    dimension: int
-    atoms: dict                     # angle key -> weight; keys are Fraction or (Fraction, Fraction)
-    provenance: str
-    fourier: Optional[Callable[[int], Fraction]] = None   # 1D only: r -> integral of u^r
+    """A finite measure on the circle (dimension 1) or the torus (dimension 2).
+
+    ``atoms`` maps each angle key (a Fraction, or a pair of Fractions) to its
+    weight and is read-only.  A measure made by ``on_grid`` keeps its angles
+    as integer numerators over one denominator and builds ``atoms`` the first
+    time it is read, in numerator-array order.  The stacked view
+    ``angle_array`` (N x dimension floats), ``weight_array`` (N floats) and,
+    on the torus, ``phi_array`` (Phi at each atom) is computed once and
+    cached, in atom order; its arrays are read-only too, so the view cannot go
+    stale.
+    """
+
+    def __init__(self, dimension: int, atoms: Mapping, provenance: str,
+                 fourier: Optional[Callable[[int], Fraction]] = None):
+        self.dimension = dimension
+        self.provenance = provenance
+        self.fourier = fourier          # 1D only: r -> integral of u^r
+        self._atoms: Optional[Mapping] = MappingProxyType(dict(atoms))
+        self._grid = None               # (numerators, denominator, exact weight or None)
+
+    @classmethod
+    def on_grid(cls, numerators: np.ndarray, denominator: int, weights: np.ndarray,
+                provenance: str, exact_weight: Optional[Weight] = None) -> "DiscreteMeasure":
+        """The torus measure with atoms at numerators / denominator (an
+        (N, 2) integer array, entries in [0, denominator)) and float weights;
+        exact_weight, when given, is the weight every atom carries in
+        ``atoms`` (weights then holds its float)."""
+        mu = cls(2, {}, provenance)
+        mu._atoms = None
+        mu._grid = (_frozen(numerators), denominator, exact_weight)
+        mu.__dict__["weight_array"] = _frozen(weights)
+        return mu
+
+    @property
+    def atoms(self) -> Mapping:
+        if self._atoms is None:
+            q, den, exact = self._grid
+            angle = [Fraction(k, den) for k in range(den)]
+            keys = [(angle[a], angle[b]) for a, b in q.tolist()]
+            values = repeat(exact) if exact is not None else self.weight_array.tolist()
+            self._atoms = MappingProxyType(dict(zip(keys, values)))
+        return self._atoms
+
+    @cached_property
+    def angle_array(self) -> np.ndarray:
+        if self._grid is not None:
+            q, den, _ = self._grid
+            return _frozen(q / den)
+        keys = self._atoms if self.dimension == 2 else ((t,) for t in self._atoms)
+        flat = [float(t) for key in keys for t in key]
+        return _frozen(np.array(flat, dtype=float).reshape(-1, self.dimension))
+
+    @cached_property
+    def weight_array(self) -> np.ndarray:
+        return _frozen(np.array([float(w) for w in self._atoms.values()], dtype=float))
+
+    @cached_property
+    def phi_array(self) -> np.ndarray:
+        if self.dimension != 2:
+            raise InvalidParameterError("Phi is evaluated on torus measures")
+        return _frozen(deltoid.phi_array(self.angle_array))
+
+    def _with_weights(self, weights: np.ndarray, provenance: str) -> "DiscreteMeasure":
+        """The same atoms with new float weights (in atom order): a grid stays
+        a grid, and the cached angles and Phi values carry over."""
+        if self._grid is not None:
+            q, den, _ = self._grid
+            out = DiscreteMeasure.on_grid(q, den, weights, provenance)
+        else:
+            out = DiscreteMeasure(self.dimension, dict(zip(self._atoms, weights.tolist())),
+                                  provenance)
+        for name in ("angle_array", "phi_array"):
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]
+        return out
 
     def total_mass(self) -> float:
         return float(sum(self.atoms.values()))
@@ -141,7 +226,8 @@ def dirac(theta: Fraction, weight: Weight = 1) -> DiscreteMeasure:
         sign = 1 if theta == 0 else -1
         wq = Fraction(weight) if isinstance(weight, (int, Fraction)) else None
         if wq is not None:
-            fr = lambda r: wq * (sign ** r)
+            # by parity, not sign ** r, which is a float for r < 0
+            fr = lambda r: wq if sign == 1 or r % 2 == 0 else -wq
     return DiscreteMeasure(1, {theta: weight}, f"delta_{theta}", fr)
 
 
@@ -178,21 +264,22 @@ def product_measure(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure
 
 
 def dl_measure(l: int) -> DiscreteMeasure:
-    """d^(l): uniform measure on the 3 l^2 points of the grid D_l."""
-    pts = deltoid.generate_Dl(l)
-    w = Fraction(1, len(pts))
-    return DiscreteMeasure(2, {p: w for p in pts}, f"d^({l})")
+    """d^(l): uniform measure on the 3 l^2 points of the grid D_l, held as
+    integer numerators over 3l."""
+    q = deltoid.dl_numerators(l)
+    w = Fraction(1, len(q))
+    return DiscreteMeasure.on_grid(q, 3 * l, np.full(len(q), float(w)), f"d^({l})",
+                                   exact_weight=w)
 
 
 def with_j2(mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Multiply a torus measure by J(theta1, theta2)^2 / (24 pi^4)."""
+    """Multiply a torus measure by J(theta1, theta2)^2 / (24 pi^4); a grid
+    stays a grid."""
     if mu.dimension != 2:
         raise InvalidParameterError("J^2 density acts on torus measures")
-    atoms = {}
-    for (t1, t2), w in mu.atoms.items():
-        jv = deltoid.jacobian((t1, t2), "sine_product")
-        atoms[(t1, t2)] = float(w) * jv * jv / (24 * math.pi ** 4)
-    return DiscreteMeasure(2, atoms, f"J^2/(24pi^4)*{mu.provenance}")
+    jv = deltoid.jacobian_array(mu.angle_array)
+    weights = mu.weight_array * jv * jv / (24 * math.pi ** 4)
+    return mu._with_weights(weights, f"J^2/(24pi^4)*{mu.provenance}")
 
 
 # -- composition-tree entry point ---------------------------------------------
@@ -303,15 +390,15 @@ def moments_t2(mu: DiscreteMeasure,
                pairs: Iterable[Tuple[int, int]]) -> Dict[Tuple[int, int], complex]:
     """Integral of Phi^m conj(Phi)^n for each pair (m, n), for a torus measure.
 
-    Phi is evaluated once per atom; each pair is then one weighted sum over
-    the stacked powers z^m conj(z)^n.  Every pair is checked first.
+    Phi comes from the measure's cached stacked view, so it is evaluated
+    once per measure; each pair is then one weighted sum over the stacked
+    powers z^m conj(z)^n.  Every pair is checked first.
     """
     if mu.dimension != 2:
         raise InvalidParameterError("moment_t2 needs a torus measure")
     pairs = list(pairs)
     _check_orders(*(k for pair in pairs for k in pair))
-    z = np.array([deltoid.phi(t) for t in mu.atoms], dtype=complex)
-    w = np.array([complex(x) for x in mu.atoms.values()], dtype=complex)
+    z, w = mu.phi_array, mu.weight_array
     powers = [np.ones_like(z)]
     for _ in range(max((max(p) for p in pairs), default=0)):
         powers.append(powers[-1] * z)
@@ -451,6 +538,14 @@ def fit_linear_system(rows: Sequence[Sequence[float]], rhs: Sequence[float],
     certificate: a row that reduces to 0 = r with |r| > tol is inconsistent.
     Rational inputs are eliminated exactly.
     """
+    if not rows:
+        raise InvalidParameterError("a linear system needs at least one equation")
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise InvalidParameterError("the rows of a linear system must have equal length")
+    if len(rhs) != len(rows):
+        raise InvalidParameterError(
+            f"the right-hand side has {len(rhs)} entries for {len(rows)} rows")
     exact = all(
         isinstance(x, (int, Fraction)) for row in rows for x in row
     ) and all(isinstance(x, (int, Fraction)) for x in rhs)
@@ -459,7 +554,6 @@ def fit_linear_system(rows: Sequence[Sequence[float]], rhs: Sequence[float],
         + [Fraction(b) if exact else float(b)]
         for row, b in zip(rows, rhs)
     ]
-    ncols = len(rows[0])
     pivots: List[Tuple[int, list]] = []
     certificate = []
     for ri, row in enumerate(work):
@@ -513,7 +607,11 @@ def cyclotomic_fit(target: DiscreteMeasure, basis: Sequence[DiscreteMeasure],
     comparing weights atom-by-atom on the union of their supports."""
     if not basis:
         raise InvalidParameterError("empty basis")
+    if any(mu.dimension != target.dimension for mu in basis):
+        raise InvalidParameterError("target and basis measures differ in dimension")
     keys = sorted(set(target.atoms) | {k for mu in basis for k in mu.atoms})
+    if not keys:
+        raise InvalidParameterError("target and basis measures have no atoms")
     rows = [[mu.atoms.get(k, 0) for mu in basis] for k in keys]
     rhs = [target.atoms.get(k, 0) for k in keys]
     return fit_linear_system(rows, rhs, tol=tol)

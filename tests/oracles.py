@@ -6,7 +6,9 @@ elimination on explicit path bases, tableau counts from direct recursion,
 series products, inverses and composition are direct loops on Fraction
 coefficient lists, matrix Hilbert series are dense tuple-of-tuples
 recurrences, finite groups are closed and partitioned one matrix product at
-a time, and torus moments are summed one atom at a time.
+a time, torus moments are summed one atom at a time, and the D_l measure and
+its J^2 density are built one Fraction atom at a time through the scalar
+deltoid routes.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from nimspec import deltoid
 
 
 def brute_pair_paths(adjacency, start: int, m: int, n: int) -> int:
@@ -344,3 +348,20 @@ def atom_moment_t2(atoms, m: int, n: int):
         total += term
         size += abs(term)
     return total, size
+
+
+def dl_atoms(l: int) -> dict:
+    """The atoms of d^(l): one weight object 1/(3 l^2) on every point of
+    generate_Dl(l), in its order."""
+    pts = deltoid.generate_Dl(l)
+    w = Fraction(1, len(pts))
+    return {p: w for p in pts}
+
+
+def j2_atoms(atoms) -> dict:
+    """{(t1, t2): w} times J^2/(24 pi^4), one deltoid.jacobian call per atom."""
+    out = {}
+    for (t1, t2), w in atoms.items():
+        jv = deltoid.jacobian((t1, t2), "sine_product")
+        out[(t1, t2)] = float(w) * jv * jv / (24 * math.pi ** 4)
+    return out

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nimspec import deltoid
@@ -178,3 +179,13 @@ def test_density_grid_masks_outside():
 def test_density_grid_needs_two_points_a_side(n):
     with pytest.raises(InvalidParameterError):
         list(deltoid.density_grid(n))
+
+
+def test_array_forms_match_the_scalar_routes():
+    rng = random.Random(11)
+    pts = [(rng.random(), rng.random()) for _ in range(300)]
+    pts += [(float(a), float(b)) for a, b in deltoid.generate_Dl(7)]
+    theta = np.array(pts)
+    for p, z, j in zip(pts, deltoid.phi_array(theta), deltoid.jacobian_array(theta)):
+        assert abs(z - deltoid.phi(p)) <= 1e-14
+        assert math.isclose(j, deltoid.jacobian(p, "sine_product"), rel_tol=1e-15, abs_tol=0)

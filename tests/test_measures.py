@@ -19,6 +19,7 @@ from nimspec.measures import (
     d_measure,
     ddprime_measure,
     dirac,
+    dl_measure,
     dprime_measure,
     exceptional_measure_atoms,
     exceptional_obstruction_system,
@@ -29,10 +30,12 @@ from nimspec.measures import (
     moment_t_exact,
     moments_t2,
     with_alpha,
+    with_j2,
 )
+from nimspec.deltoid import generate_Dl
 from nimspec.paths import moment_path_count
 
-from oracles import atom_moment_t2
+from oracles import atom_moment_t2, dl_atoms, j2_atoms
 
 SU2_IDS = (
     [f"A({n})" for n in range(1, 9)]
@@ -59,6 +62,8 @@ def test_make_measure_primitives():
 
     with pytest.raises(InvalidParameterError):
         make_measure(("d", 0))
+    with pytest.raises(InvalidParameterError):
+        make_measure(("dl", 3))
 
 
 def test_dprime_and_ddprime_supports():
@@ -277,6 +282,19 @@ def test_empty_basis_rejected():
         cyclotomic_fit(d_measure(2), [])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: fit_linear_system([], []),
+    lambda: fit_linear_system([[1, 2], [3]], [1, 2]),
+    lambda: fit_linear_system([[1, 0], [0, 1]], [1, 2, 3]),
+    lambda: cyclotomic_fit(d_measure(3), [canonical_measure("SU3-A(4)")]),
+    lambda: cyclotomic_fit(DiscreteMeasure(1, {}, "empty"), [DiscreteMeasure(1, {}, "empty")]),
+], ids=["no-rows", "ragged-rows", "rhs-length", "mixed-dimension", "no-atoms"])
+def test_malformed_fits_raise_a_typed_error(call):
+    with pytest.raises(InvalidParameterError) as info:
+        call()
+    assert "\n" not in str(info.value)
+
+
 def test_exceptional_obstruction_systems():
     rows, rhs = exceptional_obstruction_system("SU3-E(8)")
     assert abs(rows[0][1] - (3 - 2 * math.sqrt(2))) < 1e-12
@@ -315,6 +333,16 @@ def test_dirac_and_signed_combinations():
 
     signed = combine((Fraction(1, 2), d_measure(12)), (Fraction(-1, 2), d_measure(6)))
     assert any(w < 0 for w in signed.atoms.values())
+
+
+@pytest.mark.parametrize("mu, want", [
+    (dirac(Fraction(0), Fraction(1, 3)), lambda m: Fraction(2 ** m, 3)),
+    (dirac(Fraction(1, 2)), lambda m: Fraction((-2) ** m)),
+], ids=["weight-1/3-at-0", "at-1/2"])
+def test_exact_moments_of_dirac_atoms_are_fractions(mu, want):
+    for m in range(1, 7):
+        got = moment_t_exact(mu, m)
+        assert type(got) is Fraction and got == want(m)
 
 
 def test_measure_json_export():
@@ -392,3 +420,55 @@ def test_batched_moments_of_no_pairs_are_empty():
 def test_negative_moment_orders_are_rejected(call):
     with pytest.raises(InvalidParameterError, match="moment orders must be non-negative"):
         call()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(4, 40))
+def test_grid_built_su3_a_measures_match_the_dict_oracle(l):
+    """dl_measure and SU3-A(l) keep generate_Dl's atoms, order and weights."""
+    want = dl_atoms(l)
+    grid = dl_measure(l)
+    assert list(grid.atoms.items()) == list(want.items())
+    assert set(grid.atoms) == set(generate_Dl(l))
+    got, want = canonical_measure(f"SU3-A({l})").atoms, j2_atoms(want)
+    assert list(got) == list(want)
+    assert all(math.isclose(got[k], w, rel_tol=1e-15, abs_tol=0) for k, w in want.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(
+    st.tuples(*[st.builds(Fraction, st.integers(0, 120), st.integers(1, 60))] * 2),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)) | st.floats(-2, 2),
+    max_size=20))
+def test_with_j2_of_a_dict_built_measure_matches_the_atom_loop(atoms):
+    got, want = with_j2(DiscreteMeasure(2, atoms, "random atoms")).atoms, j2_atoms(atoms)
+    assert list(got) == list(want)
+    assert all(math.isclose(got[k], w, rel_tol=1e-15, abs_tol=0) for k, w in want.items())
+
+
+def test_moments_of_an_integrated_measure_match_the_atom_loop():
+    """Phi is evaluated once per measure: later moments, and the J^2
+    measure made from an integrated grid, reuse it."""
+    grid = dl_measure(9)
+    moments_t2(grid, [(1, 0)])
+    mu = with_j2(grid)
+    assert mu.phi_array is grid.phi_array
+    first = moments_t2(mu, [(2, 2), (3, 0)])
+    pairs = [(3, 1), (1, 3), (2, 2), (0, 5)]
+    got = moments_t2(mu, pairs)
+    assert mu.phi_array is grid.phi_array and got[(2, 2)] == first[(2, 2)]
+    for m, n in pairs:
+        want, size = atom_moment_t2(mu.atoms, m, n)
+        assert abs(got[(m, n)] - want) <= 1e-12 * size
+
+
+@pytest.mark.parametrize("build", [
+    lambda: d_measure(3), lambda: dl_measure(4),
+    lambda: canonical_measure("SU3-A(5)"), lambda: canonical_measure("SU3-D(6)"),
+], ids=["d_3", "d^(4)", "SU3-A(5)", "SU3-D(6)"])
+def test_atoms_and_the_stacked_view_are_read_only(build):
+    mu = build()
+    with pytest.raises(TypeError):
+        mu.atoms[Fraction(0)] = 1
+    with pytest.raises(ValueError):
+        mu.weight_array[0] = 1.0
