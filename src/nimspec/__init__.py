@@ -6,13 +6,9 @@ from .graphs import (
     EigenData,
     EigenEntry,
     Graph,
-    build_su2_affine_graph,
-    build_su2_graph,
-    build_su3_graph,
     by_id,
     eigen_moment,
     eigendata,
-    truncate_infinite_graph,
 )
 from .paths import (
     combinatorial_dimension,

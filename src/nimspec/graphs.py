@@ -149,16 +149,17 @@ def _dn_graph(n: int) -> Graph:
     return _graph_from(f"D({n})", labels, edges, star=n, h=2 * n - 2)
 
 
+# E_n for n = 6, 7, 8: its edges, its Coxeter number, and the arm tip that
+# the extended vertex 0 of Aff-E(n) attaches to
+_E_SHAPES = {
+    6: ([(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)], 12, 6),
+    7: ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)], 18, 6),
+    8: ([(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)], 30, 1),
+}
+
+
 def _en_graph(n: int) -> Graph:
-    if n == 6:
-        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)]
-        h = 12
-    elif n == 7:
-        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]
-        h = 18
-    else:
-        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
-        h = 30
+    edges, h, _ = _E_SHAPES[n]
     return _graph_from(f"E({n})", list(range(1, n + 1)), edges, star=1, h=h)
 
 
@@ -175,16 +176,8 @@ def _affine_dn_graph(n: int) -> Graph:
 
 
 def _affine_en_graph(n: int) -> Graph:
-    base = _en_graph(n)
-    attach = {6: 6, 7: 6, 8: 1}[n]   # tip extending an arm to the affine shape
-    labels = [0] + list(base.vertices)
-    edges = []
-    for i, row in enumerate(base.adjacency):
-        for j in range(i + 1, len(row)):
-            for _ in range(row[j]):
-                edges.append((base.vertices[i], base.vertices[j]))
-    edges.append((0, attach))
-    return _graph_from(f"Aff-E({n})", labels, edges, star=0)
+    edges, _, attach = _E_SHAPES[n]
+    return _graph_from(f"Aff-E({n})", list(range(n + 1)), edges + [(0, attach)], star=0)
 
 
 def _su3_astar_graph(l: int) -> Graph:
@@ -248,45 +241,6 @@ def _trunc_su3a6inf_graph(depth: int) -> Graph:
     ]
     return _graph_from(f"Trunc-SU3A6inf({depth})", labels, directed, star=(0, 0),
                        symmetric=False, depth=depth)
-
-
-# ---------------------------------------------------------------------------
-# The public builders name a family their own way; each checks its argument
-# against the family's row of FAMILIES
-# ---------------------------------------------------------------------------
-
-def _build_named(names: dict, what: str, family: str, n: int) -> Graph:
-    if family not in names:
-        raise InvalidParameterError(f"unknown {what} {family!r}")
-    return _build(names[family], n)
-
-
-def build_su2_graph(family: str, n: int) -> Graph:
-    """Dynkin diagram A_n, D_n, E_n or tadpole Tad_n with its * vertex."""
-    return _build_named({"A": "A", "D": "D", "E": "E", "Tadpole": "Tad"},
-                        "SU(2) family", family, n)
-
-
-def build_su2_affine_graph(family: str, n: int) -> Graph:
-    """Affine Dynkin diagram; * is always the extended vertex.  For 'A1', n
-    is the vertex count of the cycle; only even cycles are the McKay graphs
-    A^(1)_{2m} used here."""
-    return _build_named({"A1": "Aff-A", "D1": "Aff-D", "E1": "Aff-E"},
-                        "affine family", family, n)
-
-
-def truncate_infinite_graph(kind: str, depth: int) -> Graph:
-    """Finite induced subgraph of radius `depth` around *; moments with
-    m+n <= depth agree with the infinite graph."""
-    return _build_named({"AinfInf": "Trunc-Ainfinf", "Ainf": "Trunc-Ainf",
-                         "Dinf": "Trunc-Dinf", "SU3_Ainf": "Trunc-SU3Ainf",
-                         "SU3_A6inf": "Trunc-SU3A6inf"},
-                        "infinite graph kind", kind, depth)
-
-
-def build_su3_graph(family: str, l: int) -> Graph:
-    """SU(3) graph: A^(l) (directed triangle) or A^(l)* for even l."""
-    return _build_named({"A": "SU3-A", "Astar": "SU3-Astar"}, "SU(3) family", family, l)
 
 
 def su3_rotation(graph: Graph) -> tuple:

@@ -284,37 +284,40 @@ def with_j2(mu: DiscreteMeasure) -> DiscreteMeasure:
 
 # -- composition-tree entry point ---------------------------------------------
 
+# spec node -> (fewest, most arguments after its name, builder); most None:
+# any number
+_SPEC_NODES = {
+    "d": (1, 1, d_measure),
+    "dprime": (1, 1, dprime_measure),
+    "ddprime": (1, 1, ddprime_measure),
+    "roots": (1, 1, uniform_roots),
+    "dirac": (1, 2, lambda theta, *weight: dirac(Fraction(theta), *weight)),
+    "dl": (1, 1, dl_measure),
+    "alpha": (1, 1, lambda s: with_alpha(make_measure(s))),
+    "alpha_j": (2, 2, lambda j, s: with_alpha(make_measure(s), j=j)),
+    "j2": (1, 1, lambda s: with_j2(make_measure(s))),
+    "product": (2, 2, lambda s, t: product_measure(make_measure(s), make_measure(t))),
+    "scale": (2, 2, lambda c, s: scale(c, make_measure(s))),
+    "sum": (1, None, lambda *ss: combine(*[(1, make_measure(s)) for s in ss])),
+}
+
+
 def make_measure(spec) -> DiscreteMeasure:
     """Build a measure from a composition tree, e.g.
     ("sum", ("scale", Fraction(1,2), ("d", 3)), ("alpha", ("d", 12)))."""
     if isinstance(spec, DiscreteMeasure):
         return spec
-    op = spec[0]
-    if op == "d":
-        return d_measure(spec[1])
-    if op == "dprime":
-        return dprime_measure(spec[1])
-    if op == "ddprime":
-        return ddprime_measure(spec[1])
-    if op == "roots":
-        return uniform_roots(spec[1])
-    if op == "dirac":
-        return dirac(Fraction(spec[1]), *spec[2:])
-    if op == "dl":
-        return dl_measure(spec[1])
-    if op == "alpha":
-        return with_alpha(make_measure(spec[1]))
-    if op == "alpha_j":
-        return with_alpha(make_measure(spec[2]), j=spec[1])
-    if op == "j2":
-        return with_j2(make_measure(spec[1]))
-    if op == "product":
-        return product_measure(make_measure(spec[1]), make_measure(spec[2]))
-    if op == "scale":
-        return scale(spec[1], make_measure(spec[2]))
-    if op == "sum":
-        return combine(*[(1, make_measure(s)) for s in spec[1:]])
-    raise InvalidParameterError(f"unknown measure spec node {op!r}")
+    if not isinstance(spec, (tuple, list)) or not spec or not isinstance(spec[0], str):
+        raise InvalidParameterError(f"measure spec node {spec!r} is not a tuple (name, *args)")
+    op, args = spec[0], spec[1:]
+    if op not in _SPEC_NODES:
+        raise InvalidParameterError(f"unknown measure spec node {op!r}")
+    fewest, most, build = _SPEC_NODES[op]
+    if len(args) < fewest or (most is not None and len(args) > most):
+        raise InvalidParameterError(
+            f"measure spec node {spec!r}: {op!r} takes {fewest} to {most or 'any'} "
+            f"arguments, got {len(args)}")
+    return build(*args)
 
 
 # -- moment evaluation -------------------------------------------------------

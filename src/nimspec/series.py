@@ -465,12 +465,22 @@ def cy3_hilbert(mckay: Graph, order: int = 30) -> MatrixSeries:
     return MatrixSeries(mckay.id, _solve(mckay, True, order))
 
 
+def _weights_mod(weights: Tuple[int, int, int], m: int) -> Tuple[int, int, int]:
+    """The character weights (a, b, c), each reduced mod m."""
+    try:
+        a, b, c = weights
+    except (TypeError, ValueError):
+        raise InvalidParameterError(
+            f"weights must be a triple (a, b, c), got {weights!r}") from None
+    return a % m, b % m, c % m
+
+
 def abelian_mckay(m: int, weights: Tuple[int, int, int]) -> Graph:
     """McKay graph of the cyclic subgroup of SU(3) acting by the diagonal
     matrix with character weights (a, b, c); needs a + b + c = 0 mod m."""
     if m < 2:
         raise InvalidParameterError("cyclic subgroup needs order >= 2")
-    a, b, c = (w % m for w in weights)
+    a, b, c = _weights_mod(weights, m)
     if (a + b + c) % m != 0:
         raise InvalidParameterError("weights must sum to 0 mod m (det = 1)")
     adj = [[0] * m for _ in range(m)]
@@ -498,7 +508,7 @@ def molien_abelian(m: int, weights: Tuple[int, int, int], j: int,
     if m < 1:
         raise InvalidParameterError(f"cyclic subgroup needs order >= 1, got {m}")
     _check_order(order)
-    counts = _monomial_characters(m, tuple(w % m for w in weights), order)
+    counts = _monomial_characters(m, _weights_mod(weights, m), order)
     return TruncatedSeries([Fraction(row[j % m]) for row in counts], "t")
 
 
@@ -524,7 +534,10 @@ def molien_abelian_det(m: int, weights: Tuple[int, int, int], j: int,
     det(1 - conj(rho(g)) t), in complex floats; a cross-check route."""
     import cmath
 
-    a, b, c = (w % m for w in weights)
+    if m < 1:
+        raise InvalidParameterError(f"cyclic subgroup needs order >= 1, got {m}")
+    _check_order(order)
+    a, b, c = _weights_mod(weights, m)
     coeffs = [0j] * (order + 1)
     for g in range(m):
         eps = [cmath.exp(-2j * math.pi * g * w / m) for w in (a, b, c)]

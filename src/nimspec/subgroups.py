@@ -21,9 +21,31 @@ from .errors import (
     GeneratorTranscriptionError,
     InvalidParameterError,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _check_order
 
-_EXPECTED_ORDER = {"BT": 24, "BO": 48, "BI": 120}
+
+# One row per catalogue group: its n in words, whether it accepts n (None
+# when no n is given), and its order at n
+_GROUPS = {
+    "Z2n": ("n >= 1", lambda n: n is not None and n >= 1, lambda n: 2 * n),
+    "BD": ("n >= 3", lambda n: n is not None and n >= 3, lambda n: 4 * (n - 2)),
+    "BT": ("no parameter", lambda n: n is None, lambda n: 24),
+    "BO": ("no parameter", lambda n: n is None, lambda n: 48),
+    "BI": ("no parameter", lambda n: n is None, lambda n: 120),
+}
+
+
+def _check_group(name: str, n: Optional[int]) -> int:
+    """Check the group id (name, n) against its row of _GROUPS; return |G|."""
+    if name not in _GROUPS:
+        raise InvalidParameterError(f"unknown group {name!r}")
+    domain, accepts, order = _GROUPS[name]
+    if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
+        raise InvalidParameterError(f"{name}: n must be an integer, got {n!r}")
+    if not accepts(n):
+        got = "no parameter" if n is None else f"n = {n}"
+        raise InvalidParameterError(f"{name} needs {domain}, got {got}")
+    return order(n)
 
 
 @dataclass(frozen=True)
@@ -80,14 +102,11 @@ def _mat(rows) -> np.ndarray:
 
 
 def _gen_matrices(name: str, n: Optional[int]) -> List[np.ndarray]:
+    _check_group(name, n)
     if name == "Z2n":
-        if n is None or n < 1:
-            raise InvalidParameterError("Z2n needs n >= 1")
         u = cmath.exp(1j * math.pi / n)
         return [_mat([[u, 0], [0, u.conjugate()]])]
     if name == "BD":
-        if n is None or n < 3:
-            raise InvalidParameterError("BD_n needs n >= 3")
         xi = cmath.exp(1j * math.pi / (n - 2))
         return [
             _mat([[xi, 0], [0, xi.conjugate()]]),
@@ -102,14 +121,12 @@ def _gen_matrices(name: str, n: Optional[int]) -> List[np.ndarray]:
         ]
     if name == "BO":
         return _gen_matrices("BT", None) + [_mat([[eps8, 0], [0, eps8 ** 7]])]
-    if name == "BI":
-        e = cmath.exp(2j * math.pi / 5)
-        return [
-            _mat([[-e ** 3, 0], [0, -e ** 2]]),
-            _mat([[e ** 4 - e, e ** 2 - e ** 3],
-                  [e ** 2 - e ** 3, e - e ** 4]]) / math.sqrt(5),
-        ]
-    raise InvalidParameterError(f"unknown group {name!r}")
+    e = cmath.exp(2j * math.pi / 5)                         # BI
+    return [
+        _mat([[-e ** 3, 0], [0, -e ** 2]]),
+        _mat([[e ** 4 - e, e ** 2 - e ** 3],
+              [e ** 2 - e ** 3, e - e ** 4]]) / math.sqrt(5),
+    ]
 
 
 def _keys(stack: np.ndarray) -> List[bytes]:
@@ -129,9 +146,9 @@ def generate_group(name: str, n: Optional[int] = None) -> FiniteMatrixGroup:
     and rounded.  The minimum gap between distinct elements of these groups
     is O(0.1), far above the rounding.
     """
+    expected = _check_group(name, n)
     gens = _gen_matrices(name, n)
     gen_stack = np.array(gens)
-    expected = _EXPECTED_ORDER.get(name) or (2 * n if name == "Z2n" else 4 * (n - 2))
     ident = np.eye(2, dtype=complex)
     elems: Dict[bytes, np.ndarray] = {_keys(ident[None])[0]: ident}
     frontier = ident[None]
@@ -175,6 +192,7 @@ _BI_TABLE = [("1", 1, 2.0), ("-1", 1, -2.0), ("sigma", 12, _MU_P),
 
 def reference_table(name: str, n: Optional[int] = None) -> List[Tuple[str, int, float]]:
     """The character-table rows (label, class size, chi_rho) as printed."""
+    _check_group(name, n)
     if name == "BT":
         return list(_BT_TABLE)
     if name == "BO":
@@ -183,15 +201,13 @@ def reference_table(name: str, n: Optional[int] = None) -> List[Tuple[str, int, 
         return list(_BI_TABLE)
     if name == "Z2n":
         return [(f"g^{j}", 1, 2 * math.cos(math.pi * j / n)) for j in range(2 * n)]
-    if name == "BD":
-        rows = [("1", 1, 2.0), ("(tau*sigma)^2", 1, -2.0)]
-        rows += [
-            (f"sigma^{j}", 2, 2 * math.cos(j * math.pi / (n - 2)))
-            for j in range(1, n - 2)
-        ]
-        rows += [("tau", n - 2, 0.0), ("tau*sigma", n - 2, 0.0)]
-        return rows
-    raise InvalidParameterError(f"no reference table for {name!r}")
+    rows = [("1", 1, 2.0), ("(tau*sigma)^2", 1, -2.0)]          # BD
+    rows += [
+        (f"sigma^{j}", 2, 2 * math.cos(j * math.pi / (n - 2)))
+        for j in range(1, n - 2)
+    ]
+    rows += [("tau", n - 2, 0.0), ("tau*sigma", n - 2, 0.0)]
+    return rows
 
 
 def conjugacy_classes(group: FiniteMatrixGroup) -> List[List[np.ndarray]]:
@@ -257,12 +273,15 @@ def class_data(group: FiniteMatrixGroup) -> ClassData:
 
 def subgroup_moment(cd: ClassData, m: int) -> float:
     """m-th moment of the fundamental character in the vacuum state."""
+    if m < 0:
+        raise InvalidParameterError("moment orders must be non-negative")
     order = cd.order
     return sum(r.size / order * r.chi_rho ** m for r in cd.rows)
 
 
 def moment_generating_series(cd: ClassData, order: int) -> TruncatedSeries:
     """sum_j (|G_j|/|G|) / (1 - q chi_j): coefficient k is the k-th moment."""
+    _check_order(order)
     total = TruncatedSeries.zero(order)
     n = cd.order
     for r in cd.rows:
@@ -276,6 +295,7 @@ def molien_series_trivial(group: FiniteMatrixGroup, order: int) -> TruncatedSeri
     For SU(2) the conjugate representation has the same determinant
     polynomial 1 - chi t + t^2, which is asserted per element.
     """
+    _check_order(order)
     total = TruncatedSeries.zero(order)
     for g in group.elements:
         gc = g.conj()
@@ -290,6 +310,7 @@ def molien_series_trivial(group: FiniteMatrixGroup, order: int) -> TruncatedSeri
 def kostant_trivial(cd: ClassData, order: int) -> TruncatedSeries:
     """sum_j (|G_j|/|G|) / (1 - t chi_j + t^2): multiplicity series of the
     trivial representation in restricted SU(2) irreducibles."""
+    _check_order(order)
     total = TruncatedSeries.zero(order)
     n = cd.order
     for r in cd.rows:

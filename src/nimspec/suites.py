@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, List, Tuple
 
 from . import deltoid, measures, series, subgroups
-from .graphs import by_id, eigen_moment, eigendata, truncate_infinite_graph
+from .graphs import by_id, eigen_moment, eigendata
 from .paths import (
     combinatorial_dimension,
     hecke_dimension,
@@ -106,8 +106,8 @@ def _suite_su2_measures(tol: float, rng: random.Random) -> List[Check]:
 
     def binomial_catalan():
         pairs = [(m, 0) for m in range(25)]
-        p2 = moments(truncate_infinite_graph("AinfInf", 26), pairs)
-        p1 = moments(truncate_infinite_graph("Ainf", 26), pairs)
+        p2 = moments(by_id("Trunc-Ainfinf(26)"), pairs)
+        p1 = moments(by_id("Trunc-Ainf(26)"), pairs)
         ok = True
         for k in range(13):
             ok &= p2[(2 * k, 0)] == combinatorial_dimension("su2_torus", k)
@@ -264,21 +264,21 @@ def _suite_series_theorems(tol: float, rng: random.Random) -> List[Check]:
 def _suite_su3_dimensions(tol: float, rng: random.Random) -> List[Check]:
     checks: List[Check] = []
 
-    def formula_vs_paths(kind: str):
-        tr = truncate_infinite_graph(kind, 9)
-        formula = moment_formula_su3_A6inf if kind == "SU3_A6inf" else moment_formula_su3_Ainf
-        counts = moments(tr, [(m, n) for m in range(10) for n in range(10 - m)])
+    def formula_vs_paths(kind: str, gid: str, formula):
+        counts = moments(by_id(gid), [(m, n) for m in range(10) for n in range(10 - m)])
         ok = True
         for (m, n), count in counts.items():
             ok &= count == (formula(m, n) if (m - n) % 3 == 0 else 0)
         return (ok, "exact", f"{kind} closed form = path counts, m+n <= 9", 0.0)
 
-    checks.append(("moments:SU3_A6inf", lambda: formula_vs_paths("SU3_A6inf")))
-    checks.append(("moments:SU3_Ainf", lambda: formula_vs_paths("SU3_Ainf")))
+    checks.append(("moments:SU3_A6inf", lambda: formula_vs_paths(
+        "SU3_A6inf", "Trunc-SU3A6inf(9)", moment_formula_su3_A6inf)))
+    checks.append(("moments:SU3_Ainf", lambda: formula_vs_paths(
+        "SU3_Ainf", "Trunc-SU3Ainf(9)", moment_formula_su3_Ainf)))
 
     def five_way(n: int):
         target = moment_formula_su3_Ainf(n, n)
-        tr = truncate_infinite_graph("SU3_Ainf", max(2 * n, 1))
+        tr = by_id(f"Trunc-SU3Ainf({max(2 * n, 1)})")
         ok = moment_path_count(tr, n, n) == target
         sq = sum(
             su3_path_count_formula(n, l1, l2) ** 2

@@ -12,12 +12,7 @@ from fractions import Fraction
 import pytest
 
 from nimspec import deltoid, measures, series, subgroups
-from nimspec.graphs import (
-    by_id,
-    eigen_moment,
-    eigendata,
-    truncate_infinite_graph,
-)
+from nimspec.graphs import by_id, eigen_moment, eigendata
 from nimspec.paths import (
     hecke_dimension,
     hecke_shapes,
@@ -34,8 +29,8 @@ def _report(criterion: str, detail: str) -> None:
 
 
 def test_criterion_01_binomial_catalan():
-    tr2 = truncate_infinite_graph("AinfInf", 26)
-    tr1 = truncate_infinite_graph("Ainf", 26)
+    tr2 = by_id("Trunc-Ainfinf(26)")
+    tr1 = by_id("Trunc-Ainf(26)")
     for k in range(13):
         assert moment_path_count(tr2, 2 * k) == math.comb(2 * k, k)
         assert moment_path_count(tr1, 2 * k) == math.comb(2 * k, k) // (k + 1)
@@ -229,7 +224,7 @@ def test_criterion_09_su3_dimensions():
     worst = 0.0
     for n in range(10):
         target = moment_formula_su3_Ainf(n, n)
-        tr = truncate_infinite_graph("SU3_Ainf", max(2 * n, 1))
+        tr = by_id(f"Trunc-SU3Ainf({max(2 * n, 1)})")
         assert moment_path_count(tr, n, n) == target
         assert sum(
             su3_path_count_formula(n, l1, l2) ** 2

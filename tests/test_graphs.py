@@ -10,52 +10,44 @@ from nimspec.errors import (
     InvalidParameterError,
     UnsupportedConstructionError,
 )
-from nimspec.graphs import (
-    build_su2_affine_graph,
-    build_su2_graph,
-    build_su3_graph,
-    by_id,
-    eigen_moment,
-    eigendata,
-    truncate_infinite_graph,
-)
+from nimspec.graphs import by_id, eigen_moment, eigendata
 from nimspec.paths import moment_path_count
 
 
 def test_a3_is_path_with_sqrt2_radius():
-    g = build_su2_graph("A", 3)
+    g = by_id("A(3)")
     assert g.n_vertices == 3
     assert g.distinguished == 0
     assert abs(g.spectral_radius() - math.sqrt(2)) < 1e-12
 
 
 def test_e6_shape():
-    g = build_su2_graph("E", 6)
+    g = by_id("E(6)")
     assert sorted(g.degrees()) == [1, 1, 1, 2, 2, 3]
     assert g.coxeter_h == 12
 
 
 def test_d4_star_shape():
-    g = build_su2_graph("D", 4)
+    g = by_id("D(4)")
     assert sorted(g.degrees()) == [1, 1, 1, 3]
     assert g.degree(g.distinguished) == 1
 
 
-@pytest.mark.parametrize("family,n", [("A", 0), ("D", 3), ("E", 5), ("Tadpole", 0)])
-def test_su2_range_errors(family, n):
+@pytest.mark.parametrize("gid", ["A(0)", "D(3)", "E(5)", "Tad(0)"])
+def test_su2_range_errors(gid):
     with pytest.raises(InvalidParameterError):
-        build_su2_graph(family, n)
+        by_id(gid)
 
 
 def test_affine_cycle_and_mckay_shapes():
-    c4 = build_su2_affine_graph("A1", 4)
+    c4 = by_id("Aff-A(4)")
     assert c4.n_vertices == 4 and all(d == 2 for d in c4.degrees())
-    e8 = build_su2_affine_graph("E1", 8)
+    e8 = by_id("Aff-E(8)")
     assert e8.n_vertices == 9
-    d4 = build_su2_affine_graph("D1", 4)
+    d4 = by_id("Aff-D(4)")
     assert sorted(d4.degrees()) == [1, 1, 1, 1, 4]
     with pytest.raises(InvalidParameterError):
-        build_su2_affine_graph("A1", 5)      # odd cycles are not in the family
+        by_id("Aff-A(5)")      # odd cycles are not in the family
 
 
 @pytest.mark.parametrize("gid", ["A(5)", "D(6)", "E(7)", "Tad(3)"])
@@ -87,52 +79,52 @@ def test_dynkin_star_has_lowest_pf_weight():
 
 
 def test_truncations():
-    t = truncate_infinite_graph("AinfInf", 6)
+    t = by_id("Trunc-Ainfinf(6)")
     assert t.n_vertices == 13 and t.vertices[t.distinguished] == 0
-    t = truncate_infinite_graph("SU3_A6inf", 2)
+    t = by_id("Trunc-SU3A6inf(2)")
     assert t.n_vertices == 19
-    t = truncate_infinite_graph("SU3_Ainf", 3)
+    t = by_id("Trunc-SU3Ainf(3)")
     assert t.n_vertices == 10
-    t = truncate_infinite_graph("Dinf", 4)
+    t = by_id("Trunc-Dinf(4)")
     assert sorted(t.degrees()) == [1, 1, 1, 2, 2, 3]
 
 
 def test_hexagonal_truncation_radius_increases_to_three():
     radii = [
-        truncate_infinite_graph("SU3_A6inf", d).spectral_radius() for d in (2, 4, 6)
+        by_id(f"Trunc-SU3A6inf({d})").spectral_radius() for d in (2, 4, 6)
     ]
     assert radii == sorted(radii)
     assert radii[-1] < 3.0 and radii[-1] > 2.8
 
 
 def test_su3_triangle_graphs():
-    g4 = build_su3_graph("A", 4)
+    g4 = by_id("SU3-A(4)")
     assert g4.n_vertices == 3
     # the fusion triangle at the smallest level is the directed 3-cycle
     assert sorted(sum(row) for row in g4.adjacency) == [1, 1, 1]
     assert not g4.symmetric
 
-    g5 = build_su3_graph("A", 5)
+    g5 = by_id("SU3-A(5)")
     assert g5.n_vertices == 6
     out_degrees = {sum(row) for row in g5.adjacency}
     assert out_degrees <= {1, 2, 3}
     at = tuple(zip(*g5.adjacency))
     assert at != g5.adjacency
 
-    star8 = build_su3_graph("Astar", 8)
-    a3 = build_su2_graph("A", 3)
+    star8 = by_id("SU3-Astar(8)")
+    a3 = by_id("A(3)")
     expect = tuple(
         tuple(a3.adjacency[i][j] + (i == j) for j in range(3)) for i in range(3)
     )
     assert star8.adjacency == expect
 
     with pytest.raises(UnsupportedConstructionError):
-        build_su3_graph("Astar", 7)
+        by_id("SU3-Astar(7)")
 
 
 def test_su3_distinguished_out_degree_one():
     for l in range(4, 9):
-        g = build_su3_graph("A", l)
+        g = by_id(f"SU3-A({l})")
         assert sum(g.adjacency[g.distinguished]) == 1
 
 

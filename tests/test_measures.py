@@ -66,6 +66,14 @@ def test_make_measure_primitives():
         make_measure(("dl", 3))
 
 
+@pytest.mark.parametrize("spec", [[], "d", ("d",), ("sum",), ("scale", 2),
+                                  ("product", ("d", 2)), ("d", 3, 4), ("alpha", 5),
+                                  ("dirac", 0, 1, 2), (["d"], 2)])
+def test_malformed_measure_specs_raise_a_typed_error(spec):
+    with pytest.raises(InvalidParameterError, match="measure spec node"):
+        make_measure(spec)
+
+
 def test_dprime_and_ddprime_supports():
     # d'_n: the 4n-th roots of odd order, each of weight 1/(2n)
     for n in (1, 2, 3, 5):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from nimspec import graphs, series
 from nimspec.errors import InvalidParameterError, TruncationError
-from nimspec.graphs import Graph, build_su3_graph, by_id, truncate_infinite_graph
+from nimspec.graphs import Graph, by_id
 from nimspec.paths import (
     combinatorial_dimension,
     hecke_dimension,
@@ -25,8 +25,8 @@ from oracles import brute_pair_paths, standard_tableaux, su3_quadrant_paths
 
 
 def test_binomial_and_catalan_moments():
-    tr2 = truncate_infinite_graph("AinfInf", 26)
-    tr1 = truncate_infinite_graph("Ainf", 26)
+    tr2 = by_id("Trunc-Ainfinf(26)")
+    tr1 = by_id("Trunc-Ainf(26)")
     for k in range(13):
         assert moment_path_count(tr2, 2 * k) == math.comb(2 * k, k)
         assert moment_path_count(tr1, 2 * k) == math.comb(2 * k, k) // (k + 1)
@@ -38,7 +38,7 @@ def test_binomial_and_catalan_moments():
 
 
 def test_truncation_guard():
-    tr = truncate_infinite_graph("Ainf", 8)
+    tr = by_id("Trunc-Ainf(8)")
     with pytest.raises(TruncationError):
         moment_path_count(tr, 9)
     with pytest.raises(TruncationError):
@@ -52,16 +52,16 @@ def test_truncation_guard():
 
 
 def test_su3_small_pair_path_counts():
-    g = build_su3_graph("A", 6)
+    g = by_id("SU3-A(6)")
     assert moment_path_count(g, 2, 2) == 2
     assert moment_path_count(g, 3, 3) == 6
-    tr = truncate_infinite_graph("SU3_Ainf", 6)
+    tr = by_id("Trunc-SU3Ainf(6)")
     assert moment_path_count(tr, 2, 2) == 2
     assert moment_path_count(tr, 3, 3) == 6
 
 
 def test_path_counts_match_dfs_oracle():
-    g = build_su3_graph("A", 5)
+    g = by_id("SU3-A(5)")
     for m in range(4):
         for n in range(4):
             assert moment_path_count(g, m, n) == brute_pair_paths(
@@ -82,7 +82,7 @@ def test_hexagonal_moment_formula():
     assert moment_formula_su3_A6inf(1, 1) == 3
     assert moment_formula_su3_A6inf(3, 0) == 6
     assert moment_formula_su3_A6inf(1, 0) == 0
-    tr = truncate_infinite_graph("SU3_A6inf", 9)
+    tr = by_id("Trunc-SU3A6inf(9)")
     for m in range(10):
         for n in range(10 - m):
             assert moment_formula_su3_A6inf(m, n) == moment_path_count(tr, m, n)
@@ -96,7 +96,7 @@ def test_quadrant_moment_formula():
     assert moment_formula_su3_Ainf(3, 3) == 6
     assert moment_formula_su3_Ainf(3, 0) == 1
     assert moment_formula_su3_Ainf(2, 0) == 0
-    tr = truncate_infinite_graph("SU3_Ainf", 9)
+    tr = by_id("Trunc-SU3Ainf(9)")
     for m in range(10):
         for n in range(10 - m):
             assert moment_formula_su3_Ainf(m, n) == moment_path_count(tr, m, n)
@@ -190,7 +190,7 @@ def test_su3_finite_graph_agrees_with_truncation():
     # pair-paths while neither feels its boundary
     for l in (5, 6, 7):
         g = by_id(f"SU3-A({l})")
-        tr = truncate_infinite_graph("SU3_Ainf", 10)
+        tr = by_id("Trunc-SU3Ainf(10)")
         bound = min(l - 3, 10)
         for m in range(bound + 1):
             for n in range(bound + 1 - m):

@@ -473,8 +473,9 @@ def _bi_class_data():
     lambda: rational_series([(-1, 2)], [(-1, 3)], -1),
     lambda: poly_from_factors([(-1, 2)], -1),
     lambda: molien_abelian(3, (1, 1, 1), 0, -1),
+    lambda: molien_abelian_det(3, (1, 1, 1), 0, -1),
 ], ids=["generalized_t", "g_composition_route", "rational_series",
-        "poly_from_factors", "molien_abelian"])
+        "poly_from_factors", "molien_abelian", "molien_abelian_det"])
 def test_negative_order_is_rejected(call):
     with pytest.raises(InvalidParameterError):
         call()
@@ -482,8 +483,20 @@ def test_negative_order_is_rejected(call):
 
 @pytest.mark.parametrize("m", [0, -3])
 def test_molien_abelian_rejects_a_nonpositive_group_order(m):
-    with pytest.raises(InvalidParameterError):
-        molien_abelian(m, (1, 1, 1), 0, 4)
+    for route in (molien_abelian, molien_abelian_det):
+        with pytest.raises(InvalidParameterError):
+            route(m, (1, 1, 1), 0, 4)
+
+
+@pytest.mark.parametrize("weights", [(1, 2), (1, 1, 1, 0), 5])
+@pytest.mark.parametrize("call", [
+    lambda w: abelian_mckay(3, w),
+    lambda w: molien_abelian(3, w, 0, 4),
+    lambda w: molien_abelian_det(3, w, 0, 4),
+], ids=["abelian_mckay", "molien_abelian", "molien_abelian_det"])
+def test_weights_that_are_not_a_triple_are_rejected(call, weights):
+    with pytest.raises(InvalidParameterError, match="weights"):
+        call(weights)
 
 
 @pytest.mark.parametrize("gid", ["A(3)", "D(5)", "Aff-E(6)"])

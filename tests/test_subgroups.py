@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -5,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nimspec.errors import DataIntegrityError, InvalidParameterError
+from nimspec.cli import main
+from nimspec.errors import DataIntegrityError, InvalidParameterError, NimspecError
 from nimspec.graphs import by_id
 from nimspec.paths import moment_path_count
 from nimspec.series import hilbert_su2, rational_series
@@ -172,3 +175,67 @@ def test_an_element_list_not_closed_under_conjugation_is_a_typed_error():
     grp = FiniteMatrixGroup("BD", 3, (i, j, np.diag([1j, -1j])), (j,))
     with pytest.raises(DataIntegrityError, match=r"BD\(3\)"):
         conjugacy_classes(grp)
+
+
+# -- group ids ----------------------------------------------------------------
+
+@pytest.mark.parametrize("name,n", [("BD", None), ("Z2n", None), ("BD", 2), ("Z2n", 0),
+                                   ("BT", 5), ("BI", 0), ("Foo", None), ("Z2n", "3"),
+                                   ("BD", 3.5), ("Z2n", True)])
+def test_group_ids_outside_their_domain_are_rejected(name, n):
+    for route in (generate_group, reference_table):
+        with pytest.raises(InvalidParameterError):
+            route(name, n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda cd, grp: subgroup_moment(cd, -1),
+    lambda cd, grp: moment_generating_series(cd, -1),
+    lambda cd, grp: kostant_trivial(cd, -1),
+    lambda cd, grp: molien_series_trivial(grp, -1),
+], ids=["subgroup_moment", "moment_generating_series", "kostant_trivial",
+        "molien_series_trivial"])
+@pytest.mark.parametrize("name,n", [("BT", None), ("Z2n", 3)])
+def test_negative_orders_are_rejected(call, name, n):
+    grp = generate_group(name, n)
+    with pytest.raises(InvalidParameterError, match="non-negative"):
+        call(class_data(grp), grp)
+
+
+# Stated here independently of the library's own table of groups.
+GROUP_DOMAINS = {
+    "Z2n": lambda n: n is not None and n >= 1,
+    "BD": lambda n: n is not None and n >= 3,
+    "BT": lambda n: n is None,
+    "BO": lambda n: n is None,
+    "BI": lambda n: n is None,
+}
+
+group_ids = st.tuples(
+    st.sampled_from(sorted(GROUP_DOMAINS) + ["Foo", "BX"]),
+    st.none() | st.integers(-3, 30),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(group_ids)
+@example(("BT", 5))
+@example(("BD", None))
+def test_classdata_export_follows_the_group_domains(name_n):
+    name, n = name_n
+    in_domain = name in GROUP_DOMAINS and GROUP_DOMAINS[name](n)
+    gid = name if n is None else f"{name}({n})"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["export", f"classdata:{gid}"])
+    assert code == (0 if in_domain else 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    for route in (generate_group, reference_table):
+        try:
+            route(name, n)
+        except NimspecError:
+            assert not in_domain
+        else:
+            assert in_domain
