@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one of them."""
+
+import numbers
 
 
 class NimspecError(Exception):
@@ -7,6 +10,13 @@ class NimspecError(Exception):
 
 class InvalidParameterError(NimspecError, ValueError):
     """A constructor argument is outside its documented range."""
+
+
+def require_int(what: str, value) -> int:
+    """value as an int, or InvalidParameterError naming it (bools are refused)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 class UnsupportedConstructionError(NimspecError):

@@ -35,9 +35,11 @@ Exponent = Union[int, tuple, str]
 
 @dataclass(frozen=True)
 class Graph:
+    """A graph with a distinguished vertex, stored as its sparse out-edge
+    rows; the dense adjacency matrix is a view derived from them."""
     id: str
     vertices: tuple
-    adjacency: tuple          # tuple of tuples of non-negative ints
+    out_edges: tuple          # row i: the pairs (j, a) for the a > 0 edges i -> j, j ascending
     distinguished: int        # index into vertices
     coxeter_h: Optional[int] = None
     symmetric: bool = True    # SU(2) graphs; False for directed SU(3) graphs
@@ -49,12 +51,18 @@ class Graph:
         return len(self.vertices)
 
     @cached_property
-    def out_edges(self) -> list:
-        """The sparse rows of the adjacency, built once per graph."""
-        return _out_edges(self.adjacency)
+    def adjacency(self) -> tuple:
+        """The dense matrix as a tuple of tuples, built from the rows on first read."""
+        dense = []
+        for row in self.out_edges:
+            full = [0] * self.n_vertices
+            for j, a in row:
+                full[j] = a
+            dense.append(tuple(full))
+        return tuple(dense)
 
     def degree(self, i: int) -> int:
-        return sum(self.adjacency[i])
+        return sum(a for _, a in self.out_edges[i])
 
     def degrees(self) -> list:
         return [self.degree(i) for i in range(self.n_vertices)]
@@ -104,28 +112,25 @@ class EigenData:
         }
 
 
-def _out_edges(matrix) -> list:
+def _out_edges(matrix) -> tuple:
     """Sparse rows of a square matrix: row i lists (j, a) for each nonzero
-    a = matrix[i][j]; for an adjacency matrix, the out-edges of vertex i."""
-    return [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
+    a = matrix[i][j], in the format of Graph.out_edges."""
+    return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in matrix)
 
 
 def _graph_from(id_, labels, edges, star, h=None, symmetric=True, depth=None, loops=()):
     """Assemble a Graph from an edge list (plus optional loops); each edge
     runs both ways unless symmetric is False."""
-    n = len(labels)
     idx = {v: i for i, v in enumerate(labels)}
-    adj = [[0] * n for _ in range(n)]
-    for u, v in edges:
-        adj[idx[u]][idx[v]] += 1
-        if symmetric:
-            adj[idx[v]][idx[u]] += 1
-    for u in loops:
-        adj[idx[u]][idx[u]] += 1
+    rows = [{} for _ in labels]
+    arcs = [*edges, *((v, u) for u, v in edges if symmetric), *((u, u) for u in loops)]
+    for u, v in arcs:
+        row, j = rows[idx[u]], idx[v]
+        row[j] = row.get(j, 0) + 1
     return Graph(
         id=id_,
         vertices=tuple(labels),
-        adjacency=tuple(tuple(row) for row in adj),
+        out_edges=tuple(tuple(sorted(row.items())) for row in rows),
         distinguished=idx[star],
         coxeter_h=h,
         symmetric=symmetric,

@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from . import deltoid
-from .errors import FailedIdentityError, InvalidParameterError, NoClosedFormError
+from .errors import FailedIdentityError, InvalidParameterError, NoClosedFormError, require_int
 from .graphs import eigendata, parse_id, su3_exponent_angles
 
 Weight = Union[Fraction, float]
@@ -185,7 +185,7 @@ def combine(*terms) -> DiscreteMeasure:
 
 def uniform_roots(n_roots: int, provenance: Optional[str] = None) -> DiscreteMeasure:
     """Uniform measure on the n-th roots of unity."""
-    if n_roots < 1:
+    if require_int("the number of roots", n_roots) < 1:
         raise InvalidParameterError("need at least one root of unity")
     atoms = {Fraction(j, n_roots): Fraction(1, n_roots) for j in range(n_roots)}
     return DiscreteMeasure(
@@ -196,7 +196,7 @@ def uniform_roots(n_roots: int, provenance: Optional[str] = None) -> DiscreteMea
 
 def d_measure(n: int) -> DiscreteMeasure:
     """d_n: uniform on the 2n-th roots of unity."""
-    if n < 1:
+    if require_int("d_n: n", n) < 1:
         raise InvalidParameterError("d_n needs n >= 1")
     mu = uniform_roots(2 * n)
     mu.provenance = f"d_{n}"
@@ -205,6 +205,7 @@ def d_measure(n: int) -> DiscreteMeasure:
 
 def dprime_measure(n: int) -> DiscreteMeasure:
     """d'_n = 2 d_{2n} - d_n: uniform on the 4n-th roots of odd order."""
+    require_int("d'_n: n", n)
     mu = combine((Fraction(2), d_measure(2 * n)), (Fraction(-1), d_measure(n)))
     mu.provenance = f"d'_{n}"
     return mu
@@ -212,6 +213,7 @@ def dprime_measure(n: int) -> DiscreteMeasure:
 
 def ddprime_measure(n: int) -> DiscreteMeasure:
     """d''_n = (3 d'_{3n} - d'_n)/2: uniform on 12n-th roots of order 6k+-1."""
+    require_int("d''_n: n", n)
     mu = combine(
         (Fraction(3, 2), dprime_measure(3 * n)), (Fraction(-1, 2), dprime_measure(n))
     )
@@ -220,7 +222,10 @@ def ddprime_measure(n: int) -> DiscreteMeasure:
 
 
 def dirac(theta: Fraction, weight: Weight = 1) -> DiscreteMeasure:
-    theta = Fraction(theta) % 1
+    try:
+        theta = Fraction(theta) % 1
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(f"dirac angle must be rational, got {theta!r}") from None
     fr = None
     if theta.denominator in (1, 2):
         sign = 1 if theta == 0 else -1
@@ -266,7 +271,7 @@ def product_measure(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure
 def dl_measure(l: int) -> DiscreteMeasure:
     """d^(l): uniform measure on the 3 l^2 points of the grid D_l, held as
     integer numerators over 3l."""
-    q = deltoid.dl_numerators(l)
+    q = deltoid.dl_numerators(require_int("d^(l): l", l))
     w = Fraction(1, len(q))
     return DiscreteMeasure.on_grid(q, 3 * l, np.full(len(q), float(w)), f"d^({l})",
                                    exact_weight=w)
@@ -291,7 +296,7 @@ _SPEC_NODES = {
     "dprime": (1, 1, dprime_measure),
     "ddprime": (1, 1, ddprime_measure),
     "roots": (1, 1, uniform_roots),
-    "dirac": (1, 2, lambda theta, *weight: dirac(Fraction(theta), *weight)),
+    "dirac": (1, 2, dirac),
     "dl": (1, 1, dl_measure),
     "alpha": (1, 1, lambda s: with_alpha(make_measure(s))),
     "alpha_j": (2, 2, lambda j, s: with_alpha(make_measure(s), j=j)),

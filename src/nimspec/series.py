@@ -18,8 +18,9 @@ from .errors import (
     FailedIdentityError,
     InvalidParameterError,
     SymmetryError,
+    require_int,
 )
-from .graphs import Graph, _cycle_graph, _out_edges, by_id, parse_id, su3_rotation
+from .graphs import Graph, _cycle_graph, _graph_from, _out_edges, by_id, parse_id, su3_rotation
 
 Number = Union[int, Fraction, float, complex]
 
@@ -232,7 +233,7 @@ def _integer_numerators(coeffs) -> Tuple[List[int], int]:
 
 
 def _check_order(order: int) -> None:
-    if order < 0:
+    if require_int("series order", order) < 0:
         raise InvalidParameterError(f"series order must be non-negative, got {order}")
 
 
@@ -448,7 +449,7 @@ def hilbert_su3(graph: Graph, p: Optional[Matrix] = None,
     if p is None:
         p = su3_rotation(graph) if graph.family == "SU3-A" else mat_identity(n)
     elif (len(p) != n or any(len(row) != n for row in p)
-          or sorted(_out_edges(p)) != [[(j, 1)] for j in range(n)]):
+          or sorted(_out_edges(p)) != [((j, 1),) for j in range(n)]):
         raise InvalidParameterError(f"P must be an {n}x{n} permutation matrix")
     mats = _solve(graph, True, 3 * h if order is None else order, (h, mat_scale(-1, p)))
     _check_nonnegative(graph.id, mats)
@@ -465,36 +466,30 @@ def cy3_hilbert(mckay: Graph, order: int = 30) -> MatrixSeries:
     return MatrixSeries(mckay.id, _solve(mckay, True, order))
 
 
-def _weights_mod(weights: Tuple[int, int, int], m: int) -> Tuple[int, int, int]:
-    """The character weights (a, b, c), each reduced mod m."""
+def _weights_mod(weights: Tuple[int, int, int], m: int,
+                 least: int = 1) -> Tuple[int, int, int]:
+    """The character weights (a, b, c), each reduced mod m, once m is checked
+    as a cyclic subgroup order >= least."""
+    m = require_int("cyclic subgroup order", m)
+    if m < least:
+        raise InvalidParameterError(f"cyclic subgroup needs order >= {least}, got {m}")
     try:
         a, b, c = weights
     except (TypeError, ValueError):
         raise InvalidParameterError(
             f"weights must be a triple (a, b, c), got {weights!r}") from None
-    return a % m, b % m, c % m
+    return tuple(require_int("character weight", w) % m for w in (a, b, c))
 
 
 def abelian_mckay(m: int, weights: Tuple[int, int, int]) -> Graph:
     """McKay graph of the cyclic subgroup of SU(3) acting by the diagonal
     matrix with character weights (a, b, c); needs a + b + c = 0 mod m."""
-    if m < 2:
-        raise InvalidParameterError("cyclic subgroup needs order >= 2")
-    a, b, c = _weights_mod(weights, m)
+    a, b, c = _weights_mod(weights, m, least=2)
     if (a + b + c) % m != 0:
         raise InvalidParameterError("weights must sum to 0 mod m (det = 1)")
-    adj = [[0] * m for _ in range(m)]
-    for k in range(m):
-        for w in (a, b, c):
-            adj[k][(k + w) % m] += 1
-    return Graph(
-        id=f"McKay-Z{m}{(a, b, c)}",
-        vertices=tuple(range(m)),
-        adjacency=tuple(tuple(r) for r in adj),
-        distinguished=0,
-        coxeter_h=None,
-        symmetric=False,
-    )
+    edges = [(k, (k + w) % m) for k in range(m) for w in (a, b, c)]
+    return _graph_from(f"McKay-Z{m}{(a, b, c)}", list(range(m)), edges, star=0,
+                       symmetric=False)
 
 
 def molien_abelian(m: int, weights: Tuple[int, int, int], j: int,
@@ -505,11 +500,11 @@ def molien_abelian(m: int, weights: Tuple[int, int, int], j: int,
     Exact, by enumeration of monomial weights: the dual module carries the
     negated weights.
     """
-    if m < 1:
-        raise InvalidParameterError(f"cyclic subgroup needs order >= 1, got {m}")
+    weights = _weights_mod(weights, m)
+    j = require_int("character j", j) % m
     _check_order(order)
-    counts = _monomial_characters(m, _weights_mod(weights, m), order)
-    return TruncatedSeries([Fraction(row[j % m]) for row in counts], "t")
+    counts = _monomial_characters(m, weights, order)
+    return TruncatedSeries([Fraction(row[j]) for row in counts], "t")
 
 
 @lru_cache(maxsize=64)
@@ -534,10 +529,8 @@ def molien_abelian_det(m: int, weights: Tuple[int, int, int], j: int,
     det(1 - conj(rho(g)) t), in complex floats; a cross-check route."""
     import cmath
 
-    if m < 1:
-        raise InvalidParameterError(f"cyclic subgroup needs order >= 1, got {m}")
-    _check_order(order)
     a, b, c = _weights_mod(weights, m)
+    _check_order(order)
     coeffs = [0j] * (order + 1)
     for g in range(m):
         eps = [cmath.exp(-2j * math.pi * g * w / m) for w in (a, b, c)]

@@ -20,6 +20,7 @@ from .errors import (
     FailedIdentityError,
     GeneratorTranscriptionError,
     InvalidParameterError,
+    require_int,
 )
 from .series import TruncatedSeries, _check_order
 
@@ -40,8 +41,8 @@ def _check_group(name: str, n: Optional[int]) -> int:
     if name not in _GROUPS:
         raise InvalidParameterError(f"unknown group {name!r}")
     domain, accepts, order = _GROUPS[name]
-    if n is not None and (not isinstance(n, int) or isinstance(n, bool)):
-        raise InvalidParameterError(f"{name}: n must be an integer, got {n!r}")
+    if n is not None:
+        n = require_int(f"{name}: n", n)
     if not accepts(n):
         got = "no parameter" if n is None else f"n = {n}"
         raise InvalidParameterError(f"{name} needs {domain}, got {got}")

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Callable, List, Tuple
 
 from . import deltoid, measures, series, subgroups
+from .errors import InvalidParameterError
 from .graphs import by_id, eigen_moment, eigendata
 from .paths import (
     combinatorial_dimension,
@@ -25,18 +26,6 @@ from .paths import (
     moments,
     su3_path_count_formula,
 )
-
-SUITE_NAMES = (
-    "su2-measures",
-    "su2-subgroups",
-    "series-theorems",
-    "su3-dimensions",
-    "su3-measures",
-    "su3-obstructions",
-    "deltoid-geometry",
-    "hilbert",
-)
-
 
 @dataclass
 class CaseResult:
@@ -577,6 +566,7 @@ _SUITE_BUILDERS = {
     "deltoid-geometry": _suite_deltoid,
     "hilbert": _suite_hilbert,
 }
+SUITE_NAMES = tuple(_SUITE_BUILDERS)
 
 
 def run_suite(name: str, tol: float = 1e-9, seed: int = 0,
@@ -588,7 +578,8 @@ def run_suite(name: str, tol: float = 1e-9, seed: int = 0,
             report.cases.extend(run_suite(sub, tol=tol, seed=seed, jobs=jobs).cases)
         return report
     if name not in _SUITE_BUILDERS:
-        raise KeyError(f"unknown suite {name!r}")
+        raise InvalidParameterError(f"unknown suite {name!r}; choose one of "
+                                    f"{', '.join(SUITE_NAMES)} or 'all'")
     rng = random.Random(seed)
     checks = _SUITE_BUILDERS[name](tol, rng)
     report = SuiteReport(name)

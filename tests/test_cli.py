@@ -5,9 +5,11 @@ import sys
 import pytest
 
 from nimspec.cli import main
+from nimspec.errors import InvalidParameterError
 from nimspec.graphs import by_id
 from nimspec.measures import canonical_measure
 from nimspec.series import t_series
+from nimspec.suites import SUITE_NAMES, run_suite
 
 
 def run_cli(args, capsys):
@@ -55,6 +57,12 @@ def test_unknown_suite_exits_2():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+def test_run_suite_rejects_an_unknown_name_with_a_typed_error():
+    with pytest.raises(InvalidParameterError, match="unknown suite 'nope'"):
+        run_suite("nope")
+    assert SUITE_NAMES[0] == "su2-measures" and SUITE_NAMES[-1] == "hilbert"
 
 
 def test_export_graph_roundtrip(capsys):

@@ -34,6 +34,7 @@ from nimspec.measures import (
 )
 from nimspec.deltoid import generate_Dl
 from nimspec.paths import moment_path_count
+from nimspec.series import abelian_mckay, molien_abelian
 
 from oracles import atom_moment_t2, dl_atoms, j2_atoms
 
@@ -72,6 +73,25 @@ def test_make_measure_primitives():
 def test_malformed_measure_specs_raise_a_typed_error(spec):
     with pytest.raises(InvalidParameterError, match="measure spec node"):
         make_measure(spec)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (make_measure, [("d", "3")]),
+    (make_measure, [("dprime", 1.5)]),
+    (make_measure, [("ddprime", True)]),
+    (make_measure, [("roots", 2.5)]),
+    (make_measure, [("dl", 4.0)]),
+    (make_measure, [("dirac", "x")]),
+    (make_measure, [("dirac", None, 1)]),
+    (abelian_mckay, ["3", (1, 1, 1)]),
+    (abelian_mckay, [3, ("a", 1, 1)]),
+    (molien_abelian, [3, (1, 1, 1.5), 0, 4]),
+    (molien_abelian, [3, (1, 1, 1), "0", 4]),
+    (molien_abelian, [3, (1, 1, 1), 0, 4.0]),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_wrongly_typed_arguments_raise_a_typed_error_naming_the_value(fn, args):
+    with pytest.raises(InvalidParameterError, match=r"must be (an integer|rational), got "):
+        fn(*args)
 
 
 def test_dprime_and_ddprime_supports():

@@ -16,6 +16,7 @@ from nimspec.paths import (
     moment_path_count,
     moment_table,
     moment_table_csv,
+    moments,
     su3_path_count_formula,
     upsilon_set,
 )
@@ -205,7 +206,7 @@ def digraphs(draw):
     adj = draw(st.lists(st.lists(entry, min_size=size, max_size=size),
                         min_size=size, max_size=size))
     return Graph(id="random", vertices=tuple(range(size)),
-                 adjacency=tuple(tuple(r) for r in adj),
+                 out_edges=graphs._out_edges(adj),
                  distinguished=draw(st.integers(0, size - 1)), symmetric=False)
 
 
@@ -230,13 +231,17 @@ def test_loop_series_reads_the_even_closed_walks(g, order):
     assert coeffs == [brute_pair_paths(adj, g.distinguished, 2 * k, 0) for k in range(order + 1)]
 
 
-def test_sparse_rows_are_built_once_per_graph(monkeypatch):
-    built = []
-    real = graphs._out_edges
-    monkeypatch.setattr(graphs, "_out_edges", lambda matrix: built.append(matrix) or real(matrix))
+def test_a_large_truncation_is_walked_without_its_dense_matrix():
+    # 4921 vertices: its dense adjacency alone would take hundreds of MB
+    g = by_id("Trunc-SU3A6inf(40)")
+    pairs = [(m, n) for m in range(21) for n in range(21 - m)]
+    assert moments(g, pairs) == {(m, n): moment_formula_su3_A6inf(m, n) for m, n in pairs}
+    assert "adjacency" not in g.__dict__
+
+
+def test_sparse_rows_are_built_once_per_graph():
     adjacency = ((0, 1, 0), (1, 0, 2), (0, 2, 1))
-    g = Graph("g", (0, 1, 2), adjacency, 0)
+    g = Graph("g", (0, 1, 2), graphs._out_edges(adjacency), 0)
     counts = [moment_path_count(g, m, n) for m in range(4) for n in range(4)]
     assert counts == [brute_pair_paths(adjacency, 0, m, n) for m in range(4) for n in range(4)]
-    assert series._denominator(g, False)[0][3] is g.out_edges == real(adjacency)
-    assert built == [adjacency]
+    assert series._denominator(g, False)[0][3] is g.out_edges == graphs._out_edges(adjacency)

@@ -10,7 +10,7 @@ from nimspec.errors import (
     NimspecError,
     SymmetryError,
 )
-from nimspec.graphs import Graph, by_id, su3_rotation
+from nimspec.graphs import Graph, _out_edges, by_id, su3_rotation
 from nimspec.series import (
     MatrixSeries,
     TruncatedSeries,
@@ -272,6 +272,13 @@ def weighted_adjacency(draw, symmetric):
     return tuple(tuple(r) for r in rows)
 
 
+@given(st.one_of(weighted_adjacency(symmetric=True), weighted_adjacency(symmetric=False)))
+def test_a_graph_built_from_its_rows_gives_back_its_matrix(adjacency):
+    g = Graph("g", tuple(range(len(adjacency))), _out_edges(adjacency), 0, symmetric=False)
+    assert g.adjacency == adjacency
+    assert g.degrees() == [sum(row) for row in adjacency]
+
+
 def _outcome(call):
     """The call's value, or the type of the NimspecError it raised."""
     try:
@@ -294,8 +301,8 @@ def _oracle(adjacency, order, directed, numerator=None, nonnegative=True):
 @given(weighted_adjacency(symmetric=True), weighted_adjacency(symmetric=False),
        st.integers(-2, 9), st.integers(1, 6))
 def test_matrix_recurrences_match_the_dense_oracle(sym, digraph, order, h):
-    su2 = Graph("sym", tuple(range(len(sym))), sym, 0, symmetric=True)
-    su3 = Graph("digraph", tuple(range(len(digraph))), digraph, 0, coxeter_h=h,
+    su2 = Graph("sym", tuple(range(len(sym))), _out_edges(sym), 0, symmetric=True)
+    su3 = Graph("digraph", tuple(range(len(digraph))), _out_edges(digraph), 0, coxeter_h=h,
                 symmetric=False)
     minus_one = tuple(tuple(-1 if i == j else 0 for j in range(su3.n_vertices))
                       for i in range(su3.n_vertices))
@@ -375,7 +382,7 @@ def test_generalized_t_equals_hilbert():
 @settings(max_examples=100, deadline=None)
 @given(weighted_adjacency(symmetric=True), st.integers(0, 9))
 def test_generalized_t_matches_the_fraction_route_and_hilbert(adjacency, order):
-    g = Graph("sym", tuple(range(len(adjacency))), adjacency, 0, symmetric=True)
+    g = Graph("sym", tuple(range(len(adjacency))), _out_edges(adjacency), 0, symmetric=True)
     mats = generalized_t(g, order).mats
     assert mats == fraction_generalized_t(adjacency, order)
     assert mats == dense_hilbert(adjacency, order)
