@@ -11,7 +11,6 @@ extended vertex (the identity representation of the McKay subgroup).
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import re
@@ -23,6 +22,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import deltoid
 from .errors import (
     DataUnavailableError,
     FailedIdentityError,
@@ -327,10 +327,7 @@ def su3_exponent_angles(l: int, lam: tuple) -> tuple:
 
 
 def su3_eigenvalue(l: int, lam: tuple) -> complex:
-    t1, t2 = su3_exponent_angles(l, lam)
-    w1 = cmath.exp(2j * math.pi * float(t1))
-    w2 = cmath.exp(2j * math.pi * float(t2))
-    return w1 + 1 / w2 + w2 / w1
+    return deltoid.phi(su3_exponent_angles(l, lam))
 
 
 def su3_psi_star(l: int, lam: tuple) -> float:
@@ -343,14 +340,12 @@ def su3_psi_star(l: int, lam: tuple) -> float:
 
 
 def _su3_eigendata_a(l: int) -> list:
-    from .deltoid import jacobian  # local import to avoid a cycle
-
     out = []
     for l1 in range(l - 2):
         for l2 in range(l - 2 - l1):
             lam = (l1, l2)
             t1, t2 = su3_exponent_angles(l, lam)
-            jv = jacobian((t1, t2), "sine_product")
+            jv = deltoid.jacobian((t1, t2), "sine_product")
             w = jv * jv / (12 * math.pi ** 4 * l * l)
             psi = su3_psi_star(l, lam)
             jpsi = -jv / (2 * math.sqrt(3) * math.pi ** 2 * l)
@@ -363,8 +358,6 @@ def _su3_eigendata_a(l: int) -> list:
 
 
 def _su3_eigendata_d(n: int) -> list:
-    from .deltoid import jacobian
-
     k = n // 3
     out = []
     total = 0.0
@@ -374,7 +367,7 @@ def _su3_eigendata_d(n: int) -> list:
                 continue
             lam = (l1, l2)
             t1, t2 = su3_exponent_angles(n, lam)
-            jv = jacobian((t1, t2), "sine_product")
+            jv = deltoid.jacobian((t1, t2), "sine_product")
             w = jv * jv / (4 * math.pi ** 4 * n * n)
             total += w
             out.append(EigenEntry(lam, su3_eigenvalue(n, lam), w, 1))

@@ -9,22 +9,23 @@ Fraction-keyed atom dict only when it is read.  Every measure caches a stacked
 view (float angles, float weights and, on the torus, the values of Phi), and
 the float torus routes (with_j2, moments_t2) read only that view.
 
-Moments are evaluated two independent ways wherever possible: a direct atom
-sum in complex floats, and an exact rational route through the Fourier
-coefficients of the measure (uniform root-of-unity measures and the alpha_j
-densities all have rational Fourier transforms).
+Moments are evaluated two independent ways wherever possible: a float route,
+and an exact rational route through the Fourier coefficients of the measure
+(uniform root-of-unity measures and the alpha_j densities all have rational
+Fourier transforms).  Every float moment, on the circle or the torus, is one
+numpy power sum w z^m conj(z)^n over the stacked view (``_power_terms``),
+with z = u + 1/u + shift, u or Phi.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -183,13 +184,13 @@ def combine(*terms) -> DiscreteMeasure:
 
 # -- 1D primitives -----------------------------------------------------------
 
-def uniform_roots(n_roots: int, provenance: Optional[str] = None) -> DiscreteMeasure:
+def uniform_roots(n_roots: int) -> DiscreteMeasure:
     """Uniform measure on the n-th roots of unity."""
     if require_int("the number of roots", n_roots) < 1:
         raise InvalidParameterError("need at least one root of unity")
     atoms = {Fraction(j, n_roots): Fraction(1, n_roots) for j in range(n_roots)}
     return DiscreteMeasure(
-        1, atoms, provenance or f"u[{n_roots}]",
+        1, atoms, f"u[{n_roots}]",
         fourier=lambda r: Fraction(1) if r % n_roots == 0 else Fraction(0),
     )
 
@@ -328,22 +329,30 @@ def make_measure(spec) -> DiscreteMeasure:
 # -- moment evaluation -------------------------------------------------------
 
 def _check_orders(*orders: int) -> None:
-    if any(k < 0 for k in orders):
+    if any(require_int("a moment order", k) < 0 for k in orders):
         raise InvalidParameterError("moment orders must be non-negative")
 
 
+def _power_terms(z: np.ndarray, w: np.ndarray,
+                 pairs: Sequence[Tuple[int, int]]) -> Iterator[np.ndarray]:
+    """The terms w z^m conj(z)^n of each pair (m, n), in pair order: one
+    array per pair, from one stack of the powers of z."""
+    powers = [np.ones_like(z)]
+    for _ in range(max((max(p) for p in pairs), default=0)):
+        powers.append(powers[-1] * z)
+    return (w * powers[m] * powers[n].conj() for m, n in pairs)
+
+
 def moment_t(mu: DiscreteMeasure, m: int, shift: int = 0) -> float:
-    """Integral of (u + u^{-1} + shift)^m, by direct atom summation."""
+    """Integral of (u + u^{-1} + shift)^m, as a power sum over the stacked
+    view."""
     if mu.dimension != 1:
         raise InvalidParameterError("moment_t needs a circle measure")
     _check_orders(m)
-    total = 0j
-    size = 0.0          # sum of |term|: the scale of the rounding in total
-    for t, w in mu.atoms.items():
-        u = cmath.exp(2j * math.pi * float(t))
-        term = complex(w) * (u + 1 / u + shift) ** m
-        total += term
-        size += abs(term)
+    u = np.exp(2j * np.pi * mu.angle_array[:, 0])
+    (terms,) = _power_terms(u + 1 / u + shift, mu.weight_array, [(m, 0)])
+    total = complex(terms.sum())
+    size = float(np.abs(terms).sum())   # the scale of the rounding in total
     if abs(total.imag) > 1e-12 * max(1.0, size):
         raise FailedIdentityError(f"moment has imaginary residue {total.imag}")
     return total.real
@@ -359,19 +368,15 @@ def moment_t_exact(mu: DiscreteMeasure, m: int, shift: int = 0) -> Optional[Frac
     if mu.fourier is None:
         return None
     total = Fraction(0)
-    if shift == 0:
-        for k in range(m + 1):
-            total += math.comb(m, k) * mu.fourier(m - 2 * k)
-    else:
-        s = Fraction(shift)
-        for i in range(m + 1):
-            for j in range(m - i + 1):
-                k = m - i - j
-                coeff = (
-                    math.factorial(m)
-                    // (math.factorial(i) * math.factorial(j) * math.factorial(k))
-                )
-                total += coeff * s ** k * mu.fourier(i - j)
+    s = Fraction(shift)
+    for i in range(m + 1):
+        for j in range(m - i + 1):
+            k = m - i - j
+            coeff = (
+                math.factorial(m)
+                // (math.factorial(i) * math.factorial(j) * math.factorial(k))
+            )
+            total += coeff * s ** k * mu.fourier(i - j)
     return total
 
 
@@ -382,12 +387,10 @@ def circle_series(mu: DiscreteMeasure, order: int) -> list:
         raise InvalidParameterError("circle_series needs a circle measure")
     if mu.fourier is not None:
         return [mu.fourier(m) for m in range(order + 1)]
+    u = np.exp(2j * np.pi * mu.angle_array[:, 0])
     out = []
-    for m in range(order + 1):
-        val = sum(
-            complex(w) * cmath.exp(2j * math.pi * float(t)) ** m
-            for t, w in mu.atoms.items()
-        )
+    for terms in _power_terms(u, mu.weight_array, [(m, 0) for m in range(order + 1)]):
+        val = complex(terms.sum())
         if abs(val.imag) > 1e-10:
             raise FailedIdentityError("circle series should be real for symmetric measures")
         out.append(val.real)
@@ -406,14 +409,8 @@ def moments_t2(mu: DiscreteMeasure,
         raise InvalidParameterError("moment_t2 needs a torus measure")
     pairs = list(pairs)
     _check_orders(*(k for pair in pairs for k in pair))
-    z, w = mu.phi_array, mu.weight_array
-    powers = [np.ones_like(z)]
-    for _ in range(max((max(p) for p in pairs), default=0)):
-        powers.append(powers[-1] * z)
-    return {
-        (m, n): complex(np.sum(w * powers[m] * powers[n].conj()))
-        for m, n in pairs
-    }
+    terms = _power_terms(mu.phi_array, mu.weight_array, pairs)
+    return {pair: complex(np.sum(t)) for pair, t in zip(pairs, terms)}
 
 
 def moment_t2(mu: DiscreteMeasure, m: int, n: int) -> complex:
@@ -456,7 +453,12 @@ def _affine_e_measure(n: int) -> DiscreteMeasure:
 
 
 def _su3_d_measure(n: int) -> DiscreteMeasure:
-    mu = with_j2(product_measure(uniform_roots(n), uniform_roots(n)))
+    """J^2-weighted uniform measure on the n x n grid Z_n x Z_n, in the key
+    order and with the weights of the product of two uniform_roots(n)."""
+    w = Fraction(1, n * n)
+    q = np.stack(divmod(np.arange(n * n), n), axis=1)
+    mu = with_j2(DiscreteMeasure.on_grid(q, n, np.full(n * n, float(w)), f"(u[{n}] x u[{n}])",
+                                         exact_weight=w))
     mu.provenance = f"J^2/(24pi^4)*(d_{n}/2 x d_{n}/2)"
     return mu
 

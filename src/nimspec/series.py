@@ -12,6 +12,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -53,14 +54,6 @@ class TruncatedSeries:
         if order is not None:
             c = (c + [0] * (order + 1))[: order + 1]
         return TruncatedSeries(c, var)
-
-    @staticmethod
-    def geometric(c: Number, order: int, var: str = "q") -> "TruncatedSeries":
-        """1 / (1 - c q)."""
-        out = [1]
-        for _ in range(order):
-            out.append(out[-1] * c)
-        return TruncatedSeries(out, var)
 
     @staticmethod
     def inverse_quadratic(chi: Number, order: int, var: str = "t") -> "TruncatedSeries":
@@ -613,8 +606,7 @@ def t_series(graph_id: str, order: int = 40, route: str = "closed_form") -> Trun
         g = TruncatedSeries(circle_series(mu, 2 * order), "q")
         g_sqrt = g.even_part_sqrt()          # G(q^{1/2}); odd moments vanish
         num = 2 * g_sqrt - TruncatedSeries.one(order)
-        den = TruncatedSeries.from_coeffs([1, -1], order)
-        return num * den.inverse()
+        return TruncatedSeries(list(accumulate(num.coeffs)), "q")    # num / (1 - q)
     if route == "f_compose":
         graph = by_id(graph_id)
         f = loop_series(graph, order)
@@ -624,32 +616,18 @@ def t_series(graph_id: str, order: int = 40, route: str = "closed_form") -> Trun
 
 
 def theta_series(graph_id: str, order: int = 24, route: str = "measure") -> TruncatedSeries:
-    """Theta series: multiplicities of irreducible Temperley-Lieb modules.
-
-    measure route: Theta(q^2) = 2 G(q) + q^2 - 1 with G the circle-moment
-    series;  f route: Theta(q) = q + (1-q)/(1+q) * f(q/(1+q)^2)."""
+    """Theta series: multiplicities of irreducible Temperley-Lieb modules,
+    Theta(q) = q + (1 - q) T(q), from T's measure route ("measure") or its
+    f_compose route ("f")."""
+    routes = {"measure": "measure", "f": "f_compose"}
     _check_order(order)
-    if route == "measure":
-        from .measures import canonical_measure, circle_series
-
-        mu = canonical_measure(graph_id)
-        g = TruncatedSeries(circle_series(mu, 2 * order), "q")
-        g_even = g.even_part_sqrt()
-        coeffs = [2 * c for c in g_even.coeffs]
-        coeffs[0] -= 1
-        if order >= 1:
-            coeffs[1] += 1
-        return TruncatedSeries(coeffs[: order + 1], "q")
-    if route == "f":
-        graph = by_id(graph_id)
-        f = loop_series(graph, order)
-        composed = TruncatedSeries(f.coeffs, "q").compose(_w_substitution(order))
-        one_minus = TruncatedSeries.from_coeffs([1, -1], order)
-        out = composed * one_minus * _one_plus_q(order).inverse()
-        if order >= 1:
-            out.coeffs[1] = out.coeffs[1] + 1
-        return out
-    raise InvalidParameterError(f"unknown Theta route {route!r}")
+    if route not in routes:
+        raise InvalidParameterError(f"unknown Theta route {route!r}")
+    t = t_series(graph_id, order, routes[route]).coeffs
+    coeffs = [c - d for c, d in zip(t, [0] + t)]
+    if order >= 1:
+        coeffs[1] += 1
+    return TruncatedSeries(coeffs, "q")
 
 
 def generalized_t(graph: Graph, order: int = 24) -> MatrixSeries:

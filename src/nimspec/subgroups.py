@@ -283,11 +283,7 @@ def subgroup_moment(cd: ClassData, m: int) -> float:
 def moment_generating_series(cd: ClassData, order: int) -> TruncatedSeries:
     """sum_j (|G_j|/|G|) / (1 - q chi_j): coefficient k is the k-th moment."""
     _check_order(order)
-    total = TruncatedSeries.zero(order)
-    n = cd.order
-    for r in cd.rows:
-        total = total + TruncatedSeries.geometric(r.chi_rho, order) * (r.size / n)
-    return total
+    return TruncatedSeries([subgroup_moment(cd, k) for k in range(order + 1)])
 
 
 def molien_series_trivial(group: FiniteMatrixGroup, order: int) -> TruncatedSeries:

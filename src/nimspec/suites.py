@@ -122,13 +122,13 @@ def _suite_su2_measures(tol: float, rng: random.Random) -> List[Check]:
 
     def alpha_p(which: str):
         data = {
-            "E(7)": (18, 36, (1, 9, 17), [0.4076, 2.7057, -0.1133, 4.0],
+            "E(7)": (18, [0.4076, 2.7057, -0.1133, 4.0],
                      [1, 5, 7, 9], lambda u: 2 * (u ** 2).imag ** 2, 9.0, (9, 27)),
-            "E(8)": (30, 60, (1, 11, 19, 29), [0.4038, 3.5135, 2.0511, 4.5316],
+            "E(8)": (30, [0.4038, 3.5135, 2.0511, 4.5316],
                      [1, 7, 11, 13],
                      lambda u: 2 * u.imag ** 2 + 2 * (u ** 3).imag ** 2, 15.0, ()),
         }
-        h, hh, _, table, reps, dens, ident_const, skip = data[which]
+        h, table, reps, dens, ident_const, skip = data[which]
         ed = {e.exponent: e.weight for e in eigendata(which).entries}
         import cmath
         ut = cmath.exp(1j * math.pi / h)
@@ -372,14 +372,20 @@ def _suite_su3_measures(tol: float, rng: random.Random) -> List[Check]:
 # su3-obstructions
 # ---------------------------------------------------------------------------
 
+def _e_atoms(which: str, h: int) -> measures.DiscreteMeasure:
+    """The circle atoms of an E-type graph from its eigendata: weight psi^2/2
+    at p/2h for each p in 1..2h-1 with p or 2h-p an exponent, in ascending p."""
+    ed = {e.exponent: e.weight for e in eigendata(which).entries}
+    atoms = {Fraction(p, 2 * h): ed[min(p, 2 * h - p)] / 2
+             for p in range(1, 2 * h) if p in ed or 2 * h - p in ed}
+    return measures.DiscreteMeasure(1, atoms, f"{which} atoms from eigendata")
+
+
 def _suite_su3_obstructions(tol: float, rng: random.Random) -> List[Check]:
     checks: List[Check] = []
 
     def e6_fit():
-        ed = {e.exponent: e.weight for e in eigendata("E(6)").entries}
-        b6 = [1, 4, 5, 7, 8, 11, 13, 16, 17, 19, 20, 23]
-        atoms = {Fraction(p, 24): ed[p if p <= 12 else 24 - p] / 2 for p in b6}
-        target = measures.DiscreteMeasure(1, atoms, "E6 atoms from eigendata")
+        target = _e_atoms("E(6)", 12)
         basis = [measures.with_alpha(measures.d_measure(12)), measures.d_measure(12),
                  measures.d_measure(6), measures.d_measure(4), measures.d_measure(3)]
         fit = measures.cyclotomic_fit(target, basis, tol=1e-9)
@@ -391,20 +397,14 @@ def _suite_su3_obstructions(tol: float, rng: random.Random) -> List[Check]:
 
     checks.append(("E6-cyclotomic-decomposition", e6_fit))
 
-    def infeasible(which: str, hh: int):
-        ed = {e.exponent: e.weight for e in eigendata(which).entries}
-        h = hh // 2
-        bset = [p for p in range(1, 2 * h) if p % 2 == 1 and
-                (p in ed or 2 * h - p in ed)]
-        atoms = {Fraction(p, 2 * h): ed[p if p <= h else 2 * h - p] / 2 for p in bset}
-        target = measures.DiscreteMeasure(1, atoms, f"{which} atoms")
-        fit = measures.cyclotomic_fit(target, measures.cyclotomic_basis(h), tol=1e-9)
+    def infeasible(which: str, h: int):
+        fit = measures.cyclotomic_fit(_e_atoms(which, h), measures.cyclotomic_basis(h), tol=1e-9)
         ok = (not fit.feasible) and fit.residual > 1e-2
         return (ok, f"least-squares residual {fit.residual:.3e}",
                 "infeasible with residual > 1e-2", 1e-2)
 
-    checks.append(("E7-not-cyclotomic", lambda: infeasible("E(7)", 36)))
-    checks.append(("E8-not-cyclotomic", lambda: infeasible("E(8)", 60)))
+    checks.append(("E7-not-cyclotomic", lambda: infeasible("E(7)", 18)))
+    checks.append(("E8-not-cyclotomic", lambda: infeasible("E(8)", 30)))
 
     def exceptional(graph_id: str, expected_res: float):
         rows, rhs = measures.exceptional_obstruction_system(graph_id)

@@ -335,6 +335,18 @@ def loop_conjugacy_classes(elements):
     return classes
 
 
+def atom_circle_sum(atoms, power):
+    """(sum, sum of |term|) of w power(u) over circle atoms {t: w},
+    u = e^{2 pi i t}, one atom at a time."""
+    total = 0j
+    size = 0.0
+    for t, w in atoms.items():
+        term = complex(w) * power(cmath.exp(2j * math.pi * float(t)))
+        total += term
+        size += abs(term)
+    return total, size
+
+
 def atom_moment_t2(atoms, m: int, n: int):
     """(sum, sum of |term|) of w Phi^m conj(Phi)^n over torus atoms
     {(t1, t2): w}, Phi = w1 + 1/w2 + w2/w1, one atom at a time."""

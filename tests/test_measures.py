@@ -29,6 +29,8 @@ from nimspec.measures import (
     moment_t2,
     moment_t_exact,
     moments_t2,
+    product_measure,
+    uniform_roots,
     with_alpha,
     with_j2,
 )
@@ -36,7 +38,7 @@ from nimspec.deltoid import generate_Dl
 from nimspec.paths import moment_path_count
 from nimspec.series import abelian_mckay, molien_abelian
 
-from oracles import atom_moment_t2, dl_atoms, j2_atoms
+from oracles import atom_circle_sum, atom_moment_t2, dl_atoms, j2_atoms
 
 SU2_IDS = (
     [f"A({n})" for n in range(1, 9)]
@@ -92,6 +94,11 @@ def test_malformed_measure_specs_raise_a_typed_error(spec):
 def test_wrongly_typed_arguments_raise_a_typed_error_naming_the_value(fn, args):
     with pytest.raises(InvalidParameterError, match=r"must be (an integer|rational), got "):
         fn(*args)
+
+
+def test_a_non_integer_moment_order_raises_a_typed_error():
+    with pytest.raises(InvalidParameterError, match="a moment order must be an integer, got 2.0"):
+        moment_t(d_measure(3), 2.0)
 
 
 def test_dprime_and_ddprime_supports():
@@ -353,6 +360,33 @@ def test_circle_series_is_exact_for_uniform_measures():
     assert g == [1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1]
 
 
+circle_atoms = st.dictionaries(st.builds(Fraction, st.integers(0, 23), st.just(24)),
+                               st.floats(-2, 2), min_size=1, max_size=20)
+
+
+@settings(max_examples=40, deadline=None)
+@given(circle_atoms, st.integers(0, 12), st.sampled_from([0, 1]))
+def test_float_circle_moments_match_the_atom_loop(atoms, m, shift):
+    got = moment_t(DiscreteMeasure(1, atoms, "random atoms"), m, shift=shift)
+    want, size = atom_circle_sum(atoms, lambda u: (u + 1 / u + shift) ** m)
+    assert abs(got - want.real) <= 1e-12 * size
+
+
+@settings(max_examples=40, deadline=None)
+@given(circle_atoms, st.integers(0, 12))
+def test_float_circle_series_matches_the_atom_loop(atoms, order):
+    """A measure without a Fourier transform takes the float branch; it is
+    symmetrized under t -> -t, so its series is real."""
+    symmetric = {}
+    for t, w in atoms.items():
+        symmetric[t] = symmetric[-t % 1] = w
+    got = circle_series(DiscreteMeasure(1, symmetric, "symmetric atoms"), order)
+    assert len(got) == order + 1
+    for m, g in enumerate(got):
+        want, size = atom_circle_sum(symmetric, lambda u: u ** m)
+        assert abs(g - want.real) <= 1e-12 * size
+
+
 def test_dirac_and_signed_combinations():
     mu = dirac(Fraction(1, 2), Fraction(1, 2))
     assert moment_t_exact(mu, 1) == Fraction(-1)
@@ -500,3 +534,13 @@ def test_atoms_and_the_stacked_view_are_read_only(build):
         mu.atoms[Fraction(0)] = 1
     with pytest.raises(ValueError):
         mu.weight_array[0] = 1.0
+
+
+@pytest.mark.parametrize("n", range(6, 31, 3))
+def test_su3_d_grid_is_the_j2_product_of_two_uniform_measures(n):
+    grid = canonical_measure(f"SU3-D({n})")
+    product = with_j2(product_measure(uniform_roots(n), uniform_roots(n)))
+    assert grid.atoms == product.atoms
+    assert list(grid.atoms) == list(product.atoms)
+    product.provenance = grid.provenance
+    assert grid.to_json() == product.to_json()

@@ -11,6 +11,7 @@ from nimspec.errors import (
     SymmetryError,
 )
 from nimspec.graphs import Graph, _out_edges, by_id, su3_rotation
+from nimspec.measures import canonical_measure, circle_series
 from nimspec.series import (
     MatrixSeries,
     TruncatedSeries,
@@ -360,6 +361,18 @@ def test_theta_routes_agree():
         tf = theta_series(gid, 12, "f")
         assert tm.coeffs == tf.coeffs
         assert tm.coeffs[0] == 1
+
+
+@pytest.mark.parametrize("gid", T_IDS)
+def test_theta_is_read_off_the_circle_series(gid):
+    """Theta(q^2) = 2 G(q) + q^2 - 1, G the circle series of the canonical
+    measure, exactly on both routes."""
+    order = 12
+    want = [2 * c for c in circle_series(canonical_measure(gid), 2 * order)]
+    want[0] -= 1
+    want[2] += 1
+    for route in ("measure", "f"):
+        assert theta_series(gid, order, route).substitute_q_squared(2 * order).coeffs == want
 
 
 def test_theta_of_infinite_graphs():

@@ -111,6 +111,13 @@ def test_moment_generating_series_examples():
     assert [round(c) for c in moment_generating_series(z4, 2).coeffs] == [1, 0, 2]
 
 
+@pytest.mark.parametrize("name, n", [("Z2n", 3), ("BD", 5), ("BT", None), ("BO", None),
+                                     ("BI", None)])
+def test_moment_generating_series_coefficients_are_the_moments(name, n):
+    cd = class_data(generate_group(name, n))
+    assert moment_generating_series(cd, 12).coeffs == [subgroup_moment(cd, k) for k in range(13)]
+
+
 def test_molien_matches_closed_forms():
     cases = [("BT", [(1, 12)], [(-1, 6), (-1, 8)]),
              ("BI", [(1, 30)], [(-1, 12), (-1, 20)])]
