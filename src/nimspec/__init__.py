@@ -26,6 +26,7 @@ from .measures import (
     make_measure,
     moment_t,
     moment_t2,
+    moments_t,
     moments_t2,
 )
 from .series import (

@@ -11,10 +11,13 @@ the float torus routes (with_j2, moments_t2) read only that view.
 
 Moments are evaluated two independent ways wherever possible: a float route,
 and an exact rational route through the Fourier coefficients of the measure
-(uniform root-of-unity measures and the alpha_j densities all have rational
-Fourier transforms).  Every float moment, on the circle or the torus, is one
-numpy power sum w z^m conj(z)^n over the stacked view (``_power_terms``),
-with z = u + 1/u + shift, u or Phi.
+(uniform root-of-unity measures, Dirac atoms at 0 and 1/2 and the alpha_j
+densities all have rational Fourier transforms).  A circle measure's
+``fourier`` is then a ``FourierTable``, a flat table of terms (c, s, n), each
+meaning c [r + s = 0 (mod n)]: sums concatenate the tables, rational scalings
+rescale each c, and alpha_j appends the terms shifted by +-2j.  Every float
+moment, on the circle or the torus, is one numpy power sum w z^m conj(z)^n
+over the stacked view (``_power_terms``), with z = u + 1/u + shift, u or Phi.
 """
 
 from __future__ import annotations
@@ -41,6 +44,31 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class FourierTable:
+    """The exact Fourier transform r -> integral of u^r of a circle measure,
+    as a flat table of terms (c, s, n) with c a Fraction: the sum of c over
+    the terms with r + s = 0 (mod n)."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Iterable[Tuple[Fraction, int, int]]):
+        self.terms = tuple(terms)
+
+    def __call__(self, r: int) -> Fraction:
+        return Fraction(sum(c for c, s, n in self.terms if (r + s) % n == 0))
+
+    def numerators(self, lo: int, hi: int) -> Tuple[List[int], int]:
+        """(C, L): the coefficients at r = lo..hi as integer numerators C
+        over one denominator L, each term stepped through the range once."""
+        den = math.lcm(*(c.denominator for c, _, _ in self.terms))
+        acc = [0] * (hi - lo + 1)
+        for c, s, n in self.terms:
+            num = c.numerator * (den // c.denominator)
+            for i in range((-s - lo) % n, hi - lo + 1, n):
+                acc[i] += num
+        return acc, den
+
+
 class DiscreteMeasure:
     """A finite measure on the circle (dimension 1) or the torus (dimension 2).
 
@@ -55,7 +83,7 @@ class DiscreteMeasure:
     """
 
     def __init__(self, dimension: int, atoms: Mapping, provenance: str,
-                 fourier: Optional[Callable[[int], Fraction]] = None):
+                 fourier: Optional[FourierTable] = None):
         self.dimension = dimension
         self.provenance = provenance
         self.fourier = fourier          # 1D only: r -> integral of u^r
@@ -151,8 +179,7 @@ def add(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
         raise InvalidParameterError("cannot add measures of different dimension")
     fr = None
     if mu.fourier is not None and nu.fourier is not None:
-        fmu, fnu = mu.fourier, nu.fourier
-        fr = lambda r: fmu(r) + fnu(r)
+        fr = FourierTable(mu.fourier.terms + nu.fourier.terms)
     return DiscreteMeasure(
         mu.dimension,
         _merge(mu.atoms, nu.atoms),
@@ -164,8 +191,8 @@ def add(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
 def scale(c: Weight, mu: DiscreteMeasure) -> DiscreteMeasure:
     fr = None
     if mu.fourier is not None and isinstance(c, (Fraction, int)):
-        fmu, cc = mu.fourier, Fraction(c)
-        fr = lambda r: cc * fmu(r)
+        cc = Fraction(c)
+        fr = FourierTable((cc * ct, s, n) for ct, s, n in mu.fourier.terms)
     return DiscreteMeasure(
         mu.dimension,
         {k: c * w for k, w in mu.atoms.items()},
@@ -191,7 +218,7 @@ def uniform_roots(n_roots: int) -> DiscreteMeasure:
     atoms = {Fraction(j, n_roots): Fraction(1, n_roots) for j in range(n_roots)}
     return DiscreteMeasure(
         1, atoms, f"u[{n_roots}]",
-        fourier=lambda r: Fraction(1) if r % n_roots == 0 else Fraction(0),
+        fourier=FourierTable([(Fraction(1), 0, n_roots)]),
     )
 
 
@@ -228,12 +255,10 @@ def dirac(theta: Fraction, weight: Weight = 1) -> DiscreteMeasure:
     except (TypeError, ValueError, OverflowError):
         raise InvalidParameterError(f"dirac angle must be rational, got {theta!r}") from None
     fr = None
-    if theta.denominator in (1, 2):
-        sign = 1 if theta == 0 else -1
-        wq = Fraction(weight) if isinstance(weight, (int, Fraction)) else None
-        if wq is not None:
-            # by parity, not sign ** r, which is a float for r < 0
-            fr = lambda r: wq if sign == 1 or r % 2 == 0 else -wq
+    if theta.denominator in (1, 2) and isinstance(weight, (int, Fraction)):
+        w = Fraction(weight)
+        # u^r is 1 at theta = 0, and (-1)^r = 2 [r even] - 1 at theta = 1/2
+        fr = FourierTable([(w, 0, 1)] if theta == 0 else [(2 * w, 0, 2), (-w, 0, 1)])
     return DiscreteMeasure(1, {theta: weight}, f"delta_{theta}", fr)
 
 
@@ -249,9 +274,11 @@ def with_alpha(mu: DiscreteMeasure, j: int = 1) -> DiscreteMeasure:
     atoms = {t: w * alpha_value(float(t), j) for t, w in mu.atoms.items()}
     fr = None
     if mu.fourier is not None:
-        fmu = mu.fourier
-        # alpha_j(u) = 1 - (u^{2j} + u^{-2j})/2 acts as a Fourier convolution
-        fr = lambda r: fmu(r) - Fraction(1, 2) * (fmu(r + 2 * j) + fmu(r - 2 * j))
+        # alpha_j(u) = 1 - (u^{2j} + u^{-2j})/2 acts as a Fourier convolution:
+        # c-hat(r) - (c-hat(r + 2j) + c-hat(r - 2j))/2
+        terms = mu.fourier.terms
+        fr = FourierTable(terms + tuple((-c / 2, s + d, n) for c, s, n in terms
+                                        for d in (2 * j, -2 * j)))
     name = f"alpha_{j}" if j != 1 else "alpha"
     return DiscreteMeasure(1, atoms, f"{name}*{mu.provenance}", fr)
 
@@ -343,41 +370,50 @@ def _power_terms(z: np.ndarray, w: np.ndarray,
     return (w * powers[m] * powers[n].conj() for m, n in pairs)
 
 
+def moments_t(mu: DiscreteMeasure, orders: Iterable[int],
+              shift: int = 0) -> Dict[int, float]:
+    """Integral of (u + u^{-1} + shift)^m for each order m, as power sums
+    over the stacked view: one evaluation of u and one stack of powers per
+    call.  Every order is checked first."""
+    if mu.dimension != 1:
+        raise InvalidParameterError("moment_t needs a circle measure")
+    orders = list(orders)
+    _check_orders(*orders)
+    u = np.exp(2j * np.pi * mu.angle_array[:, 0])
+    terms = _power_terms(u + 1 / u + shift, mu.weight_array, [(m, 0) for m in orders])
+    out = {}
+    for m, t in zip(orders, terms):
+        total = complex(t.sum())
+        size = float(np.abs(t).sum())   # the scale of the rounding in total
+        if abs(total.imag) > 1e-12 * max(1.0, size):
+            raise FailedIdentityError(f"moment has imaginary residue {total.imag}")
+        out[m] = total.real
+    return out
+
+
 def moment_t(mu: DiscreteMeasure, m: int, shift: int = 0) -> float:
     """Integral of (u + u^{-1} + shift)^m, as a power sum over the stacked
     view."""
-    if mu.dimension != 1:
-        raise InvalidParameterError("moment_t needs a circle measure")
-    _check_orders(m)
-    u = np.exp(2j * np.pi * mu.angle_array[:, 0])
-    (terms,) = _power_terms(u + 1 / u + shift, mu.weight_array, [(m, 0)])
-    total = complex(terms.sum())
-    size = float(np.abs(terms).sum())   # the scale of the rounding in total
-    if abs(total.imag) > 1e-12 * max(1.0, size):
-        raise FailedIdentityError(f"moment has imaginary residue {total.imag}")
-    return total.real
+    return moments_t(mu, [m], shift)[m]
 
 
 def moment_t_exact(mu: DiscreteMeasure, m: int, shift: int = 0) -> Optional[Fraction]:
     """Exact rational moment via the Fourier transform, when available.
 
-    (u + u^{-1} + shift)^m expands into powers u^{i-j};   only rational
-    Fourier coefficients enter.
+    (u + u^{-1} + shift)^m is a Laurent polynomial sum_r P_r u^r, |r| <= m,
+    so the moment is sum_r P_r c-hat(r), with each c-hat(r) read once.
     """
     _check_orders(m)
     if mu.fourier is None:
         return None
-    total = Fraction(0)
     s = Fraction(shift)
-    for i in range(m + 1):
-        for j in range(m - i + 1):
-            k = m - i - j
-            coeff = (
-                math.factorial(m)
-                // (math.factorial(i) * math.factorial(j) * math.factorial(k))
-            )
-            total += coeff * s ** k * mu.fourier(i - j)
-    return total
+    if s.denominator == 1:
+        s = s.numerator
+    poly = [1]                          # coefficients of u^-k .. u^k after k factors
+    for _ in range(m):
+        poly = [a + s * b + c for a, b, c in zip([0, 0] + poly, [0] + poly + [0], poly + [0, 0])]
+    nums, den = mu.fourier.numerators(-m, m)
+    return Fraction(sum(p * c for p, c in zip(poly, nums)), den)
 
 
 def circle_series(mu: DiscreteMeasure, order: int) -> list:
@@ -386,7 +422,8 @@ def circle_series(mu: DiscreteMeasure, order: int) -> list:
     if mu.dimension != 1:
         raise InvalidParameterError("circle_series needs a circle measure")
     if mu.fourier is not None:
-        return [mu.fourier(m) for m in range(order + 1)]
+        nums, den = mu.fourier.numerators(0, order)
+        return [Fraction(c, den) for c in nums]
     u = np.exp(2j * np.pi * mu.angle_array[:, 0])
     out = []
     for terms in _power_terms(u, mu.weight_array, [(m, 0) for m in range(order + 1)]):

@@ -131,31 +131,17 @@ class TruncatedSeries:
         """self(inner) to inner's order, exactly; inner needs a zero constant
         term, and both series rational (int or Fraction) coefficients.
 
-        Horner's rule runs on integer numerators: with L and M the lcm of
-        the denominators of self (a_k = A_k / L) and of inner (inner = J / M),
-        acc <- acc * J + A_k * M^(N-k) for k = N..0, truncated at the order,
-        and the result is acc / (L * M^N), one division per coefficient.
-        Terms a_k with k above the order vanish and are dropped.
+        With L and M the lcm of the denominators of self (a_k = A_k / L)
+        and of inner (inner = J / M), the result is
+        sum_k A_k M^(N-k) J^k / (L M^N) on integer numerators
+        (``_compose_numerators``), one division per coefficient.  Terms a_k
+        with k above the order vanish and are dropped.
         """
         if inner.coeffs[0] != 0:
             raise InvalidParameterError("composition needs zero constant term")
-        order = inner.order
-        outer, den_outer = _integer_numerators(self.coeffs[: order + 1])
+        outer, den_outer = _integer_numerators(self.coeffs[: inner.order + 1])
         j_coeffs, den_inner = _integer_numerators(inner.coeffs)
-        j_terms = [(d, c) for d, c in enumerate(j_coeffs) if c]
-        acc = [0] * (order + 1)
-        scale = 1                                   # M^(N-k)
-        for a in reversed(outer):
-            nxt = [0] * (order + 1)
-            for i, ai in enumerate(acc):
-                if ai:
-                    for d, c in j_terms:
-                        if i + d > order:
-                            break
-                        nxt[i + d] += ai * c
-            nxt[0] += a * scale
-            acc = nxt
-            scale *= den_inner
+        acc = _compose_numerators(outer, j_coeffs, den_inner)
         den = den_outer * den_inner ** max(len(outer) - 1, 0)    # L * M^N
         return TruncatedSeries([Fraction(c, den) for c in acc], inner.var)
 
@@ -210,6 +196,34 @@ def _product(a: list, b: list) -> list:
     return out
 
 
+def _compose_numerators(outer: List[int], inner: List[int], den_inner: int) -> List[int]:
+    """sum_k A_k M^(N-k) J^k to J's order, for integers A = outer (N + 1 of
+    them), J = inner with J_0 = 0, and M = den_inner.  The powers J^k are
+    stepped on J's small integers, and each A_k meets each coefficient of
+    J^k once.  J^k starts at degree k, so terms with k above the order
+    vanish."""
+    order = len(inner) - 1
+    n = len(outer) - 1
+    j_terms = [(d, c) for d, c in enumerate(inner) if c]
+    acc = [0] * (order + 1)
+    power = [1] + [0] * order                   # J^k
+    for k, a in enumerate(outer[: order + 1]):
+        if a:
+            a *= den_inner ** (n - k)
+            for d in range(k, order + 1):
+                if power[d]:
+                    acc[d] += a * power[d]
+        nxt = [0] * (order + 1)
+        for i in range(k, order + 1):
+            if power[i]:
+                for d, c in j_terms:
+                    if i + d > order:
+                        break
+                    nxt[i + d] += power[i] * c
+        power = nxt
+    return acc
+
+
 def _rational(coeffs) -> bool:
     return all(isinstance(c, numbers.Rational) for c in coeffs)
 
@@ -230,24 +244,34 @@ def _check_order(order: int) -> None:
         raise InvalidParameterError(f"series order must be non-negative, got {order}")
 
 
-def poly_from_factors(factors: Sequence[Tuple[int, int]], order: int) -> TruncatedSeries:
-    """Product of (1 + sign * q^k) over (sign, k) pairs with k >= 1, as a series."""
+def _factor_product(factors: Sequence[Tuple[int, int]], order: int) -> List[int]:
+    """The integer coefficients of prod (1 + sign * q^k) to the order: each
+    factor is a shift-add, p_i += sign * p_{i-k} from the top down."""
     _check_order(order)
-    out = TruncatedSeries.one(order)
+    p = [1] + [0] * order
     for sign, k in factors:
         if k < 1:
             raise InvalidParameterError(f"factor 1 + sign q^k needs k >= 1, got k = {k}")
-        f = TruncatedSeries.zero(order)
-        f.coeffs[0] = Fraction(1)
-        if k <= order:
-            f.coeffs[k] = Fraction(sign)
-        out = out * f
-    return out
+        for i in range(order, k - 1, -1):
+            p[i] += sign * p[i - k]
+    return p
+
+
+def poly_from_factors(factors: Sequence[Tuple[int, int]], order: int) -> TruncatedSeries:
+    """Product of (1 + sign * q^k) over (sign, k) pairs with k >= 1, as a series."""
+    return TruncatedSeries([Fraction(c) for c in _factor_product(factors, order)])
 
 
 def rational_series(num: Sequence[Tuple[int, int]], den: Sequence[Tuple[int, int]],
                     order: int) -> TruncatedSeries:
-    return poly_from_factors(num, order) * poly_from_factors(den, order).inverse()
+    """N(q) / D(q) for the factor products N and D.  D_0 = 1, so the
+    quotient is the integer recurrence R_k = N_k - sum_{j>=1} D_j R_{k-j}."""
+    top = _factor_product(num, order)
+    d_terms = [(j, c) for j, c in enumerate(_factor_product(den, order)) if j and c]
+    out = []
+    for k, nk in enumerate(top):
+        out.append(nk - sum(c * out[k - j] for j, c in d_terms if j <= k))
+    return TruncatedSeries([Fraction(c) for c in out])
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +606,14 @@ def t_closed_form(graph_id: str, order: int) -> TruncatedSeries:
     return rational_series(num, den, order)
 
 
-def _one_plus_q(order: int) -> TruncatedSeries:
-    return TruncatedSeries.from_coeffs([Fraction(1), Fraction(1)], order)
+def _over_one_plus_q(order: int) -> TruncatedSeries:
+    """1 / (1 + q) = sum_k (-1)^k q^k."""
+    return TruncatedSeries([(-1) ** k for k in range(order + 1)])
 
 
 def _w_substitution(order: int) -> TruncatedSeries:
-    """q / (1 + q)^2 as a series."""
-    q = TruncatedSeries.from_coeffs([Fraction(0), Fraction(1)], order)
-    return q * (_one_plus_q(order) * _one_plus_q(order)).inverse()
+    """q / (1 + q)^2 = sum_{k>=1} (-1)^(k-1) k q^k."""
+    return TruncatedSeries([0] + [(-1) ** (k - 1) * k for k in range(1, order + 1)])
 
 
 def t_series(graph_id: str, order: int = 40, route: str = "closed_form") -> TruncatedSeries:
@@ -611,7 +635,7 @@ def t_series(graph_id: str, order: int = 40, route: str = "closed_form") -> Trun
         graph = by_id(graph_id)
         f = loop_series(graph, order)
         composed = TruncatedSeries(f.coeffs, "q").compose(_w_substitution(order))
-        return composed * _one_plus_q(order).inverse()
+        return composed * _over_one_plus_q(order)
     raise InvalidParameterError(f"unknown T-series route {route!r}")
 
 
@@ -663,18 +687,30 @@ def g_composition_route(cd, order: int) -> TruncatedSeries:
     coefficients (character values up to 2 raised to the order), so floats
     lose everything; the character values are rationalized to 40 digits and
     the composition runs in exact arithmetic.
+
+    G's coefficients are held as integer numerators over the one
+    denominator n * 10^(40 order), composed with t / (1 + t^2) and
+    multiplied by 1 / (1 + t^2) on integers; each coefficient is then one
+    correctly rounded int / int division.
     """
     _check_order(order)
-    n = cd.order
     scale = 10 ** 40
     rows = [(r.size, round(r.chi_rho * scale)) for r in cd.rows]
-    # G = sum_r (size_r / n) / (1 - chi_r q) with chi_r = c_r / 10^40
-    g = TruncatedSeries([Fraction(sum(size * c ** k for size, c in rows), n * scale ** k)
-                         for k in range(order + 1)])
-    one_t2 = TruncatedSeries.from_coeffs([Fraction(1), Fraction(0), Fraction(1)], order)
-    inner = TruncatedSeries.from_coeffs([Fraction(0), Fraction(1)], order) * one_t2.inverse()
-    composed = g.compose(inner) * one_t2.inverse()
-    return TruncatedSeries([float(c) for c in composed.coeffs], "t")
+    # G = sum_r (size_r / n) / (1 - chi_r q) with chi_r = c_r / 10^40, so
+    # G_k = sum_r size_r c_r^k 10^(40 (order - k)) / (n 10^(40 order))
+    powers = [size for size, _ in rows]
+    g = []
+    for k in range(order + 1):
+        g.append(sum(powers) * scale ** (order - k))
+        powers = [p * c for p, (_, c) in zip(powers, rows)]
+    inner = [(-1) ** (d // 2) if d % 2 else 0 for d in range(order + 1)]    # t / (1 + t^2)
+    composed = _compose_numerators(g, inner, 1)
+    # times 1 / (1 + t^2): c_k - c_{k-2} + c_{k-4} - ... = c_k - out_{k-2}
+    out = []
+    for k, c in enumerate(composed):
+        out.append(c - out[k - 2] if k >= 2 else c)
+    den = cd.order * scale ** order
+    return TruncatedSeries([c / den for c in out], "t")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Callable, List, Tuple
 
 from . import deltoid, measures, series, subgroups
 from .errors import InvalidParameterError
-from .graphs import by_id, eigen_moment, eigendata
+from .graphs import by_id, eigen_moment, eigendata, su3_rotation
 from .paths import (
     combinatorial_dimension,
     hecke_dimension,
@@ -112,10 +112,8 @@ def _suite_su2_measures(tol: float, rng: random.Random) -> List[Check]:
         def run(gid=gid):
             mu = measures.canonical_measure(gid)
             counts = moments(by_id(gid), [(m, 0) for m in range(13)])
-            err = max(
-                abs(measures.moment_t(mu, m) - counts[(m, 0)])
-                for m in range(13)
-            )
+            got = measures.moments_t(mu, range(13))
+            err = max(abs(got[m] - counts[(m, 0)]) for m in range(13))
             return _case_max_err(err, tol, "measure moments = path counts, m <= 12")
 
         checks.append((f"measure-vs-path:{gid}", run))
@@ -520,8 +518,6 @@ def _suite_hilbert(tol: float, rng: random.Random) -> List[Check]:
             g = by_id(f"SU3-A({l})")
             hs = series.hilbert_su3(g, order=3 * l)
             num = series.su3_numerator(hs, g)
-            from .graphs import su3_rotation
-
             p = su3_rotation(g)
             ok = num[0] == series.mat_identity(g.n_vertices)
             for k in range(1, 3 * l + 1):

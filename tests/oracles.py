@@ -6,9 +6,10 @@ elimination on explicit path bases, tableau counts from direct recursion,
 series products, inverses and composition are direct loops on Fraction
 coefficient lists, matrix Hilbert series are dense tuple-of-tuples
 recurrences, finite groups are closed and partitioned one matrix product at
-a time, torus moments are summed one atom at a time, and the D_l measure and
+a time, torus moments are summed one atom at a time, the D_l measure and
 its J^2 density are built one Fraction atom at a time through the scalar
-deltoid routes.
+deltoid routes, and circle Fourier transforms are nested closures built
+node by node from a measure spec.
 """
 
 from __future__ import annotations
@@ -87,6 +88,21 @@ def fraction_inverse(a):
         for j in range(1, k + 1):
             acc += a[j] * out[k - j]
         out.append(-inv0 * acc)
+    return out
+
+
+def quadratic_class_sum(rows, order):
+    """sum_r (size_r / n) / (1 - chi_r t + t^2) to the order, for class rows
+    (size_r, chi_r) with n = sum size_r and chi_r rational, each term by the
+    Fraction recurrence a_k = chi a_{k-1} - a_{k-2}: the closed form of
+    (1 + t^2)^{-1} G(t / (1 + t^2)) for G = sum_r (size_r / n) / (1 - chi_r q)."""
+    n = sum(size for size, _ in rows)
+    out = [Fraction(0)] * (order + 1)
+    for size, chi in rows:
+        prev, cur = Fraction(0), Fraction(size, n)
+        for k in range(order + 1):
+            out[k] += cur
+            prev, cur = cur, chi * cur - prev
     return out
 
 
@@ -377,3 +393,67 @@ def j2_atoms(atoms) -> dict:
         jv = deltoid.jacobian((t1, t2), "sine_product")
         out[(t1, t2)] = float(w) * jv * jv / (24 * math.pi ** 4)
     return out
+
+
+def closure_fourier(spec):
+    """r -> integral of u^r of the circle measure make_measure(spec), as
+    nested closures built node by node; None where a node has no rational
+    transform (a float weight or scale factor, a Dirac atom off 0 and 1/2,
+    or a child without one).  Covers the nodes roots, d, dprime, ddprime,
+    dirac, alpha, alpha_j, scale and sum."""
+    op, args = spec[0], spec[1:]
+    if op == "roots":
+        n = args[0]
+        return lambda r: Fraction(1) if r % n == 0 else Fraction(0)
+    if op == "d":
+        return closure_fourier(("roots", 2 * args[0]))
+    if op == "dprime":
+        n = args[0]
+        return _closure_sum((Fraction(2), ("d", 2 * n)), (Fraction(-1), ("d", n)))
+    if op == "ddprime":
+        n = args[0]
+        return _closure_sum((Fraction(3, 2), ("dprime", 3 * n)),
+                            (Fraction(-1, 2), ("dprime", n)))
+    if op == "dirac":
+        theta = Fraction(args[0]) % 1
+        weight = args[1] if len(args) > 1 else 1
+        if theta.denominator not in (1, 2) or not isinstance(weight, (int, Fraction)):
+            return None
+        wq = Fraction(weight)
+        if theta == 0:
+            return lambda r: wq
+        return lambda r: wq if r % 2 == 0 else -wq
+    if op in ("alpha", "alpha_j"):
+        j, inner = (1, args[0]) if op == "alpha" else args
+        f = closure_fourier(inner)
+        if f is None:
+            return None
+        return lambda r: f(r) - Fraction(1, 2) * (f(r + 2 * j) + f(r - 2 * j))
+    if op == "scale":
+        return _closure_sum(args)
+    if op == "sum":
+        return _closure_sum(*[(1, s) for s in args])
+    raise ValueError(f"no closure for spec node {op!r}")
+
+
+def _closure_sum(*terms):
+    """sum c * f over (c, spec) terms; None unless every c is an int or a
+    Fraction and every spec has a closure."""
+    fs = [closure_fourier(spec) for _, spec in terms]
+    if any(f is None for f in fs) or not all(isinstance(c, (int, Fraction)) for c, _ in terms):
+        return None
+    cs = [Fraction(c) for c, _ in terms]
+    return lambda r: sum((c * f(r) for c, f in zip(cs, fs)), Fraction(0))
+
+
+def multinomial_moment(fourier, m: int, shift: int):
+    """integral of (u + 1/u + shift)^m from the Fourier transform, one
+    multinomial term m! / (i! j! k!) shift^k c-hat(i - j) at a time."""
+    total = Fraction(0)
+    for i in range(m + 1):
+        for j in range(m - i + 1):
+            k = m - i - j
+            coeff = math.factorial(m) // (math.factorial(i) * math.factorial(j)
+                                          * math.factorial(k))
+            total += coeff * Fraction(shift) ** k * fourier(i - j)
+    return total

@@ -28,6 +28,7 @@ from nimspec.measures import (
     moment_t,
     moment_t2,
     moment_t_exact,
+    moments_t,
     moments_t2,
     product_measure,
     uniform_roots,
@@ -38,7 +39,14 @@ from nimspec.deltoid import generate_Dl
 from nimspec.paths import moment_path_count
 from nimspec.series import abelian_mckay, molien_abelian
 
-from oracles import atom_circle_sum, atom_moment_t2, dl_atoms, j2_atoms
+from oracles import (
+    atom_circle_sum,
+    atom_moment_t2,
+    closure_fourier,
+    dl_atoms,
+    j2_atoms,
+    multinomial_moment,
+)
 
 SU2_IDS = (
     [f"A({n})" for n in range(1, 9)]
@@ -385,6 +393,73 @@ def test_float_circle_series_matches_the_atom_loop(atoms, order):
     for m, g in enumerate(got):
         want, size = atom_circle_sum(symmetric, lambda u: u ** m)
         assert abs(g - want.real) <= 1e-12 * size
+
+
+@settings(max_examples=40, deadline=None)
+@given(circle_atoms, st.lists(st.integers(0, 12), max_size=8), st.sampled_from([0, 1]))
+def test_batched_circle_moments_are_the_one_order_moments(atoms, orders, shift):
+    mu = DiscreteMeasure(1, atoms, "random atoms")
+    got = moments_t(mu, orders, shift=shift)
+    assert list(got) == list(dict.fromkeys(orders))
+    for m in orders:
+        assert got[m] == moment_t(mu, m, shift=shift)     # the same float products
+
+
+@pytest.mark.parametrize("gid", ["A(5)", "E(8)", "Aff-D(6)", "SU3-Astar(10)"])
+def test_batched_circle_moments_of_a_canonical_measure(gid):
+    mu = canonical_measure(gid)
+    got = moments_t(mu, range(13), shift=1)
+    assert got == {m: moment_t(mu, m, shift=1) for m in range(13)}
+    with pytest.raises(InvalidParameterError, match="moment orders must be non-negative"):
+        moments_t(mu, [2, -1])
+    with pytest.raises(InvalidParameterError, match="circle measure"):
+        moments_t(canonical_measure("SU3-A(4)"), [1])
+
+
+_spec_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_spec_leaves = st.one_of(
+    st.tuples(st.just("roots"), st.integers(1, 8)),
+    st.tuples(st.just("d"), st.integers(1, 6)),
+    st.tuples(st.just("dprime"), st.integers(1, 4)),
+    st.tuples(st.just("ddprime"), st.integers(1, 3)),
+    st.tuples(st.just("dirac"), st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3)])),
+    st.tuples(st.just("dirac"), st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3)]),
+              _spec_fractions | st.floats(-2, 2)),
+)
+circle_specs = st.recursive(_spec_leaves, lambda tree: st.one_of(
+    st.tuples(st.just("scale"), _spec_fractions | st.floats(-2, 2), tree),
+    st.tuples(st.just("alpha_j"), st.integers(1, 4), tree),
+    st.tuples(st.just("alpha"), tree),
+    st.builds(lambda first, rest: ("sum", first, *rest), tree, st.lists(tree, max_size=2)),
+), max_leaves=6)
+
+
+def _subtrees(spec):
+    yield spec
+    for arg in spec[1:]:
+        if isinstance(arg, tuple):
+            yield from _subtrees(arg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(circle_specs)
+def test_fourier_tables_match_the_nested_closures(spec):
+    """The flat term table of every node equals the nested closures built
+    from the same spec, exactly, and has no table where they have none."""
+    for node in _subtrees(spec):
+        assert (make_measure(node).fourier is None) == (closure_fourier(node) is None)
+    mu, want = make_measure(spec), closure_fourier(spec)
+    if want is None:
+        assert moment_t_exact(mu, 3) is None
+        return
+    for r in range(-40, 41):
+        got = mu.fourier(r)
+        assert type(got) is Fraction and got == want(r)
+    assert circle_series(mu, 40) == [want(r) for r in range(41)]
+    for m in range(9):
+        for shift in (0, 1):
+            got = moment_t_exact(mu, m, shift)
+            assert type(got) is Fraction and got == multinomial_moment(want, m, shift)
 
 
 def test_dirac_and_signed_combinations():

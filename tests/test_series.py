@@ -45,6 +45,7 @@ from oracles import (
     fraction_mul,
     horner_compose,
     preprojective_dimensions,
+    quadratic_class_sum,
 )
 
 
@@ -63,6 +64,36 @@ def test_rational_series_expansion():
     t = rational_series([(-1, 2)], [(-1, 3)], 8)
     # (1-q^2)/(1-q^3) = 1 - q^2 + q^3 - q^5 + q^6 - q^8 ...
     assert t.coeffs == [1, 0, -1, 1, 0, -1, 1, 0, -1]
+
+
+def _factor_list(factors, order):
+    """prod (1 + sign q^k) to the order, by fraction_mul one factor at a time."""
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for sign, k in factors:
+        f = [Fraction(1)] + [Fraction(0)] * order
+        if k <= order:
+            f[k] = Fraction(sign)
+        out = fraction_mul(out, f)
+    return out
+
+
+factor_lists = st.lists(st.tuples(st.sampled_from([-1, 1]), st.integers(1, 16)), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_lists, factor_lists, st.integers(0, 12))
+@example([(-1, 2)], [(-1, 3)], 8)
+@example([(1, 15)], [(-1, 6), (-1, 10)], 4)
+def test_rational_series_matches_the_fraction_loops(num, den, order):
+    """Factors with k above the order are drawn too; they leave the product
+    unchanged."""
+    top = poly_from_factors(num, order).coeffs
+    assert top == _factor_list(num, order)
+    assert all(type(c) is Fraction for c in top)
+    got = rational_series(num, den, order).coeffs
+    assert got == fraction_mul(_factor_list(num, order),
+                               fraction_inverse(_factor_list(den, order)))
+    assert all(type(c) is Fraction for c in got)
 
 
 def test_compose_requires_zero_constant():
@@ -479,6 +510,29 @@ def test_g_composition_route_matches_the_fraction_route(rows, order):
     over_one_t2 = fraction_inverse(one_t2[: order + 1])
     composed = fraction_mul(horner_compose(g, fraction_mul(t, over_one_t2)), over_one_t2)
     assert g_composition_route(cd, order).coeffs == [float(c) for c in composed]
+
+
+@pytest.mark.parametrize("name,n", [("BD", n) for n in range(5, 9)]
+                         + [("Z2n", n) for n in range(3, 9)])
+def test_g_composition_route_is_the_float_of_the_quadratic_class_sum(name, n):
+    """(1 + t^2)^{-1} G(t / (1 + t^2)) = sum_r (size_r / |G|) / (1 - chi_r t + t^2)
+    for the rationalized characters, summed in Fractions and rounded once."""
+    cd = class_data(generate_group(name, n))
+    scale = 10 ** 40
+    rows = [(r.size, Fraction(round(r.chi_rho * scale), scale)) for r in cd.rows]
+    want = [float(c) for c in quadratic_class_sum(rows, 60)]
+    assert g_composition_route(cd, 60).coeffs == want
+
+
+def test_f_compose_substitutions_are_the_series_inverses():
+    from nimspec.series import _over_one_plus_q, _w_substitution
+
+    order = 20
+    one_plus_q = [Fraction(1), Fraction(1)] + [Fraction(0)] * (order - 1)
+    q = [Fraction(0), Fraction(1)] + [Fraction(0)] * (order - 1)
+    assert _over_one_plus_q(order).coeffs == fraction_inverse(one_plus_q)
+    assert _w_substitution(order).coeffs == fraction_mul(
+        q, fraction_inverse(fraction_mul(one_plus_q, one_plus_q)))
 
 
 # -- order guards and input checks -------------------------------------------
