@@ -14,6 +14,8 @@ class InvalidParameterError(NimspecError, ValueError):
 
 def require_int(what: str, value) -> int:
     """value as an int, or InvalidParameterError naming it (bools are refused)."""
+    if type(value) is int:          # the common case, without the ABC check
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
     return int(value)

@@ -53,13 +53,7 @@ class Graph:
     @cached_property
     def adjacency(self) -> tuple:
         """The dense matrix as a tuple of tuples, built from the rows on first read."""
-        dense = []
-        for row in self.out_edges:
-            full = [0] * self.n_vertices
-            for j, a in row:
-                full[j] = a
-            dense.append(tuple(full))
-        return tuple(dense)
+        return _dense(self.out_edges)
 
     def degree(self, i: int) -> int:
         return sum(a for _, a in self.out_edges[i])
@@ -116,6 +110,17 @@ def _out_edges(matrix) -> tuple:
     """Sparse rows of a square matrix: row i lists (j, a) for each nonzero
     a = matrix[i][j], in the format of Graph.out_edges."""
     return tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in matrix)
+
+
+def _dense(rows: tuple) -> tuple:
+    """The square matrix, as a tuple of tuples, whose sparse rows are given."""
+    dense = []
+    for row in rows:
+        full = [0] * len(rows)
+        for j, a in row:
+            full[j] = a
+        dense.append(tuple(full))
+    return tuple(dense)
 
 
 def _graph_from(id_, labels, edges, star, h=None, symmetric=True, depth=None, loops=()):

@@ -3,6 +3,13 @@ coefficients, and the series invariants of the graph catalogue: Hilbert
 series of pre-projective and CY3-type path algebras, loop generating
 functions, T and Theta series by independent routes, Kostant numerator
 extraction, and Molien series of abelian SU(3) subgroups.
+
+The matrix Hilbert series H(t) = D(t)^{-1} N(t) are one recurrence on the
+graph's sparse out-edge rows (`_solve`).  `hilbert_su2`, `hilbert_su3` and
+`cy3_hilbert` solve every column by default; with `column=j` they solve only
+column j, at about nnz(D) steps per degree instead of nnz(D) * n, for the
+identities that read one column (the CY3 Molien check, F_id = H_{id,id},
+the Kostant numerators).
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from .errors import (
     SymmetryError,
     require_int,
 )
-from .graphs import Graph, _cycle_graph, _graph_from, _out_edges, by_id, parse_id, su3_rotation
+from .graphs import (Graph, _cycle_graph, _dense, _graph_from, _out_edges, by_id, parse_id,
+                     su3_rotation)
 
 Number = Union[int, Fraction, float, complex]
 
@@ -302,49 +310,93 @@ def mat_scale(c: int, a: Matrix) -> Matrix:
 
 @dataclass
 class MatrixSeries:
+    """H_0 .. H_order as n x n matrices, or as n x 1 blocks when only one
+    column was solved; entry(i, j) is H_{i,j} either way."""
     graph_id: str
     mats: list                  # list of Matrix, index = degree
     var: str = "t"
+    column: Optional[int] = None   # the one solved column; None: all of them
 
     @property
     def order(self) -> int:
         return len(self.mats) - 1
 
     def entry(self, i: int, j: int) -> TruncatedSeries:
-        return TruncatedSeries([m[i][j] for m in self.mats], self.var)
+        n = len(self.mats[0])
+        i, j = require_int("row index", i), require_int("column index", j)
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvalidParameterError(f"entry ({i}, {j}) is outside an {n}x{n} series")
+        if self.column is not None and j != self.column:
+            raise InvalidParameterError(
+                f"column {j} was not solved; this series holds column {self.column} only")
+        col = j if self.column is None else 0
+        return TruncatedSeries([m[i][col] for m in self.mats], self.var)
 
     def total_at_one(self) -> int:
-        """Sum of all coefficients of all entries (requires termination)."""
+        """Sum of all coefficients of all solved entries (requires termination)."""
         return sum(sum(sum(row) for row in m) for m in self.mats)
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "graph_id": self.graph_id,
             "variable": self.var,
             "order": self.order,
             "coefficient_matrices": [[list(r) for r in m] for m in self.mats],
         }
+        if self.column is not None:
+            out["column"] = self.column
+        return out
 
 
 # ---------------------------------------------------------------------------
 # The matrix-recurrence kernel: each Hilbert series is H = D(t)^{-1} N(t),
-# and each numerator check computes D(t) H(t)
+# solved for all columns or for one, and each numerator check computes
+# D(t) H(t).  A block is n rows of its w solved columns.
 # ---------------------------------------------------------------------------
 
 def _denominator(graph: Graph, directed: bool) -> list:
-    """D(t) = 1 + sum_j c_j M_j t^j as terms (j, c_j, M_j, sparse rows of M_j):
-    1 - Delta t + t^2, or 1 - Delta t + Delta^T t^2 - t^3 when directed."""
-    adj = graph.adjacency
-    one = mat_identity(len(adj))
-    terms = [(2, 1, tuple(zip(*adj))), (3, -1, one)] if directed else [(2, 1, one)]
-    return ([(1, -1, adj, graph.out_edges)]
-            + [(j, c, m, _out_edges(m)) for j, c, m in terms])
+    """D(t) = 1 + sum_j c_j M_j t^j as terms (j, c_j, sparse rows of M_j):
+    1 - Delta t + t^2, or 1 - Delta t + Delta^T t^2 - t^3 when directed.
+    Delta's rows are the graph's out-edges, and Delta^T's are scattered from
+    them once; no dense matrix is built."""
+    rows = graph.out_edges
+    one = _identity_rows(len(rows))
+    if not directed:
+        return [(1, -1, rows), (2, 1, one)]
+    cols = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, a in row:
+            cols[j].append((i, a))
+    return [(1, -1, rows), (2, 1, tuple(map(tuple, cols))), (3, -1, one)]
+
+
+def _identity_rows(n: int) -> tuple:
+    return tuple(((i, 1),) for i in range(n))
+
+
+def _block(rows: tuple, column: Optional[int]) -> Matrix:
+    """The n x n matrix with these sparse rows, or its n x 1 block at column."""
+    if column is None:
+        return _dense(rows)
+    return tuple((dict(row).get(column, 0),) for row in rows)
+
+
+def _sparse_product(a: tuple, b: tuple) -> tuple:
+    """The sparse rows of A B, for A and B given by their sparse rows."""
+    out = []
+    for row in a:
+        acc: Dict[int, int] = {}
+        for l, x in row:
+            for j, y in b[l]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
+    return tuple(out)
 
 
 def _mul_add(acc: Matrix, rows: list, mat: Matrix, c: int = 1) -> Matrix:
     """acc + c S mat, with S given by its sparse rows: row i of S mat sums
     a * mat[l] over the entries (l, a) of row i of S, so the product costs
-    nnz(S) * n steps instead of n^3."""
+    nnz(S) * w steps for a block of width w instead of n^2 * w."""
     out = []
     for acc_row, row in zip(acc, rows):
         for l, a in row:
@@ -356,31 +408,44 @@ def _mul_add(acc: Matrix, rows: list, mat: Matrix, c: int = 1) -> Matrix:
 
 def _convolve(terms: list, mats: Sequence[Matrix], k: int, acc: Matrix,
               sign: int) -> Matrix:
-    """acc + sign * sum_{1 <= j <= k} D_j H_{k-j}, with H_i = mats[i]."""
-    for j, c, _, rows in terms:
-        if j <= k:
-            acc = _mul_add(acc, rows, mats[k - j], sign * c)
-    return acc
+    """acc + sign * sum_{1 <= j <= k} D_j H_{k-j}, with H_i = mats[i].
+
+    A wide block adds one scaled row of H_{k-j} per nonzero of D_j
+    (_mul_add); a one-column block takes one sum per row over row i of
+    every D_j, which avoids a list per nonzero."""
+    active = [(sign * c, rows, mats[k - j]) for j, c, rows in terms if j <= k]
+    if not acc or len(acc[0]) > 1:
+        for c, rows, mat in active:
+            acc = _mul_add(acc, rows, mat, c)
+        return acc
+    return tuple((x + sum(c * a * mat[l][0] for c, rows, mat in active for l, a in rows[i]),)
+                 for i, (x,) in enumerate(acc))
 
 
 def _solve(graph: Graph, directed: bool, order: int,
-           numerator: Optional[Tuple[int, Matrix]] = None) -> List[Matrix]:
+           numerator: Optional[Tuple[int, tuple]] = None,
+           column: Optional[int] = None) -> List[Matrix]:
     """H_0 .. H_order of H(t) = D(t)^{-1} N(t), where N(t) = 1 + Q t^h for
-    numerator (h, Q) and N(t) = 1 for None:  H_k = N_k - sum_{j>=1} D_j H_{k-j}.
-    Q must commute with every D_j, so that the series is also N(t) D(t)^{-1}."""
+    numerator (h, sparse rows of Q) and N(t) = 1 for None:
+    H_k = N_k - sum_{j>=1} D_j H_{k-j}.  Q must commute with every D_j, so
+    that the series is also N(t) D(t)^{-1}.  With a column, N_0 and N_h are
+    cut to it and each H_k is an n x 1 block."""
     _check_order(order)
     n = graph.n_vertices
+    if column is not None:
+        column = require_int("column", column)
+        if not 0 <= column < n:
+            raise InvalidParameterError(f"column {column} is outside 0..{n - 1}")
     terms = _denominator(graph, directed)
-    zero = mat_zero(n)
-    num = {0: mat_identity(n)}
+    zero = _block(((),) * n, column)
+    num = {0: _block(_identity_rows(n), column)}
     if numerator is not None:
-        h, q = numerator
-        q_rows = _out_edges(q)
-        for j, _, m, m_rows in terms:
-            if _mul_add(zero, q_rows, m) != _mul_add(zero, m_rows, q):
+        h, q_rows = numerator
+        for j, _, rows in terms:
+            if _sparse_product(q_rows, rows) != _sparse_product(rows, q_rows):
                 raise SymmetryError(f"numerator permutation does not commute with "
                                     f"the t^{j} coefficient of the denominator")
-        num[h] = q
+        num[h] = _block(q_rows, column)
     mats: List[Matrix] = []
     for k in range(order + 1):
         mats.append(_convolve(terms, mats, k, num.get(k, zero), -1))
@@ -425,15 +490,18 @@ def su2_involution(graph: Graph) -> Matrix:
     return tuple(tuple(row) for row in p)
 
 
-def hilbert_su2(graph: Graph, order: int = 40) -> MatrixSeries:
+def hilbert_su2(graph: Graph, order: int = 40,
+                column: Optional[int] = None) -> MatrixSeries:
     """Matrix Hilbert series of the pre-projective algebra of an unoriented
     graph: (1 + P t^h)(1 - Delta t + t^2)^{-1} for ADET graphs (a matrix
-    polynomial of degree h - 2), (1 - Delta t + t^2)^{-1} otherwise."""
+    polynomial of degree h - 2), (1 - Delta t + t^2)^{-1} otherwise.  With a
+    column index, only that column is solved and checked."""
     if not graph.symmetric:
         raise InvalidParameterError("hilbert_su2 needs an unoriented graph")
     adet = graph.family in ("A", "D", "E", "Tad")
     h = graph.coxeter_h
-    mats = _solve(graph, False, order, (h, su2_involution(graph)) if adet else None)
+    mats = _solve(graph, False, order,
+                  (h, _out_edges(su2_involution(graph))) if adet else None, column)
     if adet:
         for k in range(h - 1, order + 1):
             if any(map(any, mats[k])):
@@ -441,7 +509,7 @@ def hilbert_su2(graph: Graph, order: int = 40) -> MatrixSeries:
                     f"{graph.id}: pre-projective series fails to terminate at degree {k}"
                 )
     _check_nonnegative(graph.id, mats)
-    return MatrixSeries(graph.id, mats)
+    return MatrixSeries(graph.id, mats, column=column)
 
 
 def su2_numerator(hs: MatrixSeries, graph: Graph) -> List[Matrix]:
@@ -454,23 +522,31 @@ def su2_numerator(hs: MatrixSeries, graph: Graph) -> List[Matrix]:
 # ---------------------------------------------------------------------------
 
 def hilbert_su3(graph: Graph, p: Optional[Matrix] = None,
-                order: Optional[int] = None) -> MatrixSeries:
+                order: Optional[int] = None, column: Optional[int] = None) -> MatrixSeries:
     """(1 - P t^h)(1 - Delta t + Delta^T t^2 - t^3)^{-1} for a directed
     SU(3) fusion graph with Coxeter number h, to order 3h by default; P is
     an n x n permutation matrix commuting with Delta, by default the
-    triangle rotation for A^(l) and the identity for A^(l)*."""
+    triangle rotation for A^(l) and the identity for A^(l)*.  With a column
+    index, only that column is solved and checked."""
     n = graph.n_vertices
     h = graph.coxeter_h
     if h is None:
         raise InvalidParameterError("hilbert_su3 needs the Coxeter number h")
     if p is None:
-        p = su3_rotation(graph) if graph.family == "SU3-A" else mat_identity(n)
-    elif (len(p) != n or any(len(row) != n for row in p)
-          or sorted(_out_edges(p)) != [((j, 1),) for j in range(n)]):
-        raise InvalidParameterError(f"P must be an {n}x{n} permutation matrix")
-    mats = _solve(graph, True, 3 * h if order is None else order, (h, mat_scale(-1, p)))
+        p_rows = (_out_edges(su3_rotation(graph)) if graph.family == "SU3-A"
+                  else _identity_rows(n))
+    else:
+        try:
+            p_rows = _out_edges(p) if len(p) == n and all(len(row) == n for row in p) else ()
+        except TypeError:           # p or one of its rows is not a sequence
+            p_rows = ()
+        if (sorted(p_rows) != [((j, 1),) for j in range(n)]
+                or any(type(a) is not int for row in p_rows for _, a in row)):
+            raise InvalidParameterError(f"P must be an {n}x{n} permutation matrix of ints")
+    minus_p = tuple(tuple((j, -a) for j, a in row) for row in p_rows)
+    mats = _solve(graph, True, 3 * h if order is None else order, (h, minus_p), column)
     _check_nonnegative(graph.id, mats)
-    return MatrixSeries(graph.id, mats)
+    return MatrixSeries(graph.id, mats, column=column)
 
 
 def su3_numerator(hs: MatrixSeries, graph: Graph) -> List[Matrix]:
@@ -478,9 +554,10 @@ def su3_numerator(hs: MatrixSeries, graph: Graph) -> List[Matrix]:
     return _multiply(graph, True, hs.mats)
 
 
-def cy3_hilbert(mckay: Graph, order: int = 30) -> MatrixSeries:
-    """(1 - Delta t + Delta^T t^2 - t^3)^{-1} for a subgroup McKay graph."""
-    return MatrixSeries(mckay.id, _solve(mckay, True, order))
+def cy3_hilbert(mckay: Graph, order: int = 30, column: Optional[int] = None) -> MatrixSeries:
+    """(1 - Delta t + Delta^T t^2 - t^3)^{-1} for a subgroup McKay graph, or
+    only its column with the given index."""
+    return MatrixSeries(mckay.id, _solve(mckay, True, order, column=column), column=column)
 
 
 def _weights_mod(weights: Tuple[int, int, int], m: int,
@@ -760,8 +837,8 @@ def kostant_closed_form_check(graph_id: str, order: Optional[int] = None) -> lis
             f"{graph_id}: order {order} is below a + b - 1 = {a + b - 1}, "
             f"so no numerator coefficient would be checked")
     affine = kostant_affine_partner(graph_id)
-    hs = hilbert_su2(affine, order)
     star = affine.distinguished
+    hs = hilbert_su2(affine, order, column=star)
     denom = poly_from_factors([(-1, a), (-1, b)], order)
     out = []
     for gamma in range(affine.n_vertices):

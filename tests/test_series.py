@@ -252,6 +252,10 @@ def test_su3_symmetry_validation():
     g = by_id("SU3-A(5)")
     with pytest.raises(InvalidParameterError):
         hilbert_su3(g, p=mat_identity(g.n_vertices - 1))
+    float_identity = tuple(tuple(float(x) for x in row) for row in mat_identity(g.n_vertices))
+    for not_a_matrix in (5, [5] * g.n_vertices, float_identity):
+        with pytest.raises(InvalidParameterError):
+            hilbert_su3(g, p=not_a_matrix)
     swapped = list(list(r) for r in mat_identity(g.n_vertices))
     swapped[0][0], swapped[0][1] = 0, 1
     swapped[1][1], swapped[1][0] = 0, 1
@@ -356,6 +360,155 @@ def test_matrix_recurrences_match_the_dense_oracle(sym, digraph, order, h):
                 want[h] = at_h
             assert numerator(MatrixSeries(g.id, got), g) == want
 
+
+
+# -- one-column solves ---------------------------------------------------------
+
+def _cut(mats, column):
+    """Column `column` of each matrix, as the n x 1 blocks a column solve returns."""
+    return [tuple((row[column],) for row in m) for m in mats]
+
+
+def _checked(mats, column, terminates_from=None):
+    """_cut under the library's checks of one column: the ADET termination
+    check from degree terminates_from on, then nonnegativity."""
+    col = _cut(mats, column)
+    if terminates_from is not None and any(x for m in col[terminates_from:] for (x,) in m):
+        return FailedIdentityError
+    if any(x < 0 for m in col for (x,) in m):
+        return FailedIdentityError
+    return col
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_adjacency(symmetric=True), weighted_adjacency(symmetric=False),
+       st.integers(0, 9), st.integers(1, 6), st.integers(0, 4))
+def test_column_recurrences_match_the_dense_oracle(sym, digraph, order, h, column):
+    su2 = Graph("sym", tuple(range(len(sym))), _out_edges(sym), 0, symmetric=True)
+    su3 = Graph("digraph", tuple(range(len(digraph))), _out_edges(digraph), 0, coxeter_h=h,
+                symmetric=False)
+    minus_one = tuple(tuple(-1 if i == j else 0 for j in range(su3.n_vertices))
+                      for i in range(su3.n_vertices))
+    c2, c3 = column % su2.n_vertices, column % su3.n_vertices
+    cases = [
+        (su2, c2, su2_numerator, None, lambda: hilbert_su2(su2, order, column=c2),
+         lambda: _checked(dense_hilbert(sym, order), c2)),
+        (su3, c3, su3_numerator, None, lambda: cy3_hilbert(su3, order, column=c3),
+         lambda: _cut(dense_hilbert(digraph, order, True), c3)),
+        (su3, c3, su3_numerator, minus_one, lambda: hilbert_su3(su3, order=order, column=c3),
+         lambda: _checked(dense_hilbert(digraph, order, True, (h, minus_one)), c3)),
+    ]
+    for g, c, numerator, at_h, route, oracle in cases:
+        got = _outcome(route)
+        want = oracle()
+        if isinstance(got, MatrixSeries):
+            assert got.column == c and got.mats == want
+            n = g.n_vertices
+            num = [mat_identity(n)] + [mat_zero(n)] * order
+            if at_h is not None and h <= order:
+                num[h] = at_h
+            assert numerator(got, g) == _cut(num, c)
+        else:
+            assert got == want
+
+
+def test_every_su2_column_equals_the_full_solve():
+    from nimspec.suites import _su2_catalogue
+
+    ids = _su2_catalogue()
+    assert len(ids) == 28
+    for gid in ids:
+        g = by_id(gid)
+        order = 2 * (g.coxeter_h or 12)
+        full = hilbert_su2(g, order)
+        for c in range(g.n_vertices):
+            col = hilbert_su2(g, order, column=c)
+            assert col.mats == _cut(full.mats, c), (gid, c)
+            for i in range(g.n_vertices):
+                assert col.entry(i, c) == full.entry(i, c)
+
+
+@pytest.mark.parametrize("l", range(4, 10))
+def test_su3_columns_equal_the_full_solve_and_raise_only_where_it_is_negative(l):
+    from nimspec.series import _solve
+
+    g = by_id(f"SU3-A({l})")
+    n = g.n_vertices
+    full = hilbert_su3(g, order=3 * l)
+    for p in (su3_rotation(g), mat_identity(n)):
+        unchecked = _solve(g, True, 3 * l, (l, _out_edges(mat_scale(-1, p))))
+        want = [_checked(unchecked, c) for c in range(n)]
+        if p == su3_rotation(g):
+            assert unchecked == full.mats
+            assert [hilbert_su3(g, order=3 * l, column=c).mats for c in range(n)] == want
+        for c in range(n):
+            assert _outcome(lambda: hilbert_su3(g, p=p, order=3 * l, column=c).mats) == want[c]
+    # with P = 1 the full call raises, but on SU3-A(6) one column stays nonnegative
+    if l == 6:
+        assert [w is FailedIdentityError for w in want].count(False) == 1
+
+
+def test_every_cy3_column_equals_the_full_solve():
+    for m in range(2, 10):
+        for a in range(m):
+            for b in range(m):
+                g = abelian_mckay(m, (a, b, (-a - b) % m))
+                full = cy3_hilbert(g, 12)
+                for c in range(m):
+                    assert cy3_hilbert(g, 12, column=c).mats == _cut(full.mats, c)
+
+
+def test_an_adet_column_raises_exactly_where_its_column_fails_to_terminate():
+    from nimspec.series import _solve
+
+    # a triangle labelled as A(3): P swaps vertices 1 and 3 and commutes with
+    # Delta, but the series does not terminate
+    tri = Graph("A(3)", (1, 2, 3), (((1, 1), (2, 1)), ((0, 1), (2, 1)), ((0, 1), (1, 1))),
+                0, coxeter_h=4, family="A")
+    with pytest.raises(FailedIdentityError):
+        hilbert_su2(tri, 8)
+    unchecked = _solve(tri, False, 8, (4, _out_edges(su2_involution(tri))))
+    for c in range(3):
+        want = _checked(unchecked, c, terminates_from=3)
+        assert want is FailedIdentityError
+        assert _outcome(lambda: hilbert_su2(tri, 8, column=c).mats) is want
+
+
+@pytest.mark.parametrize("build,route", [
+    (lambda: by_id("E(6)"), lambda g: su2_numerator(hilbert_su2(g, 12), g)),
+    (lambda: by_id("Aff-D(5)"), lambda g: hilbert_su2(g, 10, column=2)),
+    (lambda: by_id("SU3-A(6)"), lambda g: su3_numerator(hilbert_su3(g, order=12), g)),
+    (lambda: by_id("SU3-A(6)"), lambda g: hilbert_su3(g, order=12, column=3)),
+    (lambda: abelian_mckay(5, (1, 1, 3)), lambda g: cy3_hilbert(g, 10)),
+    (lambda: abelian_mckay(5, (1, 1, 3)), lambda g: cy3_hilbert(g, 10, column=4)),
+], ids=["su2", "su2-column", "su3", "su3-column", "cy3", "cy3-column"])
+def test_hilbert_routes_leave_the_dense_adjacency_unbuilt(build, route):
+    g = build()
+    route(g)
+    assert "adjacency" not in g.__dict__
+
+
+@pytest.mark.parametrize("column", [-1, 5, True, 1.0, "0"])
+def test_a_column_outside_the_graph_is_rejected(column):
+    with pytest.raises(InvalidParameterError):
+        hilbert_su2(by_id("A(5)"), 6, column=column)
+
+
+@pytest.mark.parametrize("i,j", [(-1, 0), (0, -1), (3, 0), (0, 3), (0, True), (True, 0),
+                                 (0, 1.0), (1.0, 0)])
+def test_entry_rejects_an_index_outside_the_series(i, j):
+    hs = hilbert_su2(by_id("A(3)"), 4)
+    with pytest.raises(InvalidParameterError):
+        hs.entry(i, j)
+
+
+def test_a_column_series_rejects_the_columns_it_did_not_solve():
+    g = by_id("A(3)")
+    col = hilbert_su2(g, 4, column=1)
+    assert col.entry(2, 1) == hilbert_su2(g, 4).entry(2, 1)
+    for j in (0, 2):
+        with pytest.raises(InvalidParameterError):
+            col.entry(0, j)
 
 # -- T and Theta series -------------------------------------------------------
 
