@@ -1,6 +1,12 @@
 """Command-line interface: run verification suites, export catalogue objects
 (graphs, measures, eigendata, moment tables, series, deltoid density grids)
 as JSON or CSV.
+
+``main`` builds its argument parser on its first call and reuses it for every
+later call in the process, so an in-process caller pays for the argparse tree
+once.  Parsing never changes that parser: a ``--config`` file is applied to
+the parsed namespace, and the options passed on the command line are found on
+a throwaway parser of its own (``_passed_options``).
 """
 
 from __future__ import annotations
@@ -8,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 from . import deltoid, measures, series, subgroups, suites
 from .errors import InvalidParameterError, NimspecError
@@ -89,6 +96,8 @@ def _export_payload(spec: str, args: argparse.Namespace):
         return mu.to_json(), "json"
     if spec.startswith("moments:"):
         g = by_id(spec[8:])
+        if args.depth < 0:
+            raise InvalidParameterError(f"--depth must be non-negative, got {args.depth}")
         upper = args.depth if g.trunc_depth else 2 * args.depth
         table = moments(g, [(m, n) for m in range(upper + 1)
                             for n in range(1 if g.symmetric else upper - m + 1)])
@@ -186,8 +195,14 @@ def _passed_options(argv) -> set:
     return set(vars(ap.parse_args(argv)))
 
 
+_PARSER: Optional[argparse.ArgumentParser] = None     # main's parser, built on its first call
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    ap = _PARSER
     args = ap.parse_args(argv)
     try:
         if args.config:

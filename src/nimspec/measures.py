@@ -2,12 +2,17 @@
 angles, weighted by the densities that appear in the spectral measures of the
 graph catalogue (alpha_j(u) = 2 Im(u^j)^2, the squared Jacobian on the torus).
 
-A measure is built from a dict of atoms, or, for the D_l grids of the SU(3)
-measures, from integer arrays: numerators over one denominator 3l, with one
-exact weight or an array of float weights.  A grid-built measure builds its
-Fraction-keyed atom dict only when it is read.  Every measure caches a stacked
-view (float angles, float weights and, on the torus, the values of Phi), and
-the float torus routes (with_j2, moments_t2) read only that view.
+A measure is built from a dict of atoms, from a zero-argument function that
+returns that dict, or, for the D_l grids of the SU(3) measures, from integer
+arrays: numerators over one denominator 3l, with one exact weight or an array
+of float weights.  The circle primitives and their sums, scalings and alpha
+densities (and the products of two circle measures) pass a function: the
+Fraction-keyed atom dict of a measure, like a grid's, is built only when it is
+read, once, by the same node-by-node merges as an eager build.  The exact
+routes (``fourier``) never read it.  Every measure caches a stacked view
+(float angles, float weights and, on the torus, the values of Phi), and the
+float torus routes (with_j2, moments_t2) read only that view; a grid measure's
+``to_json`` is formatted from its numerators.
 
 Moments are evaluated two independent ways wherever possible: a float route,
 and an exact rational route through the Fourier coefficients of the measure
@@ -69,25 +74,40 @@ class FourierTable:
         return acc, den
 
 
+def _grid_atoms(q: np.ndarray, den: int, exact: Optional[Weight], weights: np.ndarray) -> dict:
+    """{(a/den, b/den): weight} over the rows (a, b) of q, in row order."""
+    angle = [Fraction(k, den) for k in range(den)]
+    keys = [(angle[a], angle[b]) for a, b in q.tolist()]
+    values = repeat(exact) if exact is not None else weights.tolist()
+    return dict(zip(keys, values))
+
+
 class DiscreteMeasure:
     """A finite measure on the circle (dimension 1) or the torus (dimension 2).
 
     ``atoms`` maps each angle key (a Fraction, or a pair of Fractions) to its
-    weight and is read-only.  A measure made by ``on_grid`` keeps its angles
-    as integer numerators over one denominator and builds ``atoms`` the first
-    time it is read, in numerator-array order.  The stacked view
+    weight and is read-only.  When the measure is given a function in place
+    of the dict, ``atoms`` calls it the first time it is read and keeps the
+    result.  A measure made by ``on_grid`` keeps its angles as integer
+    numerators over one denominator (distinct rows) and builds ``atoms`` the
+    same way, in numerator-array order.  The stacked view
     ``angle_array`` (N x dimension floats), ``weight_array`` (N floats) and,
     on the torus, ``phi_array`` (Phi at each atom) is computed once and
     cached, in atom order; its arrays are read-only too, so the view cannot go
     stale.
     """
 
-    def __init__(self, dimension: int, atoms: Mapping, provenance: str,
-                 fourier: Optional[FourierTable] = None):
+    def __init__(self, dimension: int, atoms: Union[Mapping, Callable[[], dict]],
+                 provenance: str, fourier: Optional[FourierTable] = None):
         self.dimension = dimension
         self.provenance = provenance
         self.fourier = fourier          # 1D only: r -> integral of u^r
-        self._atoms: Optional[Mapping] = MappingProxyType(dict(atoms))
+        self._atoms: Optional[Mapping] = None
+        self._build: Optional[Callable[[], dict]] = None
+        if callable(atoms):
+            self._build = atoms
+        else:
+            self._atoms = MappingProxyType(dict(atoms))
         self._grid = None               # (numerators, denominator, exact weight or None)
 
     @classmethod
@@ -97,20 +117,17 @@ class DiscreteMeasure:
         (N, 2) integer array, entries in [0, denominator)) and float weights;
         exact_weight, when given, is the weight every atom carries in
         ``atoms`` (weights then holds its float)."""
-        mu = cls(2, {}, provenance)
-        mu._atoms = None
-        mu._grid = (_frozen(numerators), denominator, exact_weight)
-        mu.__dict__["weight_array"] = _frozen(weights)
+        q, w = _frozen(numerators), _frozen(weights)
+        mu = cls(2, lambda: _grid_atoms(q, denominator, exact_weight, w), provenance)
+        mu._grid = (q, denominator, exact_weight)
+        mu.__dict__["weight_array"] = w
         return mu
 
     @property
     def atoms(self) -> Mapping:
         if self._atoms is None:
-            q, den, exact = self._grid
-            angle = [Fraction(k, den) for k in range(den)]
-            keys = [(angle[a], angle[b]) for a, b in q.tolist()]
-            values = repeat(exact) if exact is not None else self.weight_array.tolist()
-            self._atoms = MappingProxyType(dict(zip(keys, values)))
+            self._atoms = MappingProxyType(self._build())
+            self._build = None          # drop the closure and the measures it holds
         return self._atoms
 
     @cached_property
@@ -118,13 +135,13 @@ class DiscreteMeasure:
         if self._grid is not None:
             q, den, _ = self._grid
             return _frozen(q / den)
-        keys = self._atoms if self.dimension == 2 else ((t,) for t in self._atoms)
+        keys = self.atoms if self.dimension == 2 else ((t,) for t in self.atoms)
         flat = [float(t) for key in keys for t in key]
         return _frozen(np.array(flat, dtype=float).reshape(-1, self.dimension))
 
     @cached_property
     def weight_array(self) -> np.ndarray:
-        return _frozen(np.array([float(w) for w in self._atoms.values()], dtype=float))
+        return _frozen(np.array([float(w) for w in self.atoms.values()], dtype=float))
 
     @cached_property
     def phi_array(self) -> np.ndarray:
@@ -139,7 +156,7 @@ class DiscreteMeasure:
             q, den, _ = self._grid
             out = DiscreteMeasure.on_grid(q, den, weights, provenance)
         else:
-            out = DiscreteMeasure(self.dimension, dict(zip(self._atoms, weights.tolist())),
+            out = DiscreteMeasure(self.dimension, dict(zip(self.atoms, weights.tolist())),
                                   provenance)
         for name in ("angle_array", "phi_array"):
             if name in self.__dict__:
@@ -153,25 +170,37 @@ class DiscreteMeasure:
         return sorted(self.atoms.items())
 
     def to_json(self) -> dict:
-        def fmt(theta):
-            if self.dimension == 1:
-                return f"{theta.numerator}/{theta.denominator}"
-            return [f"{t.numerator}/{t.denominator}" for t in theta]
+        """The atoms in angle order, each angle as reduced "p/q" strings.  A
+        grid measure is formatted from its numerators, without the atom
+        dict: rows sorted by (a, b), each a/den reduced by gcd."""
+        if self._grid is not None:
+            q, den, _ = self._grid
+            label = [f"{k // math.gcd(k, den)}/{den // math.gcd(k, den)}" for k in range(den)]
+            order = np.lexsort((q[:, 1], q[:, 0]))
+            atoms = [{"theta": [label[a], label[b]], "weight": w}
+                     for (a, b), w in zip(q[order].tolist(), self.weight_array[order].tolist())]
+        else:
+            def fmt(theta):
+                if self.dimension == 1:
+                    return f"{theta.numerator}/{theta.denominator}"
+                return [f"{t.numerator}/{t.denominator}" for t in theta]
 
-        return {
-            "dimension": self.dimension,
-            "atoms": [
-                {"theta": fmt(t), "weight": float(w)} for t, w in self.atoms_sorted()
-            ],
-            "provenance": self.provenance,
-        }
+            atoms = [{"theta": fmt(t), "weight": float(w)} for t, w in self.atoms_sorted()]
+        return {"dimension": self.dimension, "atoms": atoms, "provenance": self.provenance}
 
 
-def _merge(a: dict, b: dict, cb=None) -> dict:
+def _merge(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, w in b.items():
-        out[k] = out.get(k, 0) + (cb * w if cb is not None else w)
+        out[k] = out.get(k, 0) + w
     return out
+
+
+def _check_weight(what: str, c) -> None:
+    """InvalidParameterError naming c unless it is an int, a Fraction or a
+    float (not a bool): checked when a measure is made, before any atom is."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction, float)):
+        raise InvalidParameterError(f"{what} must be an int, a Fraction or a float, got {c!r}")
 
 
 def add(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
@@ -182,20 +211,21 @@ def add(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
         fr = FourierTable(mu.fourier.terms + nu.fourier.terms)
     return DiscreteMeasure(
         mu.dimension,
-        _merge(mu.atoms, nu.atoms),
+        lambda: _merge(mu.atoms, nu.atoms),
         f"({mu.provenance} + {nu.provenance})",
         fr,
     )
 
 
 def scale(c: Weight, mu: DiscreteMeasure) -> DiscreteMeasure:
+    _check_weight("a scale factor", c)
     fr = None
     if mu.fourier is not None and isinstance(c, (Fraction, int)):
         cc = Fraction(c)
         fr = FourierTable((cc * ct, s, n) for ct, s, n in mu.fourier.terms)
     return DiscreteMeasure(
         mu.dimension,
-        {k: c * w for k, w in mu.atoms.items()},
+        lambda: {k: c * w for k, w in mu.atoms.items()},
         f"{c}*{mu.provenance}",
         fr,
     )
@@ -215,9 +245,9 @@ def uniform_roots(n_roots: int) -> DiscreteMeasure:
     """Uniform measure on the n-th roots of unity."""
     if require_int("the number of roots", n_roots) < 1:
         raise InvalidParameterError("need at least one root of unity")
-    atoms = {Fraction(j, n_roots): Fraction(1, n_roots) for j in range(n_roots)}
     return DiscreteMeasure(
-        1, atoms, f"u[{n_roots}]",
+        1, lambda: {Fraction(j, n_roots): Fraction(1, n_roots) for j in range(n_roots)},
+        f"u[{n_roots}]",
         fourier=FourierTable([(Fraction(1), 0, n_roots)]),
     )
 
@@ -250,6 +280,7 @@ def ddprime_measure(n: int) -> DiscreteMeasure:
 
 
 def dirac(theta: Fraction, weight: Weight = 1) -> DiscreteMeasure:
+    _check_weight("a dirac weight", weight)
     try:
         theta = Fraction(theta) % 1
     except (TypeError, ValueError, OverflowError):
@@ -271,7 +302,9 @@ def with_alpha(mu: DiscreteMeasure, j: int = 1) -> DiscreteMeasure:
     """Multiply a 1D measure by the density alpha_j."""
     if mu.dimension != 1:
         raise InvalidParameterError("alpha densities act on circle measures")
-    atoms = {t: w * alpha_value(float(t), j) for t, w in mu.atoms.items()}
+    j = require_int("alpha_j: j", j)
+    if j < 1:
+        raise InvalidParameterError(f"alpha_j needs j >= 1, got {j}")
     fr = None
     if mu.fourier is not None:
         # alpha_j(u) = 1 - (u^{2j} + u^{-2j})/2 acts as a Fourier convolution:
@@ -280,7 +313,9 @@ def with_alpha(mu: DiscreteMeasure, j: int = 1) -> DiscreteMeasure:
         fr = FourierTable(terms + tuple((-c / 2, s + d, n) for c, s, n in terms
                                         for d in (2 * j, -2 * j)))
     name = f"alpha_{j}" if j != 1 else "alpha"
-    return DiscreteMeasure(1, atoms, f"{name}*{mu.provenance}", fr)
+    return DiscreteMeasure(
+        1, lambda: {t: w * alpha_value(float(t), j) for t, w in mu.atoms.items()},
+        f"{name}*{mu.provenance}", fr)
 
 
 # -- 2D primitives -----------------------------------------------------------
@@ -288,12 +323,11 @@ def with_alpha(mu: DiscreteMeasure, j: int = 1) -> DiscreteMeasure:
 def product_measure(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     if mu.dimension != 1 or nu.dimension != 1:
         raise InvalidParameterError("product needs two circle measures")
-    atoms = {
+    return DiscreteMeasure(2, lambda: {
         (t1, t2): w1 * w2
         for t1, w1 in mu.atoms.items()
         for t2, w2 in nu.atoms.items()
-    }
-    return DiscreteMeasure(2, atoms, f"({mu.provenance} x {nu.provenance})")
+    }, f"({mu.provenance} x {nu.provenance})")
 
 
 def dl_measure(l: int) -> DiscreteMeasure:

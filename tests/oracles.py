@@ -8,8 +8,9 @@ coefficient lists, matrix Hilbert series are dense tuple-of-tuples
 recurrences, finite groups are closed and partitioned one matrix product at
 a time, torus moments are summed one atom at a time, the D_l measure and
 its J^2 density are built one Fraction atom at a time through the scalar
-deltoid routes, and circle Fourier transforms are nested closures built
-node by node from a measure spec.
+deltoid routes, circle Fourier transforms are nested closures built
+node by node from a measure spec, and circle atom dicts are built and merged
+eagerly, node by node, from the same spec.
 """
 
 from __future__ import annotations
@@ -444,6 +445,55 @@ def _closure_sum(*terms):
         return None
     cs = [Fraction(c) for c, _ in terms]
     return lambda r: sum((c * f(r) for c, f in zip(cs, fs)), Fraction(0))
+
+
+def eager_atoms(spec) -> dict:
+    """The atom dict of make_measure(spec), each node's dict built in full
+    before its parent's: a sum merges its children's dicts left to right
+    (a key keeps its first position), a scale multiplies every weight, and
+    an alpha density multiplies each weight by 2 sin(2 pi j theta)^2.  Covers
+    the nodes roots, d, dprime, ddprime, dirac, alpha, alpha_j, scale, sum
+    and product."""
+    op, args = spec[0], spec[1:]
+    if op == "roots":
+        n = args[0]
+        return {Fraction(j, n): Fraction(1, n) for j in range(n)}
+    if op == "d":
+        return eager_atoms(("roots", 2 * args[0]))
+    if op == "dprime":
+        n = args[0]
+        return _eager_combine((Fraction(2), ("d", 2 * n)), (Fraction(-1), ("d", n)))
+    if op == "ddprime":
+        n = args[0]
+        return _eager_combine((Fraction(3, 2), ("dprime", 3 * n)),
+                              (Fraction(-1, 2), ("dprime", n)))
+    if op == "dirac":
+        return {Fraction(args[0]) % 1: args[1] if len(args) > 1 else 1}
+    if op in ("alpha", "alpha_j"):
+        j, inner = (1, args[0]) if op == "alpha" else args
+        return {t: w * (2 * math.sin(2 * math.pi * j * float(t)) ** 2)
+                for t, w in eager_atoms(inner).items()}
+    if op == "scale":
+        return _eager_combine(args)
+    if op == "sum":
+        return _eager_combine(*[(1, s) for s in args])
+    if op == "product":
+        a, b = eager_atoms(args[0]), eager_atoms(args[1])
+        return {(t1, t2): w1 * w2 for t1, w1 in a.items() for t2, w2 in b.items()}
+    raise ValueError(f"no eager atoms for spec node {op!r}")
+
+
+def _eager_combine(*terms) -> dict:
+    """sum c * atoms over (c, spec) terms, scaled and merged term by term."""
+    out: dict = {}
+    for i, (c, spec) in enumerate(terms):
+        scaled = {k: c * w for k, w in eager_atoms(spec).items()}
+        if i == 0:
+            out = scaled
+            continue
+        for k, w in scaled.items():
+            out[k] = out.get(k, 0) + w
+    return out
 
 
 def multinomial_moment(fourier, m: int, shift: int):

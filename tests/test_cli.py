@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from nimspec import cli
 from nimspec.cli import main
 from nimspec.errors import InvalidParameterError
 from nimspec.graphs import by_id
@@ -253,3 +254,64 @@ def test_verify_has_no_order_or_depth_flag():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "hilbert", "--order", "5"])
     assert exc.value.code == 2
+
+
+def test_export_moments_rejects_a_negative_depth(capsys):
+    code, out, err = run_cli(["export", "moments:A(3)", "--depth", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --depth must be non-negative, got -1\n"
+
+
+@pytest.fixture
+def counted_parser(monkeypatch):
+    """cli.build_parser wrapped in a call counter, with no parser built yet."""
+    calls = []
+    build = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    return calls
+
+
+_REQUESTS = [["export", "graph:A(3)"], ["export", "measure:E(6)"],
+             ["export", "series:T:A(4)", "--order", "8"], ["export", "classdata:BT"],
+             ["export", "moments:A(3)", "--depth", "2"]]
+
+
+def test_main_builds_its_parser_once_per_process(capsys, counted_parser, tmp_path):
+    for i in range(20):
+        assert main(_REQUESTS[i % len(_REQUESTS)]) == 0
+    assert len(counted_parser) == 1
+    cfg = tmp_path / "nimspec.cfg"
+    cfg.write_text("order = 7\n")
+    assert main(["export", "series:T:A(2)", "--config", str(cfg)]) == 0
+    assert len(counted_parser) == 2         # the throwaway parser of _passed_options
+    capsys.readouterr()
+
+
+def test_a_config_file_does_not_leak_into_later_calls(capsys, counted_parser, tmp_path):
+    cfg = tmp_path / "nimspec.cfg"
+    cfg.write_text("order = 7\n")
+    for argv, order in [(["export", "series:T:A(2)"], 40),
+                        (["export", "series:T:A(2)", "--config", str(cfg)], 7),
+                        (["export", "series:T:A(2)"], 40),
+                        (["export", "series:T:A(2)", "--config", str(cfg), "--order", "5"], 5),
+                        (["export", "series:T:A(2)"], 40)]:
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and json.loads(out)["order"] == order
+    code, out, _ = run_cli(["export", "moments:A(3)"], capsys)
+    assert code == 0 and out.splitlines()[-1].split(",")[:2] == ["20", "0"]   # --depth 10
+
+
+@pytest.mark.parametrize("argv", _REQUESTS + [
+    ["export", "series:Theta:E(8)", "--order", "12"], ["export", "measure:SU3-A(5)"],
+    ["export", "measure:A(4)", "--format", "csv"], ["verify", "su2-subgroups"]])
+def test_the_same_argv_gives_the_same_bytes(capsys, argv):
+    first = run_cli(argv, capsys)
+    assert first[0] == 0
+    assert run_cli(argv, capsys) == first

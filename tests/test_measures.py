@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -31,6 +32,7 @@ from nimspec.measures import (
     moments_t,
     moments_t2,
     product_measure,
+    scale,
     uniform_roots,
     with_alpha,
     with_j2,
@@ -38,12 +40,14 @@ from nimspec.measures import (
 from nimspec.deltoid import generate_Dl
 from nimspec.paths import moment_path_count
 from nimspec.series import abelian_mckay, molien_abelian
+from nimspec.suites import _su2_catalogue
 
 from oracles import (
     atom_circle_sum,
     atom_moment_t2,
     closure_fourier,
     dl_atoms,
+    eager_atoms,
     j2_atoms,
     multinomial_moment,
 )
@@ -460,6 +464,74 @@ def test_fourier_tables_match_the_nested_closures(spec):
         for shift in (0, 1):
             got = moment_t_exact(mu, m, shift)
             assert type(got) is Fraction and got == multinomial_moment(want, m, shift)
+
+
+@settings(max_examples=60, deadline=None)
+@given(circle_specs)
+def test_lazy_atoms_match_the_eager_oracle(spec):
+    """Atoms built on first read are the eagerly merged dict: the same keys
+    in the same order, the same values and the same value types."""
+    got, want = list(make_measure(spec).atoms.items()), list(eager_atoms(spec).items())
+    assert got == want
+    assert [type(w) for _, w in got] == [type(w) for _, w in want]
+    assert repr(got) == repr(want)          # bit for bit, -0.0 included
+
+
+@settings(max_examples=30, deadline=None)
+@given(circle_specs, circle_specs)
+def test_lazy_product_atoms_match_the_eager_oracle(left, right):
+    spec = ("product", left, right)
+    got, want = list(make_measure(spec).atoms.items()), list(eager_atoms(spec).items())
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("gid", _su2_catalogue())
+def test_the_exact_routes_leave_the_atoms_unbuilt(gid):
+    mu = canonical_measure(gid)
+    circle_series(mu, 60)
+    moment_t_exact(mu, 12)
+    assert mu._atoms is None
+    atoms = mu.atoms                        # built once, on this read
+    assert mu.atoms is atoms and mu._build is None
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: with_alpha(d_measure(3), 1.5), "alpha_j: j must be an integer, got 1.5"),
+    (lambda: with_alpha(d_measure(3), True), "alpha_j: j must be an integer, got True"),
+    (lambda: with_alpha(d_measure(3), 0), "alpha_j needs j >= 1, got 0"),
+    (lambda: make_measure(("alpha_j", -2, ("d", 3))), "alpha_j needs j >= 1, got -2"),
+    (lambda: scale("x", d_measure(3)),
+     "a scale factor must be an int, a Fraction or a float, got 'x'"),
+    (lambda: scale(None, d_measure(3)), "a scale factor must be .*, got None"),
+    (lambda: scale(True, d_measure(3)), "a scale factor must be .*, got True"),
+    (lambda: dirac(Fraction(1, 2), "x"), "a dirac weight must be .*, got 'x'"),
+], ids=["alpha-float-j", "alpha-bool-j", "alpha-j-0", "alpha-j-negative", "scale-str",
+        "scale-none", "scale-bool", "dirac-str-weight"])
+def test_bad_densities_and_factors_raise_before_any_atom_is_built(call, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        call()
+
+
+def _sorted_atom_json(mu) -> dict:
+    """to_json as formatted from sorted(mu.atoms.items())."""
+    return {"dimension": 2, "provenance": mu.provenance, "atoms": [
+        {"theta": [f"{t.numerator}/{t.denominator}" for t in key], "weight": float(w)}
+        for key, w in sorted(mu.atoms.items())]}
+
+
+@pytest.mark.parametrize("build", (
+    [lambda l=l: canonical_measure(f"SU3-A({l})") for l in range(4, 13)]
+    + [lambda n=n: canonical_measure(f"SU3-D({n})") for n in (6, 9, 12)]
+    + [lambda l=l: dl_measure(l) for l in range(4, 13)]
+), ids=([f"SU3-A({l})" for l in range(4, 13)] + [f"SU3-D({n})" for n in (6, 9, 12)]
+        + [f"d^({l})" for l in range(4, 13)]))
+def test_grid_json_is_the_sorted_atom_formatting(build):
+    """A grid measure formats its JSON from the numerators, without building
+    the atom dict, to the bytes the sorted atoms give."""
+    mu = build()
+    got = json.dumps(mu.to_json(), sort_keys=True)
+    assert mu._atoms is None
+    assert got == json.dumps(_sorted_atom_json(mu), sort_keys=True)
 
 
 def test_dirac_and_signed_combinations():
