@@ -87,11 +87,7 @@ def _export_payload(spec: str, args: argparse.Namespace):
         mu = measures.canonical_measure(spec[8:])
         if args.format == "csv":
             rows = ["theta,weight"] if mu.dimension == 1 else ["theta1,theta2,weight"]
-            for t, w in mu.atoms_sorted():
-                if mu.dimension == 1:
-                    rows.append(f"{float(t)!r},{float(w)!r}")
-                else:
-                    rows.append(f"{float(t[0])!r},{float(t[1])!r},{float(w)!r}")
+            rows += [",".join(map(repr, row)) for row in mu.float_rows()]
             return "\n".join(rows) + "\n", "csv-text"
         return mu.to_json(), "json"
     if spec.startswith("moments:"):

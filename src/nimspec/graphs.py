@@ -253,17 +253,17 @@ def _trunc_su3a6inf_graph(depth: int) -> Graph:
                        symmetric=False, depth=depth)
 
 
+def _su3_rotation_rows(graph: Graph) -> tuple:
+    """The sparse rows of su3_rotation: row v holds (w, 1) for the image w."""
+    size = max(v[0] + v[1] for v in graph.vertices)
+    idx = {v: i for i, v in enumerate(graph.vertices)}
+    return tuple(((idx[(size - v[0] - v[1], v[0])], 1),) for v in graph.vertices)
+
+
 def su3_rotation(graph: Graph) -> tuple:
     """Order-3 rotation (l1,l2) -> (size-l1-l2, l1) of SU3-A(l) as a
     permutation matrix (tuple of rows)."""
-    size = max(v[0] + v[1] for v in graph.vertices)
-    n = graph.n_vertices
-    idx = {v: i for i, v in enumerate(graph.vertices)}
-    p = [[0] * n for _ in range(n)]
-    for v in graph.vertices:
-        w = (size - v[0] - v[1], v[0])
-        p[idx[v]][idx[w]] = 1
-    return tuple(tuple(row) for row in p)
+    return _dense(_su3_rotation_rows(graph))
 
 
 # ---------------------------------------------------------------------------

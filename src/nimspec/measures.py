@@ -169,16 +169,33 @@ class DiscreteMeasure:
     def atoms_sorted(self) -> list:
         return sorted(self.atoms.items())
 
+    def _grid_sorted(self) -> Tuple[list, list, int]:
+        """A grid measure's numerator rows (a, b) sorted by (a, b), their
+        float weights in the same order, and the denominator: the atoms in
+        angle order, without the atom dict."""
+        q, den, _ = self._grid
+        order = np.lexsort((q[:, 1], q[:, 0]))
+        return q[order].tolist(), self.weight_array[order].tolist(), den
+
+    def float_rows(self) -> list:
+        """(angle, weight) or (angle1, angle2, weight) float rows in angle
+        order; a grid measure's are read off its numerators."""
+        if self._grid is not None:
+            rows, weights, den = self._grid_sorted()
+            return [(a / den, b / den, w) for (a, b), w in zip(rows, weights)]
+        if self.dimension == 1:
+            return [(float(t), float(w)) for t, w in self.atoms_sorted()]
+        return [(float(t[0]), float(t[1]), float(w)) for t, w in self.atoms_sorted()]
+
     def to_json(self) -> dict:
         """The atoms in angle order, each angle as reduced "p/q" strings.  A
         grid measure is formatted from its numerators, without the atom
         dict: rows sorted by (a, b), each a/den reduced by gcd."""
         if self._grid is not None:
-            q, den, _ = self._grid
+            rows, weights, den = self._grid_sorted()
             label = [f"{k // math.gcd(k, den)}/{den // math.gcd(k, den)}" for k in range(den)]
-            order = np.lexsort((q[:, 1], q[:, 0]))
             atoms = [{"theta": [label[a], label[b]], "weight": w}
-                     for (a, b), w in zip(q[order].tolist(), self.weight_array[order].tolist())]
+                     for (a, b), w in zip(rows, weights)]
         else:
             def fmt(theta):
                 if self.dimension == 1:

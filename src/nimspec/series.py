@@ -6,10 +6,12 @@ extraction, and Molien series of abelian SU(3) subgroups.
 
 The matrix Hilbert series H(t) = D(t)^{-1} N(t) are one recurrence on the
 graph's sparse out-edge rows (`_solve`).  `hilbert_su2`, `hilbert_su3` and
-`cy3_hilbert` solve every column by default; with `column=j` they solve only
-column j, at about nnz(D) steps per degree instead of nnz(D) * n, for the
-identities that read one column (the CY3 Molien check, F_id = H_{id,id},
-the Kostant numerators).
+`cy3_hilbert` solve every column by default, as int64 array steps of one
+gather per degree that switch to Python ints before a sum could overflow.
+With `column=j` they solve only column j, one Python sum per row at about
+nnz(D) steps per degree, for the identities that read one column (the CY3
+Molien check, F_id = H_{id,id}, the Kostant numerators).  Either solve stops
+at the first degree from which every later block is provably zero.
 """
 
 from __future__ import annotations
@@ -22,14 +24,16 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import (
     FailedIdentityError,
     InvalidParameterError,
     SymmetryError,
     require_int,
 )
-from .graphs import (Graph, _cycle_graph, _dense, _graph_from, _out_edges, by_id, parse_id,
-                     su3_rotation)
+from .graphs import (Graph, _cycle_graph, _dense, _graph_from, _out_edges, _su3_rotation_rows,
+                     by_id, parse_id)
 
 Number = Union[int, Fraction, float, complex]
 
@@ -351,8 +355,14 @@ class MatrixSeries:
 # ---------------------------------------------------------------------------
 # The matrix-recurrence kernel: each Hilbert series is H = D(t)^{-1} N(t),
 # solved for all columns or for one, and each numerator check computes
-# D(t) H(t).  A block is n rows of its w solved columns.
+# D(t) H(t).  A block is n rows of its w solved columns.  Full blocks step as
+# integer arrays, one gather per degree (`_Ring`); one-column blocks take one
+# Python sum per row (`_convolve`), which is faster at that width.
 # ---------------------------------------------------------------------------
+
+_GATHER_ELEMENTS = 1 << 20      # one gather's temporary: at most 8 MB of int64
+_INT64_SAFE = 1 << 62           # reach * big below this: every partial sum fits
+
 
 def _denominator(graph: Graph, directed: bool) -> list:
     """D(t) = 1 + sum_j c_j M_j t^j as terms (j, c_j, sparse rows of M_j):
@@ -393,33 +403,79 @@ def _sparse_product(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _mul_add(acc: Matrix, rows: list, mat: Matrix, c: int = 1) -> Matrix:
-    """acc + c S mat, with S given by its sparse rows: row i of S mat sums
-    a * mat[l] over the entries (l, a) of row i of S, so the product costs
-    nnz(S) * w steps for a block of width w instead of n^2 * w."""
-    out = []
-    for acc_row, row in zip(acc, rows):
-        for l, a in row:
-            ca = c * a
-            acc_row = [x + ca * y for x, y in zip(acc_row, mat[l])]
-        out.append(tuple(acc_row))
-    return tuple(out)
+class _Ring:
+    """acc + sign * sum_j c_j D_j X_{k-j} for full n x n blocks X, with the
+    last deg blocks held in one ring array and one gather per degree.
+
+    Row i of the sum has one slot per nonzero (l, a) of row i of each D_j:
+    the ring row of X_{k-j}'s row l, and the multiplier sign * c_j * a.
+    Short rows are padded with multiplier 0.  `reach`, the largest row sum
+    of |multiplier|, bounds every partial sum by reach * max|X|.  So the ring
+    is int64 while reach * big < 2**62, where big is 1 + the largest |entry|
+    it has been told of, and holds Python ints from then on: no sum wraps."""
+
+    def __init__(self, terms: list, n: int, sign: int):
+        self.n, self.deg = n, terms[-1][0]
+        slots = [[(j, l, sign * c * a) for j, c, rows in terms for l, a in rows[i]]
+                 for i in range(n)]
+        width = max(map(len, slots), default=0)
+        slots = [row + [(self.deg, 0, 0)] * (width - len(row)) for row in slots]
+        j, l = (np.array([[s[f] for s in row] for row in slots], np.intp).reshape(n, width)
+                for f in (0, 1))
+        self.idx = [((r - j) % self.deg) * n + l for r in range(self.deg)]
+        mult = [[s[2] for s in row] for row in slots]
+        self.reach = max((sum(map(abs, row)) for row in mult), default=0)
+        dtype = np.int64 if self.reach < _INT64_SAFE else object
+        self.mult = np.array(mult, dtype=dtype).reshape(n, width, 1)
+        self.ring = np.zeros((self.deg * n, n), dtype)
+        self.big = 1
+
+    @property
+    def dtype(self):
+        return self.ring.dtype
+
+    def fit(self, bound: int) -> None:
+        """Entries up to |bound| may enter the ring or an acc: switch to
+        Python ints once reach * (bound + 1) may not fit in int64."""
+        self.big = max(self.big, bound + 1)
+        if self.dtype != object and self.reach * self.big >= _INT64_SAFE:
+            self.mult, self.ring = self.mult.astype(object), self.ring.astype(object)
+
+    def add(self, k: int, acc: np.ndarray) -> np.ndarray:
+        """acc + sign * sum_j c_j D_j X_{k-j}, in place, in row chunks so
+        that one gather holds at most _GATHER_ELEMENTS entries."""
+        idx = self.idx[k % self.deg]
+        step = max(1, _GATHER_ELEMENTS // max(1, idx.shape[1] * self.n))
+        for lo in range(0, self.n, step):
+            part = self.ring[idx[lo:lo + step]]
+            part *= self.mult[lo:lo + step]
+            acc[lo:lo + step] += part.sum(axis=1)
+        return acc
+
+    def push(self, k: int, block: np.ndarray) -> None:
+        """X_k takes the place of X_{k-deg}."""
+        at = k % self.deg * self.n
+        self.ring[at:at + self.n] = block
+        if self.dtype != object:
+            self.fit(_magnitude(block))
 
 
 def _convolve(terms: list, mats: Sequence[Matrix], k: int, acc: Matrix,
               sign: int) -> Matrix:
-    """acc + sign * sum_{1 <= j <= k} D_j H_{k-j}, with H_i = mats[i].
-
-    A wide block adds one scaled row of H_{k-j} per nonzero of D_j
-    (_mul_add); a one-column block takes one sum per row over row i of
-    every D_j, which avoids a list per nonzero."""
+    """acc + sign * sum_{1 <= j <= k} D_j H_{k-j} for one-column blocks
+    H_i = mats[i]: one sum per row over row i of every D_j."""
     active = [(sign * c, rows, mats[k - j]) for j, c, rows in terms if j <= k]
-    if not acc or len(acc[0]) > 1:
-        for c, rows, mat in active:
-            acc = _mul_add(acc, rows, mat, c)
-        return acc
     return tuple((x + sum(c * a * mat[l][0] for c, rows, mat in active for l, a in rows[i]),)
                  for i, (x,) in enumerate(acc))
+
+
+def _magnitude(block: np.ndarray) -> int:
+    """The largest |entry|, negated as a Python int so that -2**63 cannot wrap."""
+    return max(int(block.max()), -int(block.min()))
+
+
+def _matrix(block: np.ndarray) -> Matrix:
+    return tuple(map(tuple, block.tolist()))
 
 
 def _solve(graph: Graph, directed: bool, order: int,
@@ -429,7 +485,12 @@ def _solve(graph: Graph, directed: bool, order: int,
     numerator (h, sparse rows of Q) and N(t) = 1 for None:
     H_k = N_k - sum_{j>=1} D_j H_{k-j}.  Q must commute with every D_j, so
     that the series is also N(t) D(t)^{-1}.  With a column, N_0 and N_h are
-    cut to it and each H_k is an n x 1 block."""
+    cut to it and each H_k is an n x 1 block.
+
+    Once k is at least N's degree and H_k and the deg - 1 blocks before it
+    are zero (deg is D's degree), H_{k+1} = N_{k+1} - sum_j D_j H_{k+1-j}
+    is zero, and so is every later block: the solve stops there and fills
+    the rest with the zero block."""
     _check_order(order)
     n = graph.n_vertices
     if column is not None:
@@ -437,25 +498,61 @@ def _solve(graph: Graph, directed: bool, order: int,
         if not 0 <= column < n:
             raise InvalidParameterError(f"column {column} is outside 0..{n - 1}")
     terms = _denominator(graph, directed)
-    zero = _block(((),) * n, column)
-    num = {0: _block(_identity_rows(n), column)}
+    num = {0: _identity_rows(n)}
     if numerator is not None:
         h, q_rows = numerator
         for j, _, rows in terms:
             if _sparse_product(q_rows, rows) != _sparse_product(rows, q_rows):
                 raise SymmetryError(f"numerator permutation does not commute with "
                                     f"the t^{j} coefficient of the denominator")
-        num[h] = _block(q_rows, column)
+        num[h] = q_rows
+    zero = _block(((),) * n, column)
     mats: List[Matrix] = []
+    if column is None and n > 1:
+        ring = _Ring(terms, n, -1)
+        ring.fit(max(abs(a) for rows in num.values() for row in rows for _, a in row))
+
+        def step(k: int) -> Matrix:
+            acc = np.zeros((n, n), ring.dtype)
+            for i, row in enumerate(num.get(k, ())):
+                for l, a in row:
+                    acc[i, l] = a
+            block = ring.add(k, acc)
+            ring.push(k, block)
+            return _matrix(block) if block.any() else zero
+    else:
+        blocks = {d: _block(rows, column) for d, rows in num.items()}
+
+        def step(k: int) -> Matrix:
+            block = _convolve(terms, mats, k, blocks.get(k, zero), -1)
+            return block if any(map(any, block)) else zero
+    last, deg, run = max(num), terms[-1][0], 0
     for k in range(order + 1):
-        mats.append(_convolve(terms, mats, k, num.get(k, zero), -1))
+        mats.append(step(k))
+        run = run + 1 if mats[k] is zero else 0
+        if run >= deg and k >= last:
+            mats += [zero] * (order - k)
+            break
     return mats
 
 
 def _multiply(graph: Graph, directed: bool, mats: Sequence[Matrix]) -> List[Matrix]:
     """The coefficients N_k = H_k + sum_{j>=1} D_j H_{k-j} of D(t) H(t)."""
     terms = _denominator(graph, directed)
-    return [_convolve(terms, mats, k, m, 1) for k, m in enumerate(mats)]
+    if not mats or not mats[0] or len(mats[0][0]) == 1:
+        return [_convolve(terms, mats, k, m, 1) for k, m in enumerate(mats)]
+    ring = _Ring(terms, len(mats[0]), 1)
+    try:
+        stack = np.array(mats, dtype=np.int64)
+    except OverflowError:
+        stack = np.array(mats, dtype=object)
+    ring.fit(_magnitude(stack))
+    stack = stack.astype(ring.dtype, copy=False)
+    out = []
+    for k in range(len(mats)):
+        out.append(_matrix(ring.add(k, stack[k].copy())))
+        ring.push(k, stack[k])
+    return out
 
 
 def _check_nonnegative(graph_id: str, mats: Sequence[Matrix]) -> None:
@@ -533,7 +630,7 @@ def hilbert_su3(graph: Graph, p: Optional[Matrix] = None,
     if h is None:
         raise InvalidParameterError("hilbert_su3 needs the Coxeter number h")
     if p is None:
-        p_rows = (_out_edges(su3_rotation(graph)) if graph.family == "SU3-A"
+        p_rows = (_su3_rotation_rows(graph) if graph.family == "SU3-A"
                   else _identity_rows(n))
     else:
         try:

@@ -153,6 +153,19 @@ def test_export_measure_csv(capsys):
     assert len(lines) == 1 + len(canonical_measure("A(3)").atoms)
 
 
+@pytest.mark.parametrize("gid", [f"SU3-A({l})" for l in range(4, 13)]
+                         + [f"SU3-D({n})" for n in (6, 9, 12)])
+def test_grid_measure_csv_equals_the_rows_of_its_sorted_atoms(gid, capsys):
+    """The grid CSV is read off the numerators; the atom dict, built and
+    sorted here, must give the same bytes."""
+    code, out, _ = run_cli(["export", f"measure:{gid}", "--format", "csv"], capsys)
+    assert code == 0
+    mu = canonical_measure(gid)
+    want = ["theta1,theta2,weight"] + [f"{float(t[0])!r},{float(t[1])!r},{float(w)!r}"
+                                       for t, w in mu.atoms_sorted()]
+    assert out == "\n".join(want) + "\n"
+
+
 def test_failing_tolerance_exits_1(capsys):
     # float comparisons cannot clear an impossible tolerance: exit code 1
     code, out, _ = run_cli(["verify", "su2-measures", "--tol", "1e-30"], capsys)

@@ -510,6 +510,89 @@ def test_a_column_series_rejects_the_columns_it_did_not_solve():
         with pytest.raises(InvalidParameterError):
             col.entry(0, j)
 
+
+# -- exactness past int64, and the zero tail ------------------------------------
+
+def _weighted_complete(n, up, down):
+    """n vertices, no loops; i -> j carries weight up for i < j, down for i > j."""
+    return tuple(tuple(0 if i == j else (up if i < j else down) for j in range(n))
+                 for i in range(n))
+
+
+def _numerator_is(num, n, h=None, p=None):
+    """num == [1, 0, .., 0] with p at degree h when h is within the order."""
+    want = [mat_identity(n)] + [mat_zero(n)] * (len(num) - 1)
+    if h is not None and h < len(num):
+        want[h] = p
+    return num == want
+
+
+def test_full_solves_past_int64_equal_the_dense_oracle():
+    """Entries pass 2**63 within the order, so the int64 blocks must switch
+    to Python ints on the way; a weight past 2**62 starts there."""
+    sym, digraph = _weighted_complete(5, 2, 2), _weighted_complete(5, 2, 1)
+    su2 = Graph("sym", tuple(range(5)), _out_edges(sym), 0, symmetric=True)
+    su3 = Graph("digraph", tuple(range(5)), _out_edges(digraph), 0, coxeter_h=6,
+                symmetric=False)
+    minus_one = mat_scale(-1, mat_identity(5))
+    hs = hilbert_su2(su2, 40)
+    assert hs.mats == dense_hilbert(sym, 40)
+    assert max(hs.mats[40][0]) > 2 ** 100
+    assert _numerator_is(su2_numerator(hs, su2), 5)
+    cy3 = cy3_hilbert(su3, 40)
+    assert cy3.mats == dense_hilbert(digraph, 40, True)
+    assert max(cy3.mats[40][0]) > 2 ** 63
+    assert _numerator_is(su3_numerator(cy3, su3), 5)
+    su3_hs = hilbert_su3(su3, p=mat_identity(5), order=40)
+    assert su3_hs.mats == dense_hilbert(digraph, 40, True, (6, minus_one))
+    assert _numerator_is(su3_numerator(su3_hs, su3), 5, 6, minus_one)
+    heavy = ((0, 2 ** 70), (2 ** 70, 0))
+    g = Graph("heavy", (0, 1), _out_edges(heavy), 0, symmetric=True)
+    hs = hilbert_su2(g, 6)
+    assert hs.mats == dense_hilbert(heavy, 6)
+    assert _numerator_is(su2_numerator(hs, g), 2)
+
+
+def test_full_solves_of_the_catalogue_equal_the_dense_oracle():
+    """Each ADE series vanishes from degree h - 1 on, so at order 4h most of
+    it is the zero tail."""
+    from nimspec.suites import _su2_catalogue
+
+    ade = [gid for gid in _su2_catalogue() if gid.split("(")[0] in ("A", "D", "E")]
+    assert len(ade) == 16
+    for gid in ade:
+        g = by_id(gid)
+        h, p = g.coxeter_h, su2_involution(g)
+        hs = hilbert_su2(g, 4 * h)
+        assert hs.mats == dense_hilbert(g.adjacency, 4 * h, False, (h, p)), gid
+        assert _numerator_is(su2_numerator(hs, g), g.n_vertices, h, p)
+    for l in range(4, 10):
+        g = by_id(f"SU3-A({l})")
+        minus_p = mat_scale(-1, su3_rotation(g))
+        hs = hilbert_su3(g, order=4 * l)
+        assert hs.mats == dense_hilbert(g.adjacency, 4 * l, True, (l, minus_p)), l
+        assert _numerator_is(su3_numerator(hs, g), g.n_vertices, l, minus_p)
+
+
+@pytest.mark.parametrize("column", [None, 1])
+def test_fewer_zero_blocks_than_the_denominator_degree_do_not_end_the_series(column):
+    """With no edges, H = 1/(1 - t^3) and 1/(1 + t^2): one or two zero
+    blocks in a row, then a nonzero one."""
+    from nimspec.series import _solve
+
+    g = Graph("empty", (0, 1, 2), ((), (), ()), 0, coxeter_h=4, symmetric=True)
+    empty = mat_zero(3)
+    cut = _cut if column is not None else (lambda mats, c: mats)
+    assert cy3_hilbert(g, 9, column=column).mats == cut(dense_hilbert(empty, 9, True), column)
+    assert _solve(g, False, 7, column=column) == cut(dense_hilbert(empty, 7), column)
+    assert _solve(g, False, 7, column=column)[6] == cut([mat_scale(-1, mat_identity(3))], column)[0]
+    with pytest.raises(FailedIdentityError):
+        hilbert_su2(g, 2, column=column)
+    # N = 1 - t^4 over 1 - t^3: zero at degrees 1 and 2, then 1 and -1 at 3 and 4
+    minus_one = mat_scale(-1, mat_identity(3))
+    assert (_solve(g, True, 9, (4, _out_edges(minus_one)), column)
+            == cut(dense_hilbert(empty, 9, True, (4, minus_one)), column))
+
 # -- T and Theta series -------------------------------------------------------
 
 T_IDS = ["A(2)", "A(5)", "D(4)", "D(7)", "E(6)", "E(7)", "E(8)",
