@@ -1,11 +1,11 @@
 """Geometry of the map Phi: T^2 -> deltoid, the S3 action on the torus,
 the Jacobian of the change of variables in its several equivalent forms,
-deltoid membership, the cubic inversion of Phi, and the D_l grids.
+deltoid membership, the cubic inversion of Phi, and the D_l grid.
 
-Angles are taken in [0,1); rational angles are kept as Fractions so that
-grid membership and S3 orbits are exact.  Stacked measures use the array
-forms: Phi and the sine-product Jacobian over an (N, 2) array of float
-angles, and D_l as integer numerators over 3l.
+Angles are taken in [0,1); a rational angle may be a Fraction, and then its
+S3 orbit is exact.  Stacked measures use the array forms: Phi and the
+sine-product Jacobian over an (N, 2) array of float angles, and D_l as
+integer numerators over 3l (``dl_numerators``), the one form of the grid.
 """
 
 from __future__ import annotations
@@ -219,25 +219,9 @@ def invert_phi_pairs(z: complex, tol: float = 1e-9) -> List[Tuple[complex, compl
     return pairs
 
 
-def generate_Dl(l: int) -> List[Tuple[Fraction, Fraction]]:
-    """All (q1/3l, q2/3l) with q1 + q2 = 0 mod 3; exactly 3 l^2 points."""
-    if l < 4:
-        raise InvalidParameterError("D_l grid needs l >= 4")
-    pts = [
-        (Fraction(q1, 3 * l), Fraction(q2, 3 * l))
-        for q1 in range(3 * l)
-        for q2 in range(3 * l)
-        if (q1 + q2) % 3 == 0
-    ]
-    if len(pts) != 3 * l * l:
-        raise FailedIdentityError(f"D_l grid has {len(pts)} points, not 3 l^2 = {3 * l * l}")
-    return pts
-
-
 def dl_numerators(l: int) -> np.ndarray:
     """D_l as integer numerators over 3l: the (3 l^2, 2) array of all
-    (q1, q2) with q1 + q2 = 0 mod 3, q1 outer and q2 inner (the order of
-    generate_Dl)."""
+    (q1, q2) with q1 + q2 = 0 mod 3, q1 outer and q2 inner."""
     if l < 4:
         raise InvalidParameterError("D_l grid needs l >= 4")
     q1, q2 = np.divmod(np.arange(9 * l * l), 3 * l)
@@ -246,12 +230,6 @@ def dl_numerators(l: int) -> np.ndarray:
     if len(q) != 3 * l * l:
         raise FailedIdentityError(f"D_l grid has {len(q)} points, not 3 l^2 = {3 * l * l}")
     return q
-
-
-def fundamental_domain_contains(p: TorusPoint) -> bool:
-    """Boundary-inclusive test for the fundamental domain C of T^2 / S3."""
-    t1, t2 = p
-    return 2 * t2 - t1 >= 0 and 2 * t1 - t2 >= 0 and t1 + t2 <= 1
 
 
 def boundary_point(r: float, t: float) -> complex:

@@ -60,7 +60,8 @@ class FourierTable:
         self.terms = tuple(terms)
 
     def __call__(self, r: int) -> Fraction:
-        return Fraction(sum(c for c, s, n in self.terms if (r + s) % n == 0))
+        (num,), den = self.numerators(r, r)
+        return Fraction(num, den)
 
     def numerators(self, lo: int, hi: int) -> Tuple[List[int], int]:
         """(C, L): the coefficients at r = lo..hi as integer numerators C
@@ -585,22 +586,11 @@ def canonical_measure(graph_id: str) -> DiscreteMeasure:
     return mu
 
 
-def canonical_graph_moment(graph_id: str, m: int, n: int = 0) -> complex:
-    """Moment of the canonical measure in the chart of its graph family
-    (SU(2): (u+1/u)^{m+n};  SU3-Astar: shifted by +1;  SU(3): R_{m,n})."""
-    _check_orders(m, n)
-    mu = canonical_measure(graph_id)
-    if mu.dimension == 2:
-        return moment_t2(mu, m, n)
-    if parse_id(graph_id)[0] == "SU3-Astar":
-        return complex(moment_t(mu, m + n, shift=1))
-    return complex(moment_t(mu, m + n))
-
-
 def exceptional_measure_atoms(graph_id: str) -> DiscreteMeasure:
     """S3-symmetrized torus atom list of an SU(3) graph, assembled from
     eigendata.  It exists for the exceptional graphs (their measures are not
     root-of-unity combinations; this is their atom-list representation)."""
+    # No suite reads this yet, but it is the only measure of SU3-E and SU3-E1.
     name, l = parse_id(graph_id)
     if name not in ("SU3-A", "SU3-Astar", "SU3-D", "SU3-E", "SU3-E1"):
         raise InvalidParameterError(f"{graph_id} has no SU(3) exponents")

@@ -149,11 +149,6 @@ def _gamma_coefficients() -> Dict[Tuple[int, int], int]:
     return {k: v for k, v in sq.items() if v != 0}
 
 
-def upsilon_set() -> Iterable[Tuple[int, int]]:
-    """Support of the squared Laurent polynomial above."""
-    return sorted(_gamma_coefficients().keys())
-
-
 def moment_formula_su3_Ainf(m: int, n: int):
     """Closed-form moment of the SU(3) quadrant graph via the J^2-weighted
     uniform measure; the signed sum is asserted divisible by -6."""

@@ -16,6 +16,7 @@ at the first degree from which every later block is provably zero.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -121,6 +122,7 @@ class TruncatedSeries:
         a0 = self.coeffs[0]
         if a0 == 0:
             raise InvalidParameterError("series inverse needs a unit constant term")
+        # No library route inverts a rational series yet; inverse is a kernel.
         if _rational(self.coeffs):
             a, den = _integer_numerators(self.coeffs)
             terms = [(j, aj * a[0] ** (j - 1)) for j, aj in enumerate(a) if j and aj]
@@ -501,6 +503,8 @@ def _solve(graph: Graph, directed: bool, order: int,
     num = {0: _identity_rows(n)}
     if numerator is not None:
         h, q_rows = numerator
+        if h < 1:                   # t^0 would overwrite N_0 = 1
+            raise InvalidParameterError(f"numerator degree h = {h} must be at least 1")
         for j, _, rows in terms:
             if _sparse_product(q_rows, rows) != _sparse_product(rows, q_rows):
                 raise SymmetryError(f"numerator permutation does not commute with "
@@ -718,8 +722,7 @@ def molien_abelian_det(m: int, weights: Tuple[int, int, int], j: int,
                        order: int) -> TruncatedSeries:
     """Same series by the determinant form (1/m) sum_g chi_j(g)* /
     det(1 - conj(rho(g)) t), in complex floats; a cross-check route."""
-    import cmath
-
+    # No suite reads this yet: it is the tests' reference for molien_abelian.
     a, b, c = _weights_mod(weights, m)
     _check_order(order)
     coeffs = [0j] * (order + 1)

@@ -1,9 +1,9 @@
 """Finite subgroups of SU(2): matrix enumeration from generators, conjugacy
 class data checked against the shipped character tables, moments of the
-fundamental character, and the generating series built from them (moment
-series, Molien series of the symmetric algebra, the class-sum series whose
-coefficients count multiplicities of the trivial representation in restricted
-SU(2) irreducibles).
+fundamental character, and two generating series (the Molien series of the
+symmetric algebra, and the class-sum series whose coefficients count
+multiplicities of the trivial representation in restricted SU(2)
+irreducibles).
 """
 
 from __future__ import annotations
@@ -278,12 +278,6 @@ def subgroup_moment(cd: ClassData, m: int) -> float:
         raise InvalidParameterError("moment orders must be non-negative")
     order = cd.order
     return sum(r.size / order * r.chi_rho ** m for r in cd.rows)
-
-
-def moment_generating_series(cd: ClassData, order: int) -> TruncatedSeries:
-    """sum_j (|G_j|/|G|) / (1 - q chi_j): coefficient k is the k-th moment."""
-    _check_order(order)
-    return TruncatedSeries([subgroup_moment(cd, k) for k in range(order + 1)])
 
 
 def molien_series_trivial(group: FiniteMatrixGroup, order: int) -> TruncatedSeries:

@@ -442,7 +442,7 @@ def _suite_deltoid(tol: float, rng: random.Random) -> List[Check]:
     checks.append(("jacobian-four-forms", jacobian_forms))
 
     def dl_sizes():
-        ok = all(len(deltoid.generate_Dl(l)) == 3 * l * l for l in range(4, 13))
+        ok = all(len(deltoid.dl_numerators(l)) == 3 * l * l for l in range(4, 13))
         return (ok, "3 l^2", "|D_l| = 3 l^2 for l = 4..12", 0.0)
 
     checks.append(("Dl-grid-size", dl_sizes))

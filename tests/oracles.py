@@ -380,9 +380,10 @@ def atom_moment_t2(atoms, m: int, n: int):
 
 
 def dl_atoms(l: int) -> dict:
-    """The atoms of d^(l): one weight object 1/(3 l^2) on every point of
-    generate_Dl(l), in its order."""
-    pts = deltoid.generate_Dl(l)
+    """The atoms of d^(l): one weight object 1/(3 l^2) on every point
+    (q1/3l, q2/3l) with q1 + q2 = 0 mod 3, q1 outer and q2 inner."""
+    pts = [(Fraction(q1, 3 * l), Fraction(q2, 3 * l))
+           for q1 in range(3 * l) for q2 in range(3 * l) if (q1 + q2) % 3 == 0]
     w = Fraction(1, len(pts))
     return {p: w for p in pts}
 

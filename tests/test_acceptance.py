@@ -313,7 +313,7 @@ def test_criterion_12_deltoid():
         assert abs(jt * jt - jo * jo) < 1e-9 * max(1.0, jt * jt)
         assert abs(jt * jt - ja * ja) < 1e-9 * max(1.0, jt * jt)
     for l in range(4, 13):
-        assert len(deltoid.generate_Dl(l)) == 3 * l * l
+        assert len(deltoid.dl_numerators(l)) == 3 * l * l
     done = 0
     while done < 1000:
         t = (rng.random(), rng.random())

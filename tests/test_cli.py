@@ -26,6 +26,14 @@ def test_verify_suite_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_all_passes_every_case():
+    # the whole headline, not only the suites the CLI tests run
+    report = run_suite("all")
+    assert [(c.case_id, c.measured) for c in report.cases if c.status != "pass"] == []
+    assert len(report.cases) == 126
+    assert {c.case_id.split(":")[0] for c in report.cases} == set(SUITE_NAMES)
+
+
 def test_verify_json_report(capsys):
     code, out, _ = run_cli(["verify", "deltoid-geometry", "--format", "json",
                             "--seed", "1"], capsys)

@@ -1,0 +1,66 @@
+"""Guards on the source tree itself, read with ast: every public top-level
+function in src/nimspec has a caller, and no check there is a bare assert
+(python -O strips those)."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "nimspec"
+
+# Public functions that stay without a caller, each for the reason given at
+# its definition.
+NO_CALLER_YET = {
+    ("series", "molien_abelian_det"),           # the tests' reference Molien route
+    ("measures", "exceptional_measure_atoms"),  # the only SU3-E / SU3-E1 measure
+}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+def _modules():
+    return {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
+
+
+def _public_functions(modules):
+    return {(mod, node.name) for mod, tree in modules.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def _references(tree: ast.Module, mod: str):
+    """The (module, name) pairs that tree's code refers to: an attribute
+    `m.name`, a bare name in mod itself outside the def of that name, and a
+    bare name after `from ...m import name`."""
+    imported = {alias.name: (node.module or "").split(".")[-1]
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                yield node.value.id, node.attr
+            elif isinstance(node, ast.Name) and node.id in imported:
+                yield imported[node.id], node.id
+            elif isinstance(node, ast.Name) and node.id != owner:
+                yield mod, node.id
+
+
+def _uncalled(modules, others):
+    exported = {(node.module, alias.name) for node in modules["__init__"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    called = {ref for mod, tree in list(modules.items()) + others
+              for ref in _references(tree, mod)}
+    return _public_functions(modules) - called - exported
+
+
+def test_every_public_function_has_a_caller():
+    others = [(p.stem, _parse(p)) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _uncalled(_modules(), others) == NO_CALLER_YET
+
+
+def test_no_bare_assert_in_the_library():
+    found = [f"{mod}.py:{node.lineno}" for mod, tree in _modules().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

@@ -11,6 +11,18 @@ from nimspec.errors import InvalidParameterError
 from nimspec.graphs import su3_exponent_angles, su3_psi_star
 
 
+def _dl_points(l):
+    """D_l as Fraction pairs, read off the library's integer numerators."""
+    return [(Fraction(a, 3 * l), Fraction(b, 3 * l))
+            for a, b in deltoid.dl_numerators(l).tolist()]
+
+
+def _in_fundamental_domain(p):
+    """Boundary-inclusive test for the fundamental domain C of T^2 / S3."""
+    t1, t2 = p
+    return 2 * t2 - t1 >= 0 and 2 * t1 - t2 >= 0 and t1 + t2 <= 1
+
+
 def test_phi_values():
     assert deltoid.phi((Fraction(0), Fraction(0))) == pytest.approx(3 + 0j)
     w = cmath.exp(2j * math.pi / 3)
@@ -66,7 +78,7 @@ def test_jacobian_sign_constant_per_domain():
     base_points = []
     while len(base_points) < 200:
         p = (rng.random(), rng.random())
-        if deltoid.fundamental_domain_contains(p) and abs(
+        if _in_fundamental_domain(p) and abs(
             deltoid.jacobian(p, "theta")
         ) > 1e-6:
             base_points.append(p)
@@ -125,8 +137,10 @@ def test_invert_phi_rejects_outside():
 
 
 def test_dl_grid():
-    assert len(deltoid.generate_Dl(4)) == 48
-    pts = deltoid.generate_Dl(6)
+    assert len(deltoid.dl_numerators(4)) == 48
+    with pytest.raises(InvalidParameterError):
+        deltoid.dl_numerators(3)
+    pts = _dl_points(6)
     assert len(pts) == 108
     assert len(pts) == 3 * 6 * 6
     pset = set(pts)
@@ -143,13 +157,13 @@ def test_dl_grid():
 
 
 def test_fundamental_domain():
-    assert deltoid.fundamental_domain_contains((Fraction(1, 3), Fraction(1, 3)))
-    assert not deltoid.fundamental_domain_contains((0.9, 0.1))
+    assert _in_fundamental_domain((Fraction(1, 3), Fraction(1, 3)))
+    assert not _in_fundamental_domain((0.9, 0.1))
     rng = random.Random(2)
     for _ in range(300):
         p = (rng.random(), rng.random())
         orbit = deltoid.s3_orbit(p)
-        hits = [q for q in orbit if deltoid.fundamental_domain_contains(q)]
+        hits = [q for q in orbit if _in_fundamental_domain(q)]
         assert len(hits) == 1
 
 
@@ -184,7 +198,7 @@ def test_density_grid_needs_two_points_a_side(n):
 def test_array_forms_match_the_scalar_routes():
     rng = random.Random(11)
     pts = [(rng.random(), rng.random()) for _ in range(300)]
-    pts += [(float(a), float(b)) for a, b in deltoid.generate_Dl(7)]
+    pts += [(float(a), float(b)) for a, b in _dl_points(7)]
     theta = np.array(pts)
     for p, z, j in zip(pts, deltoid.phi_array(theta), deltoid.jacobian_array(theta)):
         assert abs(z - deltoid.phi(p)) <= 1e-14

@@ -17,11 +17,7 @@ from nimspec.errors import (
     UnsupportedConstructionError,
 )
 from nimspec.graphs import FAMILIES, by_id, eigendata, parse_id
-from nimspec.measures import (
-    canonical_graph_moment,
-    canonical_measure,
-    exceptional_measure_atoms,
-)
+from nimspec.measures import canonical_measure, exceptional_measure_atoms, moments_t, moments_t2
 from nimspec.series import kostant_affine_partner, kostant_parameters, t_closed_form
 
 # Stated here independently of the library's own tables.
@@ -111,7 +107,8 @@ def test_parse_id_without_check_only_splits():
 # -- property: typed errors only, never a traceback ---------------------------
 
 def _family_arg(name):
-    # Trunc-SU3A6inf(n) has 3n(n+1)+1 vertices and a dense adjacency, which
+    # Trunc-SU3A6inf(n) has 3n(n+1)+1 vertices, and `export graph:` writes its
+    # dense adjacency as JSON (test_export_of_any_id_exits_0_or_2), which
     # passes 100 MB beyond n = 20; every other family stays small up to 40.
     return st.integers(-3, 20 if name == "Trunc-SU3A6inf" else 40)
 
@@ -123,9 +120,18 @@ ids = st.one_of(
     st.text(max_size=12),
 )
 
+
+def _canonical_moment_1_1(gid):
+    """R_{1,1} of the canonical measure, in its family's chart."""
+    mu = canonical_measure(gid)
+    if mu.dimension == 2:
+        return moments_t2(mu, [(1, 1)])
+    return moments_t(mu, [2], shift=1 if parse_id(gid)[0] == "SU3-Astar" else 0)
+
+
 LIBRARY_ROUTES = list(ROUTES.values()) + [
     parse_id,
-    lambda gid: canonical_graph_moment(gid, 1, 1),
+    _canonical_moment_1_1,
     exceptional_measure_atoms,
 ]
 

@@ -12,7 +12,6 @@ from nimspec.errors import FailedIdentityError, InvalidParameterError, NoClosedF
 from nimspec.graphs import by_id, eigen_moment, eigendata
 from nimspec.measures import (
     DiscreteMeasure,
-    canonical_graph_moment,
     canonical_measure,
     circle_series,
     cyclotomic_basis,
@@ -37,7 +36,6 @@ from nimspec.measures import (
     with_alpha,
     with_j2,
 )
-from nimspec.deltoid import generate_Dl
 from nimspec.paths import moment_path_count
 from nimspec.series import abelian_mckay, molien_abelian
 from nimspec.suites import _su2_catalogue
@@ -223,9 +221,10 @@ def test_astar_semicircle_moments():
 
 
 def test_canonical_moment_dispatch():
-    assert canonical_graph_moment("A(4)", 2) == pytest.approx(1.0)
-    assert canonical_graph_moment("SU3-A(6)", 1, 1) == pytest.approx(1.0)
-    assert canonical_graph_moment("SU3-Astar(8)", 1, 1) == pytest.approx(
+    # each family's chart: SU(2) (u + 1/u)^m, SU3-Astar shifted by +1, SU(3) R_{m,n}
+    assert moment_t(canonical_measure("A(4)"), 2) == pytest.approx(1.0)
+    assert moment_t2(canonical_measure("SU3-A(6)"), 1, 1) == pytest.approx(1.0)
+    assert moment_t(canonical_measure("SU3-Astar(8)"), 2, shift=1) == pytest.approx(
         moment_path_count(by_id("SU3-Astar(8)"), 2)
     )
 
@@ -622,9 +621,9 @@ def test_batched_moments_of_no_pairs_are_empty():
     lambda: moment_t2(canonical_measure("SU3-A(6)"), -1, 0),
     lambda: moment_t2(canonical_measure("SU3-A(6)"), 0, -1),
     lambda: moments_t2(canonical_measure("SU3-A(6)"), [(1, 1), (2, -1)]),
-    lambda: canonical_graph_moment("A(3)", -1),
-    lambda: canonical_graph_moment("SU3-A(6)", 2, -1),
-    lambda: canonical_graph_moment("SU3-Astar(8)", -1),
+    lambda: moments_t(canonical_measure("A(3)"), [2, -1]),
+    lambda: moments_t2(canonical_measure("SU3-A(6)"), [(2, -1)]),
+    lambda: moments_t(canonical_measure("SU3-Astar(8)"), [-1], shift=1),
 ])
 def test_negative_moment_orders_are_rejected(call):
     with pytest.raises(InvalidParameterError, match="moment orders must be non-negative"):
@@ -634,11 +633,10 @@ def test_negative_moment_orders_are_rejected(call):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(4, 40))
 def test_grid_built_su3_a_measures_match_the_dict_oracle(l):
-    """dl_measure and SU3-A(l) keep generate_Dl's atoms, order and weights."""
+    """dl_measure and SU3-A(l) keep the oracle's D_l atoms, order and weights."""
     want = dl_atoms(l)
     grid = dl_measure(l)
     assert list(grid.atoms.items()) == list(want.items())
-    assert set(grid.atoms) == set(generate_Dl(l))
     got, want = canonical_measure(f"SU3-A({l})").atoms, j2_atoms(want)
     assert list(got) == list(want)
     assert all(math.isclose(got[k], w, rel_tol=1e-15, abs_tol=0) for k, w in want.items())

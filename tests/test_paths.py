@@ -8,6 +8,7 @@ from nimspec import graphs, series
 from nimspec.errors import InvalidParameterError, TruncationError
 from nimspec.graphs import Graph, by_id
 from nimspec.paths import (
+    _gamma_coefficients,
     combinatorial_dimension,
     hecke_dimension,
     hecke_shapes,
@@ -18,7 +19,6 @@ from nimspec.paths import (
     moment_table_csv,
     moments,
     su3_path_count_formula,
-    upsilon_set,
 )
 from nimspec.series import loop_series
 
@@ -104,7 +104,7 @@ def test_quadrant_moment_formula():
 
 
 def test_upsilon_support_is_within_stated_region():
-    ups = upsilon_set()
+    ups = _gamma_coefficients().keys()
     assert (0, 0) in ups
     for a1, a2 in ups:
         assert (a1 - a2) % 3 == 0

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -261,6 +262,14 @@ def test_su3_symmetry_validation():
     swapped[1][1], swapped[1][0] = 0, 1
     with pytest.raises(SymmetryError):
         hilbert_su3(g, p=tuple(tuple(r) for r in swapped))
+
+
+@pytest.mark.parametrize("h", [0, -1])
+@pytest.mark.parametrize("gid, route", [("A(3)", lambda g: hilbert_su2(g, 6)),
+                                        ("SU3-A(4)", lambda g: hilbert_su3(g, order=3))])
+def test_a_numerator_degree_below_1_is_rejected(gid, route, h):
+    with pytest.raises(InvalidParameterError, match="numerator degree"):
+        route(replace(by_id(gid), coxeter_h=h))
 
 
 # -- CY3 / abelian subgroups --------------------------------------------------
