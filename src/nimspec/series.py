@@ -6,12 +6,18 @@ extraction, and Molien series of abelian SU(3) subgroups.
 
 The matrix Hilbert series H(t) = D(t)^{-1} N(t) are one recurrence on the
 graph's sparse out-edge rows (`_solve`).  `hilbert_su2`, `hilbert_su3` and
-`cy3_hilbert` solve every column by default, as int64 array steps of one
-gather per degree that switch to Python ints before a sum could overflow.
-With `column=j` they solve only column j, one Python sum per row at about
-nnz(D) steps per degree, for the identities that read one column (the CY3
-Molien check, F_id = H_{id,id}, the Kostant numerators).  Either solve stops
-at the first degree from which every later block is provably zero.
+`cy3_hilbert` solve every column by default, as int64 array steps: one
+gather-multiply per degree, summed straight into the ring slot of the block
+it replaces.  A bound on |entry| proven in Python keeps every sum inside
+int64; the ring's real entries are read only when that bound runs out of
+headroom, and the ring switches to Python ints only if they are too large
+as well.  With `column=j` they solve only column j, one Python sum per row
+at about nnz(D) steps per degree, for the identities that read one column
+(the CY3 Molien check, F_id = H_{id,id}, the Kostant numerators).  Either
+solve stops at the first degree from which every later block is provably
+zero.  The sign and termination checks of `hilbert_su2` and `hilbert_su3`
+run on each block as it is solved, on the array for a full solve, and never
+on the shared zero tail.
 """
 
 from __future__ import annotations
@@ -358,12 +364,17 @@ class MatrixSeries:
 # The matrix-recurrence kernel: each Hilbert series is H = D(t)^{-1} N(t),
 # solved for all columns or for one, and each numerator check computes
 # D(t) H(t).  A block is n rows of its w solved columns.  Full blocks step as
-# integer arrays, one gather per degree (`_Ring`); one-column blocks take one
-# Python sum per row (`_convolve`), which is faster at that width.
+# integer arrays, one gather-multiply per degree summed straight into the
+# ring slot of the block it replaces (`_Ring`); one-column blocks take one
+# Python sum per row (`_convolve`), which is faster at that width.  The ring
+# stays int64 under a bound on |entry| that is proven in Python and checked
+# against the ring's real entries only when it grows too large.  Each solved
+# block is checked for sign while it is still an array (or a short Python
+# column), so no check walks the returned tuple rows.
 # ---------------------------------------------------------------------------
 
 _GATHER_ELEMENTS = 1 << 20      # one gather's temporary: at most 8 MB of int64
-_INT64_SAFE = 1 << 62           # reach * big below this: every partial sum fits
+_INT64_SAFE = 1 << 62           # reach * (bound + 1) below this: every partial sum fits
 
 
 def _denominator(graph: Graph, directed: bool) -> list:
@@ -393,73 +404,89 @@ def _block(rows: tuple, column: Optional[int]) -> Matrix:
     return tuple((dict(row).get(column, 0),) for row in rows)
 
 
-def _sparse_product(a: tuple, b: tuple) -> tuple:
-    """The sparse rows of A B, for A and B given by their sparse rows."""
-    out = []
-    for row in a:
-        acc: Dict[int, int] = {}
-        for l, x in row:
-            for j, y in b[l]:
-                acc[j] = acc.get(j, 0) + x * y
-        out.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
-    return tuple(out)
+def _check_numerator(q_rows: tuple, terms: list, n: int) -> None:
+    """Q must be a signed permutation, row i = s_i e_{sigma(i)}, that commutes
+    with every D_j.  Q D_j == D_j Q is Q D_j Q^T == D_j: each entry (i, l, a)
+    of D_j reappears, relabelled through sigma, as (sigma(i), sigma(l),
+    s_i s_l a)."""
+    unsigned = sorted(tuple((c, abs(s)) for c, s in row) for row in q_rows)
+    if unsigned != [((j, 1),) for j in range(n)]:
+        raise InvalidParameterError(
+            f"the numerator must be an {n}x{n} signed permutation, one entry +-1 per row")
+    sigma, sign = zip(*(row[0] for row in q_rows))
+    for j, _, rows in terms:
+        entries = {(i, l, a) for i, row in enumerate(rows) for l, a in row}
+        if entries != {(sigma[i], sigma[l], sign[i] * sign[l] * a) for i, l, a in entries}:
+            raise SymmetryError(f"numerator permutation does not commute with "
+                                f"the t^{j} coefficient of the denominator")
 
 
 class _Ring:
-    """acc + sign * sum_j c_j D_j X_{k-j} for full n x n blocks X, with the
-    last deg blocks held in one ring array and one gather per degree.
+    """The last deg full n x n blocks X_{k-deg} .. X_{k-1} in one array, and
+    sign * sum_j c_j D_j X_{k-j} by one gather-multiply per degree.
 
     Row i of the sum has one slot per nonzero (l, a) of row i of each D_j:
     the ring row of X_{k-j}'s row l, and the multiplier sign * c_j * a.
-    Short rows are padded with multiplier 0.  `reach`, the largest row sum
-    of |multiplier|, bounds every partial sum by reach * max|X|.  So the ring
-    is int64 while reach * big < 2**62, where big is 1 + the largest |entry|
-    it has been told of, and holds Python ints from then on: no sum wraps."""
+    Short rows are padded with X_{k-deg}'s row i and multiplier 0.  `reach`,
+    the largest row sum of |multiplier|, bounds every partial sum by
+    reach * max|X|.  So the ring is int64 while reach * (bound + 1) < 2**62
+    for `bound`, a proven bound on max|X|, and holds Python ints from then
+    on: no sum wraps."""
 
-    def __init__(self, terms: list, n: int, sign: int):
+    def __init__(self, terms: list, n: int, sign: int, bound: int):
         self.n, self.deg = n, terms[-1][0]
         slots = [[(j, l, sign * c * a) for j, c, rows in terms for l, a in rows[i]]
                  for i in range(n)]
         width = max(map(len, slots), default=0)
-        slots = [row + [(self.deg, 0, 0)] * (width - len(row)) for row in slots]
+        slots = [row + [(self.deg, i, 0)] * (width - len(row)) for i, row in enumerate(slots)]
         j, l = (np.array([[s[f] for s in row] for row in slots], np.intp).reshape(n, width)
                 for f in (0, 1))
         self.idx = [((r - j) % self.deg) * n + l for r in range(self.deg)]
         mult = [[s[2] for s in row] for row in slots]
         self.reach = max((sum(map(abs, row)) for row in mult), default=0)
-        dtype = np.int64 if self.reach < _INT64_SAFE else object
-        self.mult = np.array(mult, dtype=dtype).reshape(n, width, 1)
-        self.ring = np.zeros((self.deg * n, n), dtype)
-        self.big = 1
+        self.bound = bound
+        dtype = np.int64 if self.reach * (bound + 1) < _INT64_SAFE else object
+        self.mult = np.array(mult, dtype=dtype).reshape(n, 1, width)
+        self.blocks = np.zeros((self.deg * n, n), dtype)
 
-    @property
-    def dtype(self):
-        return self.ring.dtype
+    def slot(self, k: int) -> np.ndarray:
+        """The ring rows that hold X_k, where X_{k-deg} was."""
+        at = k % self.deg * self.n
+        return self.blocks[at:at + self.n]
 
-    def fit(self, bound: int) -> None:
-        """Entries up to |bound| may enter the ring or an acc: switch to
-        Python ints once reach * (bound + 1) may not fit in int64."""
-        self.big = max(self.big, bound + 1)
-        if self.dtype != object and self.reach * self.big >= _INT64_SAFE:
-            self.mult, self.ring = self.mult.astype(object), self.ring.astype(object)
-
-    def add(self, k: int, acc: np.ndarray) -> np.ndarray:
-        """acc + sign * sum_j c_j D_j X_{k-j}, in place, in row chunks so
-        that one gather holds at most _GATHER_ELEMENTS entries."""
+    def sum_into(self, k: int, out: np.ndarray) -> None:
+        """out = sign * sum_j c_j D_j X_{k-j}, in row chunks so that one
+        gather holds at most _GATHER_ELEMENTS entries.  out may be X_k's
+        slot: D_deg is the identity, so a chunk reads X_{k-deg} only in its
+        own rows, and its gather copies them before it writes."""
         idx = self.idx[k % self.deg]
         step = max(1, _GATHER_ELEMENTS // max(1, idx.shape[1] * self.n))
         for lo in range(0, self.n, step):
-            part = self.ring[idx[lo:lo + step]]
-            part *= self.mult[lo:lo + step]
-            acc[lo:lo + step] += part.sum(axis=1)
-        return acc
+            part = out[lo:lo + step]
+            np.matmul(self.mult[lo:lo + step], self.blocks.take(idx[lo:lo + step], axis=0),
+                      out=part.reshape(len(part), 1, self.n))
 
-    def push(self, k: int, block: np.ndarray) -> None:
-        """X_k takes the place of X_{k-deg}."""
-        at = k % self.deg * self.n
-        self.ring[at:at + self.n] = block
-        if self.dtype != object:
-            self.fit(_magnitude(block))
+    def solve(self, k: int, n_k: Optional[tuple]) -> np.ndarray:
+        """X_k = N_k + sign * sum_j c_j D_j X_{k-j}, summed into X_k's slot,
+        for N_k given by the (column, value) of its one entry +-1 per row,
+        or None.
+
+        Each step keeps bound >= max|X| by bound <- reach * bound + 1.  Only
+        when that bound leaves no headroom is the ring's real magnitude read,
+        and only if that leaves none either does the ring switch to Python
+        ints."""
+        if self.blocks.dtype != object and self.reach * (self.bound + 1) >= _INT64_SAFE:
+            self.bound = _magnitude(self.blocks)
+            if self.reach * (self.bound + 1) >= _INT64_SAFE:
+                self.mult, self.blocks = self.mult.astype(object), self.blocks.astype(object)
+        block = self.slot(k)
+        self.sum_into(k, block)
+        if n_k is not None:
+            cols, values = n_k
+            block[range(self.n), cols] += values
+        if self.blocks.dtype != object:
+            self.bound = self.reach * self.bound + 1
+        return block
 
 
 def _convolve(terms: list, mats: Sequence[Matrix], k: int, acc: Matrix,
@@ -482,17 +509,23 @@ def _matrix(block: np.ndarray) -> Matrix:
 
 def _solve(graph: Graph, directed: bool, order: int,
            numerator: Optional[Tuple[int, tuple]] = None,
-           column: Optional[int] = None) -> List[Matrix]:
+           column: Optional[int] = None, nonnegative: bool = False,
+           vanish_from: Optional[int] = None) -> List[Matrix]:
     """H_0 .. H_order of H(t) = D(t)^{-1} N(t), where N(t) = 1 + Q t^h for
     numerator (h, sparse rows of Q) and N(t) = 1 for None:
-    H_k = N_k - sum_{j>=1} D_j H_{k-j}.  Q must commute with every D_j, so
-    that the series is also N(t) D(t)^{-1}.  With a column, N_0 and N_h are
-    cut to it and each H_k is an n x 1 block.
+    H_k = N_k - sum_{j>=1} D_j H_{k-j}.  Q must be a signed permutation that
+    commutes with every D_j, so that the series is also N(t) D(t)^{-1}.
+    With a column, N_0 and N_h are cut to it and each H_k is an n x 1 block.
 
     Once k is at least N's degree and H_k and the deg - 1 blocks before it
     are zero (deg is D's degree), H_{k+1} = N_{k+1} - sum_j D_j H_{k+1-j}
     is zero, and so is every later block: the solve stops there and fills
-    the rest with the zero block."""
+    the rest with the zero block.
+
+    The checks of hilbert_su2 and hilbert_su3 run on each block as it is
+    solved: a nonzero block from degree vanish_from on raises at once, and
+    with nonnegative, a negative entry raises once the solve ends, so that a
+    later failure to vanish is still the error reported."""
     _check_order(order)
     n = graph.n_vertices
     if column is not None:
@@ -505,38 +538,43 @@ def _solve(graph: Graph, directed: bool, order: int,
         h, q_rows = numerator
         if h < 1:                   # t^0 would overwrite N_0 = 1
             raise InvalidParameterError(f"numerator degree h = {h} must be at least 1")
-        for j, _, rows in terms:
-            if _sparse_product(q_rows, rows) != _sparse_product(rows, q_rows):
-                raise SymmetryError(f"numerator permutation does not commute with "
-                                    f"the t^{j} coefficient of the denominator")
+        _check_numerator(q_rows, terms, n)
         num[h] = q_rows
     zero = _block(((),) * n, column)
     mats: List[Matrix] = []
     if column is None and n > 1:
-        ring = _Ring(terms, n, -1)
-        ring.fit(max(abs(a) for rows in num.values() for row in rows for _, a in row))
+        ring = _Ring(terms, n, -1, 0)
+        entries = {d: tuple(zip(*(row[0] for row in rows))) for d, rows in num.items()}
 
-        def step(k: int) -> Matrix:
-            acc = np.zeros((n, n), ring.dtype)
-            for i, row in enumerate(num.get(k, ())):
-                for l, a in row:
-                    acc[i, l] = a
-            block = ring.add(k, acc)
-            ring.push(k, block)
-            return _matrix(block) if block.any() else zero
+        def step(k: int) -> tuple:
+            block = ring.solve(k, entries.get(k))
+            if not block.any():
+                return zero, False
+            return _matrix(block), nonnegative and block.min() < 0
     else:
         blocks = {d: _block(rows, column) for d, rows in num.items()}
 
-        def step(k: int) -> Matrix:
+        def step(k: int) -> tuple:
             block = _convolve(terms, mats, k, blocks.get(k, zero), -1)
-            return block if any(map(any, block)) else zero
-    last, deg, run = max(num), terms[-1][0], 0
+            if not any(map(any, block)):
+                return zero, False
+            return block, nonnegative and any(x < 0 for (x,) in block)
+    last, deg, run, negative = max(num), terms[-1][0], 0, False
     for k in range(order + 1):
-        mats.append(step(k))
-        run = run + 1 if mats[k] is zero else 0
+        block, below = step(k)
+        mats.append(block)
+        if block is zero:
+            run += 1
+        elif vanish_from is not None and k >= vanish_from:
+            raise FailedIdentityError(
+                f"{graph.id}: pre-projective series fails to terminate at degree {k}")
+        else:
+            negative, run = negative or below, 0
         if run >= deg and k >= last:
             mats += [zero] * (order - k)
             break
+    if negative:
+        raise FailedIdentityError(f"{graph.id}: negative Hilbert coefficient")
     return mats
 
 
@@ -545,24 +583,20 @@ def _multiply(graph: Graph, directed: bool, mats: Sequence[Matrix]) -> List[Matr
     terms = _denominator(graph, directed)
     if not mats or not mats[0] or len(mats[0][0]) == 1:
         return [_convolve(terms, mats, k, m, 1) for k, m in enumerate(mats)]
-    ring = _Ring(terms, len(mats[0]), 1)
     try:
         stack = np.array(mats, dtype=np.int64)
     except OverflowError:
         stack = np.array(mats, dtype=object)
-    ring.fit(_magnitude(stack))
-    stack = stack.astype(ring.dtype, copy=False)
+    ring = _Ring(terms, len(mats[0]), 1, _magnitude(stack))
+    stack = stack.astype(ring.blocks.dtype, copy=False)
     out = []
-    for k in range(len(mats)):
-        out.append(_matrix(ring.add(k, stack[k].copy())))
-        ring.push(k, stack[k])
+    for k, block in enumerate(stack):
+        acc = np.empty_like(block)
+        ring.sum_into(k, acc)
+        acc += block
+        out.append(_matrix(acc))
+        ring.slot(k)[:] = block
     return out
-
-
-def _check_nonnegative(graph_id: str, mats: Sequence[Matrix]) -> None:
-    for m in mats:
-        if any(min(row) < 0 for row in m):
-            raise FailedIdentityError(f"{graph_id}: negative Hilbert coefficient")
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +636,8 @@ def hilbert_su2(graph: Graph, order: int = 40,
     adet = graph.family in ("A", "D", "E", "Tad")
     h = graph.coxeter_h
     mats = _solve(graph, False, order,
-                  (h, _out_edges(su2_involution(graph))) if adet else None, column)
-    if adet:
-        for k in range(h - 1, order + 1):
-            if any(map(any, mats[k])):
-                raise FailedIdentityError(
-                    f"{graph.id}: pre-projective series fails to terminate at degree {k}"
-                )
-    _check_nonnegative(graph.id, mats)
+                  (h, _out_edges(su2_involution(graph))) if adet else None, column,
+                  nonnegative=True, vanish_from=h - 1 if adet else None)
     return MatrixSeries(graph.id, mats, column=column)
 
 
@@ -645,8 +673,8 @@ def hilbert_su3(graph: Graph, p: Optional[Matrix] = None,
                 or any(type(a) is not int for row in p_rows for _, a in row)):
             raise InvalidParameterError(f"P must be an {n}x{n} permutation matrix of ints")
     minus_p = tuple(tuple((j, -a) for j, a in row) for row in p_rows)
-    mats = _solve(graph, True, 3 * h if order is None else order, (h, minus_p), column)
-    _check_nonnegative(graph.id, mats)
+    mats = _solve(graph, True, 3 * h if order is None else order, (h, minus_p), column,
+                  nonnegative=True)
     return MatrixSeries(graph.id, mats, column=column)
 
 

@@ -264,6 +264,41 @@ def test_su3_symmetry_validation():
         hilbert_su3(g, p=tuple(tuple(r) for r in swapped))
 
 
+def _swap01(n):
+    """The permutation matrix that swaps vertices 0 and 1."""
+    rows = [list(r) for r in mat_identity(n)]
+    rows[0], rows[1] = rows[1], rows[0]
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("column", [None, 2])
+@pytest.mark.parametrize("gid, directed", [("A(4)", False), ("SU3-A(5)", True)])
+def test_a_numerator_that_does_not_commute_is_rejected(gid, directed, column):
+    from nimspec.series import _solve
+
+    g = by_id(gid)
+    q = _swap01(g.n_vertices)
+    with pytest.raises(SymmetryError, match="does not commute"):
+        _solve(g, directed, 12, (5, _out_edges(q)), column)
+    if directed:
+        with pytest.raises(SymmetryError, match="does not commute"):
+            hilbert_su3(g, p=q, order=12, column=column)
+
+
+@pytest.mark.parametrize("q_rows", [
+    (((0, 2),), ((1, 1),), ((2, 1),)),          # an entry other than +-1
+    (((0, 1), (1, 1)), ((1, 1),), ((2, 1),)),   # two entries in a row
+    ((), ((1, 1),), ((2, 1),)),                 # an empty row
+    (((0, 1),), ((0, -1),), ((2, 1),)),         # two rows on one column
+    (((0, 1),), ((1, 1),)),                     # too few rows
+], ids=["entry-2", "two-entries", "empty-row", "repeated-column", "short"])
+def test_a_numerator_that_is_not_a_signed_permutation_is_rejected(q_rows):
+    from nimspec.series import _solve
+
+    with pytest.raises(InvalidParameterError, match="signed permutation"):
+        _solve(by_id("A(3)"), False, 6, (2, q_rows))
+
+
 @pytest.mark.parametrize("h", [0, -1])
 @pytest.mark.parametrize("gid, route", [("A(3)", lambda g: hilbert_su2(g, 6)),
                                         ("SU3-A(4)", lambda g: hilbert_su3(g, order=3))])
@@ -474,13 +509,14 @@ def test_an_adet_column_raises_exactly_where_its_column_fails_to_terminate():
     # Delta, but the series does not terminate
     tri = Graph("A(3)", (1, 2, 3), (((1, 1), (2, 1)), ((0, 1), (2, 1)), ((0, 1), (1, 1))),
                 0, coxeter_h=4, family="A")
-    with pytest.raises(FailedIdentityError):
+    with pytest.raises(FailedIdentityError, match="fails to terminate at degree 3"):
         hilbert_su2(tri, 8)
     unchecked = _solve(tri, False, 8, (4, _out_edges(su2_involution(tri))))
     for c in range(3):
         want = _checked(unchecked, c, terminates_from=3)
         assert want is FailedIdentityError
-        assert _outcome(lambda: hilbert_su2(tri, 8, column=c).mats) is want
+        with pytest.raises(want, match="fails to terminate at degree 3"):
+            hilbert_su2(tri, 8, column=c)
 
 
 @pytest.mark.parametrize("build,route", [
@@ -581,6 +617,101 @@ def test_full_solves_of_the_catalogue_equal_the_dense_oracle():
         hs = hilbert_su3(g, order=4 * l)
         assert hs.mats == dense_hilbert(g.adjacency, 4 * l, True, (l, minus_p)), l
         assert _numerator_is(su3_numerator(hs, g), g.n_vertices, l, minus_p)
+
+
+@st.composite
+def invariant_graph(draw):
+    """(adjacency, sigma, directed): a graph on 2..6 vertices whose weights
+    are constant on the orbits of vertex pairs (unordered when undirected)
+    under the permutation sigma, so that s P_sigma commutes with Delta and
+    Delta^T.  Weights are c * 2**e with c <= 3: at e = 0 the proven int64
+    bound often trips partway through the series while the real entries
+    still fit, and at e = 12 the entries pass 2**63 as well."""
+    n = draw(st.integers(2, 6))
+    sigma = draw(st.permutations(range(n)))
+    scale = 2 ** draw(st.sampled_from([0, 12]))
+    directed = draw(st.booleans())
+    pair_key = tuple if directed else (lambda pair: tuple(sorted(pair)))
+    orbit_weight = {}
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            orbit, pair = [], pair_key((i, j))
+            while pair not in orbit:
+                orbit.append(pair)
+                pair = pair_key((sigma[pair[0]], sigma[pair[1]]))
+            if min(orbit) not in orbit_weight:
+                orbit_weight[min(orbit)] = draw(st.integers(0, 3)) * scale
+            adj[i][j] = orbit_weight[min(orbit)]
+    return tuple(map(tuple, adj)), sigma, directed
+
+
+@settings(max_examples=80, deadline=None)
+@given(invariant_graph(), st.integers(30, 40), st.sampled_from([None, 1, -1]),
+       st.integers(1, 40))
+def test_the_full_kernel_equals_the_dense_oracle_across_the_int64_switch(graph, order, sign, h):
+    from nimspec.series import _solve
+
+    adj, sigma, directed = graph
+    n = len(adj)
+    g = Graph("g", tuple(range(n)), _out_edges(adj), 0, symmetric=not directed)
+    q = tuple(tuple(sign if sigma[i] == j else 0 for j in range(n)) for i in range(n))
+    at = () if sign is None else (h, q)
+    got = _solve(g, directed, order, (h, _out_edges(q)) if at else None)
+    assert got == dense_hilbert(adj, order, directed, at or None)
+    multiply = su3_numerator if directed else su2_numerator
+    assert _numerator_is(multiply(MatrixSeries("g", got), g), n, *at)
+
+
+def test_a_long_affine_solve_rereads_its_magnitude_only_when_the_bound_trips(monkeypatch):
+    """Aff-D(11)'s entries grow polynomially, so the proven bound trips
+    again and again, and each time the real magnitude still fits."""
+    from nimspec import series
+
+    reads = []
+    magnitude = series._magnitude
+    monkeypatch.setattr(series, "_magnitude", lambda block: reads.append(1) or magnitude(block))
+    g = by_id("Aff-D(11)")
+    hs = hilbert_su2(g, 600)
+    assert hs.mats == dense_hilbert(g.adjacency, 600)
+    assert 2 <= len(reads) <= 600 // 10
+
+
+@pytest.mark.parametrize("elements", [1, 100])
+def test_row_chunked_gathers_equal_the_dense_oracle(monkeypatch, elements):
+    """With a gather of one row, or of a few, at a time, each chunk is summed
+    into the ring slot it shares with X_{k-deg}, whose other rows the later
+    chunks still read."""
+    from nimspec import series
+
+    monkeypatch.setattr(series, "_GATHER_ELEMENTS", elements)
+    g = by_id("SU3-A(6)")
+    minus_p = mat_scale(-1, su3_rotation(g))
+    hs = hilbert_su3(g, order=18)
+    assert hs.mats == dense_hilbert(g.adjacency, 18, True, (6, minus_p))
+    assert _numerator_is(su3_numerator(hs, g), g.n_vertices, 6, minus_p)
+    g = by_id("Aff-D(5)")
+    hs = hilbert_su2(g, 30)
+    assert hs.mats == dense_hilbert(g.adjacency, 30)
+    assert _numerator_is(su2_numerator(hs, g), g.n_vertices)
+
+
+def test_a_long_terminating_solve_holds_only_its_ring_and_one_zero_block():
+    """SU3-A(12) terminates early, so 10 001 blocks are mostly the one
+    shared zero block; an (order + 1)-block int64 stack would be 487 MB."""
+    import tracemalloc
+
+    g = by_id("SU3-A(12)")
+    hilbert_su3(g, order=12)
+    tracemalloc.start()
+    try:
+        hs = hilbert_su3(g, order=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert hs.mats[-1] is hs.mats[-2]
+    assert hs.mats[-1] == mat_zero(g.n_vertices)
 
 
 @pytest.mark.parametrize("column", [None, 1])
