@@ -2,6 +2,14 @@
 (graphs, measures, eigendata, moment tables, series, deltoid density grids)
 as JSON or CSV.
 
+An export's JSON is written by ``_json_text``, which gives the same bytes as
+``json.dumps(payload, indent=1, sort_keys=True)``.  With ``indent`` set,
+CPython's json encodes in pure Python and yields one chunk per element;
+``_json_text`` joins each list of plain ints or finite floats in one
+``str.join`` over ``int.__repr__``/``float.__repr__``, and follows json's
+own rules everywhere else (NaN and the infinities, bools, None, int and
+float subclasses, non-str keys, ASCII-escaped strings).
+
 ``main`` builds its argument parser on its first call and reuses it for every
 later call in the process, so an in-process caller pays for the argparse tree
 once.  Parsing never changes that parser: a ``--config`` file is applied to
@@ -13,8 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
+
+import numpy as np
 
 from . import deltoid, measures, series, subgroups, suites
 from .errors import InvalidParameterError, NimspecError
@@ -115,11 +127,74 @@ def _export_payload(spec: str, args: argparse.Namespace):
         base, n = parse_id(name, check=False) if "(" in name else (name, None)
         return subgroups.class_data(subgroups.generate_group(base, n)).to_json(), "json"
     if spec == "deltoid-density":
-        rows = ["x,y,abs_J,inv_abs_J"]
-        for x, y, aj, ij in deltoid.density_grid(args.grid):
-            rows.append(f"{x!r},{y!r},{aj!r},{ij!r}")
-        return "\n".join(rows) + "\n", "csv-text"
+        return _density_csv(args.grid), "csv-text"
     raise InvalidParameterError(f"unknown export object {spec!r}")
+
+
+def _density_csv(n: int) -> str:
+    """deltoid.density_grid(n) as CSV lines "x,y,|J|,1/|J|" of reprs.  Each
+    axis value is repr'd once; a point outside the deltoid shares its
+    "y,nan,nan" tail with every row."""
+    grid = deltoid.density_grid(n)
+    axis = [repr(v) for v in grid[:n, 1].tolist()]
+    tails = [f"{y},nan,nan" for y in axis] * n
+    inside = np.flatnonzero(~np.isnan(grid[:, 2]))
+    for k, aj, ij in zip(inside.tolist(), *grid[inside, 2:].T.tolist()):
+        tails[k] = f"{axis[k % n]},{aj!r},{ij!r}"
+    lines = (x + "," + ("\n" + x + ",").join(tails[i * n:(i + 1) * n])
+             for i, x in enumerate(axis))
+    return "x,y,abs_J,inv_abs_J\n" + "\n".join(lines) + "\n"
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(o, nl: str = "\n") -> str:
+    """json.dumps(o, indent=1, sort_keys=True), built by str.join; nl is the
+    newline and indent that precede o's closing bracket."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NONFINITE.get(text, text)
+    inner = nl + " "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        types = set(map(type, o))
+        if types == {int}:
+            items = map(int.__repr__, o)
+        elif types == {float} and all(map(math.isfinite, o)):
+            items = map(float.__repr__, o)
+        else:
+            items = [_json_text(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            _json_key(k) + ": " + _json_text(v, inner) for k, v in sorted(o.items())
+        ) + nl + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(k) -> str:
+    """A dict key as json writes it: a str as itself, None, a bool, an int or
+    a float as its JSON text, in quotes."""
+    if not isinstance(k, str):
+        if k is not None and not isinstance(k, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {k.__class__.__name__}")
+        k = _json_text(k)
+    return encode_basestring_ascii(k)
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -128,7 +203,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         if args.format == "csv":
             print(f"error: {args.object} only exports as JSON", file=sys.stderr)
             return 2
-        text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         text = payload
     if args.out:

@@ -442,8 +442,15 @@ def _suite_deltoid(tol: float, rng: random.Random) -> List[Check]:
     checks.append(("jacobian-four-forms", jacobian_forms))
 
     def dl_sizes():
-        ok = all(len(deltoid.dl_numerators(l)) == 3 * l * l for l in range(4, 13))
-        return (ok, "3 l^2", "|D_l| = 3 l^2 for l = 4..12", 0.0)
+        # the index-3 sublattice of Z_3l^2 from its basis (1, 2), (0, 3): 3l * l
+        # points, read against the grid's points, not its length
+        differ = 0
+        for l in range(4, 13):
+            lattice = {(a, (2 * a + 3 * k) % (3 * l)) for a in range(3 * l) for k in range(l)}
+            grid = list(map(tuple, deltoid.dl_numerators(l).tolist()))
+            differ += len(lattice ^ set(grid)) + len(grid) - len(set(grid))
+        measured = "3 l^2" if differ == 0 else f"{differ} points differ from the sublattice"
+        return (differ == 0, measured, "|D_l| = 3 l^2 for l = 4..12", 0.0)
 
     checks.append(("Dl-grid-size", dl_sizes))
 

@@ -8,9 +8,10 @@ coefficient lists, matrix Hilbert series are dense tuple-of-tuples
 recurrences, finite groups are closed and partitioned one matrix product at
 a time, torus moments are summed one atom at a time, the D_l measure and
 its J^2 density are built one Fraction atom at a time through the scalar
-deltoid routes, circle Fourier transforms are nested closures built
-node by node from a measure spec, and circle atom dicts are built and merged
-eagerly, node by node, from the same spec.
+deltoid routes, the deltoid-density CSV is written one grid point at a time
+through the complex discriminant, circle Fourier transforms are nested
+closures built node by node from a measure spec, and circle atom dicts are
+built and merged eagerly, node by node, from the same spec.
 """
 
 from __future__ import annotations
@@ -395,6 +396,25 @@ def j2_atoms(atoms) -> dict:
         jv = deltoid.jacobian((t1, t2), "sine_product")
         out[(t1, t2)] = float(w) * jv * jv / (24 * math.pi ** 4)
     return out
+
+
+def loop_density_csv(n: int) -> str:
+    """The `export deltoid-density --grid n` CSV, one grid point at a time:
+    the complex discriminant and four reprs per point, NaN outside."""
+    rows = ["x,y,abs_J,inv_abs_J"]
+    nan = float("nan")
+    for i in range(n):
+        x = -3.0 + 6.0 * i / (n - 1)
+        for j in range(n):
+            y = -3.0 + 6.0 * j / (n - 1)
+            d = deltoid.discriminant(complex(x, y))
+            if d.real < 0 or abs(d.imag) > 1e-9:
+                aj = ij = nan
+            else:
+                aj = 2 * math.pi ** 2 * math.sqrt(max(d.real, 0.0))
+                ij = (1.0 / aj) if aj > 1e-12 else nan
+            rows.append(f"{x!r},{y!r},{aj!r},{ij!r}")
+    return "\n".join(rows) + "\n"
 
 
 def closure_fourier(spec):

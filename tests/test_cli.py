@@ -1,16 +1,21 @@
+import argparse
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nimspec import cli
 from nimspec.cli import main
-from nimspec.errors import InvalidParameterError
-from nimspec.graphs import by_id
+from nimspec.errors import InvalidParameterError, NimspecError
+from nimspec.graphs import FAMILIES, by_id
 from nimspec.measures import canonical_measure
 from nimspec.series import t_series
 from nimspec.suites import SUITE_NAMES, run_suite
+from oracles import loop_density_csv
 
 
 def run_cli(args, capsys):
@@ -121,6 +126,15 @@ def test_export_deltoid_density_masks_outside(capsys, tmp_path):
     assert any("nan" in line for line in lines[1:])
 
 
+def test_export_deltoid_density_equals_the_point_loop(capsys):
+    # every side from 2 to 64 moves the grid lines across the cusps and the
+    # boundary; 99, 100 and 200 are the default and larger grids
+    for n in [*range(2, 65), 99, 100, 200]:
+        code, out, _ = run_cli(["export", "deltoid-density", "--grid", str(n)], capsys)
+        assert code == 0
+        assert out == loop_density_csv(n), n
+
+
 @pytest.mark.parametrize("grid", ["1", "0", "-3"])
 def test_export_deltoid_density_rejects_a_grid_below_2(capsys, grid):
     code, out, err = run_cli(["export", "deltoid-density", "--grid", grid], capsys)
@@ -188,6 +202,82 @@ def test_export_theta_and_hilbert_series(capsys):
     code, out, _ = run_cli(["export", "series:hilbert:SU3-A(4)", "--order", "8"], capsys)
     blob = json.loads(out)
     assert blob["coefficient_matrices"][0] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=1, sort_keys=True)
+
+
+def _json_payloads():
+    """Every JSON export payload of the catalogue at small sizes."""
+    args = argparse.Namespace(format="json", order=12, depth=4, grid=10)
+    specs = [f"classdata:{g}" for g in ("BT", "BO", "BI", "BD(3)", "BD(8)", "Z2n(1)",
+                                        "Z2n(6)")]
+    for name, family in FAMILIES.items():
+        for n in range(1, 9):
+            if family.accepts(n):
+                specs += [f"{kind}{name}({n})" for kind in
+                          ("graph:", "eigendata:", "measure:", "series:T:",
+                           "series:Theta:", "series:hilbert:")]
+    for spec in specs:
+        try:
+            payload, kind = cli._export_payload(spec, args)
+        except NimspecError:
+            continue
+        if kind == "json":
+            yield spec, payload
+
+
+def test_the_json_writer_equals_json_dumps_on_every_export_payload():
+    seen = set()
+    for spec, payload in _json_payloads():
+        assert cli._json_text(payload) == _dumps(payload), spec
+        seen.add(spec.rsplit(":", 1)[0] if spec.startswith("series:") else spec.split(":")[0])
+    assert seen == {"graph", "eigendata", "measure", "series:T", "series:Theta",
+                    "series:hilbert", "classdata"}
+
+
+def _outcome(write, tree):
+    try:
+        return write(tree)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.5, float("nan"),
+                float("inf"), float("-inf")]
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 130, 2 ** 130),
+    st.floats(), st.sampled_from(_EDGE_FLOATS),
+    st.sampled_from(_EDGE_FLOATS).map(np.float64), st.floats().map(np.float64),
+    st.text(), st.text(st.characters(max_codepoint=0x2f)),
+)
+_FLAT_LISTS = st.one_of(
+    st.lists(st.integers()), st.lists(st.floats()), st.lists(st.sampled_from(_EDGE_FLOATS)),
+    st.lists(st.one_of(st.integers(-2, 2), st.booleans())),
+    st.lists(st.one_of(st.floats(), st.floats().map(np.float64))),
+)
+_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_TREES = st.recursive(
+    st.one_of(_SCALARS, _FLAT_LISTS),
+    lambda kids: st.one_of(st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(st.text(), kids, max_size=4),
+                           st.dictionaries(st.integers(), kids, max_size=3),
+                           st.dictionaries(_KEYS, kids, max_size=2)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TREES)
+def test_the_json_writer_equals_json_dumps_on_any_tree(tree):
+    assert _outcome(cli._json_text, tree) == _outcome(_dumps, tree)
+
+
+@pytest.mark.parametrize("bad", [1j, {1, 2}, np.int64(3), [np.bool_(True)], {(1, 2): 3},
+                                 {"a": [object()]}, {"a": 1, 2: "b"}])
+def test_the_json_writer_rejects_what_json_dumps_rejects(bad):
+    assert _outcome(cli._json_text, bad) == _outcome(_dumps, bad)
+    assert isinstance(_outcome(_dumps, bad), tuple)
 
 
 def test_export_unknown_object(capsys):

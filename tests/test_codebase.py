@@ -1,8 +1,10 @@
-"""Guards on the source tree itself, read with ast: every public top-level
-function in src/nimspec has a caller, and no check there is a bare assert
-(python -O strips those)."""
+"""Guards on the source tree itself, read with ast and tokenize: every public
+top-level function in src/nimspec has a caller, no check there is a bare
+assert (python -O strips those), and no module outgrows the parser's first
+token block."""
 
 import ast
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,3 +66,22 @@ def test_no_bare_assert_in_the_library():
     found = [f"{mod}.py:{node.lineno}" for mod, tree in _modules().items()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# CPython 3.11's parser allocates its tokens in blocks that double in size.
+# A module of more than 8192 tokens (the parser's tokens: not COMMENT or NL,
+# which it never sees) takes the next block, and each benchmark worker, which
+# compiles nimspec from source, then peaks about 0.5 MB higher at import.
+# Split a module before it crosses the limit.
+TOKEN_LIMIT = 8192
+
+
+def _parser_tokens(path: Path) -> int:
+    with path.open("rb") as fh:
+        return sum(1 for tok in tokenize.tokenize(fh.readline)
+                   if tok.type not in (tokenize.ENCODING, tokenize.COMMENT, tokenize.NL))
+
+
+def test_every_module_fits_in_the_parsers_first_token_block():
+    sizes = {p.name: _parser_tokens(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name: n for name, n in sizes.items() if n > TOKEN_LIMIT} == {}

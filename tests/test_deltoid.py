@@ -9,6 +9,7 @@ import pytest
 from nimspec import deltoid
 from nimspec.errors import InvalidParameterError
 from nimspec.graphs import su3_exponent_angles, su3_psi_star
+from nimspec.suites import run_suite
 
 
 def _dl_points(l):
@@ -193,6 +194,23 @@ def test_density_grid_masks_outside():
 def test_density_grid_needs_two_points_a_side(n):
     with pytest.raises(InvalidParameterError):
         list(deltoid.density_grid(n))
+
+
+def test_the_dl_grid_size_case_reads_the_points(monkeypatch):
+    """A grid with the right length but row 0 shifted by one fails the case:
+    l points leave the sublattice and l join it, for each l = 4..12."""
+    real = deltoid.dl_numerators
+
+    def row_0_shifted(l):
+        q = real(l).copy()
+        q[q[:, 0] == 0, 1] += 1
+        return q
+
+    monkeypatch.setattr(deltoid, "dl_numerators", row_0_shifted)
+    case, = [c for c in run_suite("deltoid-geometry").cases
+             if c.case_id == "deltoid-geometry:Dl-grid-size"]
+    assert case.status == "fail"
+    assert case.measured == f"{2 * sum(range(4, 13))} points differ from the sublattice"
 
 
 def test_array_forms_match_the_scalar_routes():
