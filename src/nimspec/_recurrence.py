@@ -1,0 +1,260 @@
+"""The matrix-recurrence kernel behind the Hilbert series of `nimspec.series`.
+
+Each Hilbert series is H(t) = D(t)^{-1} N(t), solved for all columns or for
+one (`_solve`), and each numerator check computes D(t) H(t) (`_multiply`).
+A block is n rows of its w solved columns.
+
+A full solve keeps X_{-deg} .. X_k as one stacked integer array (deg is
+D's degree), grown by doubling up to order + 1 blocks.  Each degree slices
+the previous deg blocks, gathers the rows that the sparse rows of D name
+with one `take` along a plan built once per solve, and writes one `matmul`
+with the multipliers straight into the next block.  The array stays int64
+under a bound on |entry| that is proven in Python and checked against the
+real entries only when it runs out of headroom; it holds Python ints only
+if those are too large as well.  One-column blocks take one Python sum per
+row (`_convolve`), which is faster at that width, and are stacked once the
+solve ends.  Either solve stops at the first degree from which every later
+block is provably zero, and returns the solved blocks with the length of
+that zero tail: tuple rows are built by `MatrixSeries.mats` on first read.
+The product D(t) H(t) is the same gather, batched over all degrees.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from .errors import FailedIdentityError, InvalidParameterError, SymmetryError, require_int
+from .graphs import Graph
+
+_GATHER_ELEMENTS = 1 << 20      # one gather's temporary: at most 8 MB of int64
+_INT64_SAFE = 1 << 62           # reach * (bound + 1) below this: every partial sum fits
+_FIRST_BLOCKS = 16              # a full solve's first capacity, doubled as it fills
+
+
+def _check_order(order: int) -> None:
+    if require_int("series order", order) < 0:
+        raise InvalidParameterError(f"series order must be non-negative, got {order}")
+
+
+def _identity_rows(n: int) -> tuple:
+    return tuple(((i, 1),) for i in range(n))
+
+
+def _denominator(graph: Graph, directed: bool) -> list:
+    """D(t) = 1 + sum_j c_j M_j t^j as terms (j, c_j, sparse rows of M_j):
+    1 - Delta t + t^2, or 1 - Delta t + Delta^T t^2 - t^3 when directed.
+    Delta's rows are the graph's out-edges, and Delta^T's are scattered from
+    them once; no dense matrix is built."""
+    rows = graph.out_edges
+    one = _identity_rows(len(rows))
+    if not directed:
+        return [(1, -1, rows), (2, 1, one)]
+    cols = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, a in row:
+            cols[j].append((i, a))
+    return [(1, -1, rows), (2, 1, tuple(map(tuple, cols))), (3, -1, one)]
+
+
+def _check_numerator(q_rows: tuple, terms: list, n: int) -> None:
+    """Q must be a signed permutation, row i = s_i e_{sigma(i)}, that commutes
+    with every D_j.  Q D_j == D_j Q is Q D_j Q^T == D_j: each entry (i, l, a)
+    of D_j reappears, relabelled through sigma, as (sigma(i), sigma(l),
+    s_i s_l a)."""
+    unsigned = sorted(tuple((c, abs(s)) for c, s in row) for row in q_rows)
+    if unsigned != [((j, 1),) for j in range(n)]:
+        raise InvalidParameterError(
+            f"the numerator must be an {n}x{n} signed permutation, one entry +-1 per row")
+    sigma, sign = zip(*(row[0] for row in q_rows))
+    for j, _, rows in terms:
+        entries = {(i, l, a) for i, row in enumerate(rows) for l, a in row}
+        if entries != {(sigma[i], sigma[l], sign[i] * sign[l] * a) for i, l, a in entries}:
+            raise SymmetryError(f"numerator permutation does not commute with "
+                                f"the t^{j} coefficient of the denominator")
+
+
+def _plan(terms: list, n: int, sign: int) -> Tuple[np.ndarray, list, int]:
+    """Row i of sign * sum_j c_j D_j X_{k-j} as a gather from the window of
+    blocks X_{k-deg} .., stacked row by row: X_{k-j}'s row l is window row
+    (deg - j) * n + l, for deg the largest j.  Returns the (n, width) window
+    rows, their multipliers sign * c_j * a, and `reach`, the largest row sum
+    of |multiplier|, so that every partial sum is at most reach * max|X|.
+    Short rows are padded with window row i and multiplier 0."""
+    deg = terms[-1][0]
+    slots = [[((deg - j) * n + l, sign * c * a) for j, c, rows in terms for l, a in rows[i]]
+             for i in range(n)]
+    width = max(1, max(map(len, slots)))
+    slots = [row + [(i, 0)] * (width - len(row)) for i, row in enumerate(slots)]
+    idx = np.array([[at for at, _ in row] for row in slots], np.intp)
+    mult = [[m for _, m in row] for row in slots]
+    return idx, mult, max(sum(map(abs, row)) for row in mult)
+
+
+def _magnitude(block: np.ndarray) -> int:
+    """The largest |entry|, negated as a Python int so that -2**63 cannot wrap."""
+    return max(int(block.max()), -int(block.min()))
+
+
+def _stack(mats) -> np.ndarray:
+    """Equal-shaped integer matrices as one (count, rows, columns) array:
+    int64, or Python ints (dtype object) once an entry is past int64."""
+    try:
+        blocks = np.array(mats, np.int64)
+    except OverflowError:
+        blocks = np.array(mats, object)
+    except (TypeError, ValueError):
+        blocks = None
+    if blocks is None or blocks.ndim != 3:
+        raise InvalidParameterError("coefficient matrices must be equal-shaped integer matrices")
+    return blocks
+
+
+def _column(rows: tuple, column: int) -> tuple:
+    """Column `column` of the matrix with these sparse rows, as an n x 1 block."""
+    return tuple((dict(row).get(column, 0),) for row in rows)
+
+
+def _convolve(terms: list, mats: list, k: int, acc: tuple, sign: int) -> tuple:
+    """acc + sign * sum_{1 <= j <= k} D_j H_{k-j} for one-column blocks
+    H_i = mats[i]: one sum per row over row i of every D_j."""
+    active = [(sign * c, rows, mats[k - j]) for j, c, rows in terms if j <= k]
+    return tuple((x + sum(c * a * mat[l][0] for c, rows, mat in active for l, a in rows[i]),)
+                 for i, (x,) in enumerate(acc))
+
+
+def _solve(graph: Graph, directed: bool, order: int,
+           numerator: Optional[Tuple[int, tuple]] = None,
+           column: Optional[int] = None, nonnegative: bool = False,
+           vanish_from: Optional[int] = None) -> Tuple[np.ndarray, int]:
+    """H_0 .. H_order of H(t) = D(t)^{-1} N(t), where N(t) = 1 + Q t^h for
+    numerator (h, sparse rows of Q) and N(t) = 1 for None:
+    H_k = N_k - sum_{j>=1} D_j H_{k-j}.  Q must be a signed permutation that
+    commutes with every D_j, so that the series is also N(t) D(t)^{-1}.
+    With a column, N_0 and N_h are cut to it and each H_k is an n x 1 block.
+    Returns (blocks, tail): H_0 .. H_{s-1} as one (s, n, w) array, and the
+    number of zero blocks after them, s + tail = order + 1.
+
+    Once k is at least N's degree and H_k and the deg - 1 blocks before it
+    are zero, H_{k+1} = N_{k+1} - sum_j D_j H_{k+1-j} is zero, and so is
+    every later block: the solve stops there.
+
+    A nonzero block from degree vanish_from on raises at once.  With
+    nonnegative, a negative entry raises once the solve ends, so that a
+    later failure to vanish is still the error reported."""
+    _check_order(order)
+    n = graph.n_vertices
+    if column is not None:
+        column = require_int("column", column)
+        if not 0 <= column < n:
+            raise InvalidParameterError(f"column {column} is outside 0..{n - 1}")
+    terms = _denominator(graph, directed)
+    num = {0: _identity_rows(n)}
+    if numerator is not None:
+        h, q_rows = numerator
+        if h < 1:                   # t^0 would overwrite N_0 = 1
+            raise InvalidParameterError(f"numerator degree h = {h} must be at least 1")
+        _check_numerator(q_rows, terms, n)
+        num[h] = q_rows
+    deg = terms[-1][0]
+    if column is None:
+        idx, mult, reach = _plan(terms, n, -1)
+        dtype = np.int64 if reach < _INT64_SAFE else object
+        mult = np.array(mult, dtype).reshape(n, 1, -1)
+        hist = np.zeros((deg + min(order + 1, _FIRST_BLOCKS), n, 1, n), dtype)
+        chunk = max(1, _GATHER_ELEMENTS // (idx.shape[1] * n))
+        parts = [(slice(lo, lo + chunk), idx[lo:lo + chunk]) for lo in range(0, n, chunk)]
+        entries = {d: (range(n), [row[0][0] for row in rows], [row[0][1] for row in rows])
+                   for d, rows in num.items()}
+        bound, exact = 0, dtype is np.int64     # bound >= max|X| over the solved blocks
+
+        def step(k: int) -> bool:
+            """X_k = N_k + sign * sum_j c_j D_j X_{k-j}, written into block deg + k.
+            Each step keeps bound >= max|X| by bound <- reach * bound + 1.
+            Only when that bound leaves no headroom are the window's real
+            entries read, and only if they leave none either does the array
+            switch to Python ints."""
+            nonlocal hist, mult, bound, exact
+            if exact and reach * (bound + 1) >= _INT64_SAFE:
+                bound = _magnitude(hist[k:k + deg])
+                if reach * (bound + 1) >= _INT64_SAFE:
+                    hist, mult, exact = hist.astype(object), mult.astype(object), False
+            if deg + k == len(hist):
+                grown = np.zeros((deg + min(2 * k, order + 1),) + hist.shape[1:], hist.dtype)
+                grown[:len(hist)] = hist
+                hist = grown
+            window, block = hist[k:k + deg].reshape(deg * n, n), hist[deg + k]
+            for rows, at in parts:
+                np.matmul(mult[rows], window.take(at, axis=0), out=block[rows])
+            if k in entries:
+                i, cols, values = entries[k]
+                block[i, 0, cols] += values
+            if exact:
+                bound = reach * bound + 1
+            return np.count_nonzero(block) > 0
+    else:
+        zero = ((0,),) * n
+        blocks = {d: _column(rows, column) for d, rows in num.items()}
+        mats: List[tuple] = []
+
+        def step(k: int) -> bool:
+            block = _convolve(terms, mats, k, blocks.get(k, zero), -1)
+            nonzero = any(x for (x,) in block)
+            mats.append(block if nonzero else zero)
+            return nonzero
+    last, run = max(num), 0
+    for k in range(order + 1):
+        if not step(k):
+            run += 1
+            if run >= deg and k >= last:
+                break
+        elif vanish_from is not None and k >= vanish_from:
+            raise FailedIdentityError(
+                f"{graph.id}: pre-projective series fails to terminate at degree {k}")
+        else:
+            run = 0
+    solved = k + 1 - run
+    out = (hist[deg:deg + solved].reshape(solved, n, n) if column is None
+           else _stack(mats[:solved]))
+    if nonnegative and out.min() < 0:
+        raise FailedIdentityError(f"{graph.id}: negative Hilbert coefficient")
+    return out, order + 1 - solved
+
+
+def _multiply(graph: Graph, directed: bool, series) -> list:
+    """The coefficients N_k = H_k + sum_{j>=1} D_j H_{k-j} of D(t) H(t), as
+    tuple rows, for a MatrixSeries H of n x n blocks (n x 1 for a column
+    series) on the graph's n vertices.
+
+    H_k is zero past the series' solved blocks, so N_k is too from deg
+    blocks later on.  The N_k before that are one gather over all degrees,
+    in row chunks of at most _GATHER_ELEMENTS entries, with H_k as the
+    identity term D_0 = 1 of the plan.  The array is int64 when reach *
+    (max|H| + 1) is below 2**62, and holds Python ints otherwise."""
+    n = graph.n_vertices
+    blocks, tail = series.blocks, series.tail
+    shape = (n, n if series.column is None else 1)
+    if blocks.shape[1:] != shape:
+        raise InvalidParameterError(
+            f"{graph.id} needs {shape[0]}x{shape[1]} blocks, "
+            f"the series has {blocks.shape[1]}x{blocks.shape[2]}")
+    solved, w = len(blocks), shape[1]
+    terms = [(0, 1, _identity_rows(n))] + _denominator(graph, directed)
+    deg = terms[-1][0]
+    count = min(solved + deg, solved + tail)
+    idx, mult, reach = _plan(terms, n, 1)
+    dtype = np.int64 if reach * (_magnitude(blocks) + 1) < _INT64_SAFE else object
+    padded = np.zeros((deg + count, n, w), dtype)
+    padded[deg:deg + solved] = blocks
+    flat = padded.reshape(-1, w)
+    gather = (np.arange(count).reshape(count, 1, 1) * n + idx).reshape(count * n, -1)
+    mult = np.tile(np.array(mult, dtype).reshape(n, 1, -1), (count, 1, 1))
+    out = np.empty((count * n, 1, w), dtype)
+    chunk = max(1, _GATHER_ELEMENTS // (gather.shape[1] * w))
+    for lo in range(0, count * n, chunk):
+        np.matmul(mult[lo:lo + chunk], flat.take(gather[lo:lo + chunk], axis=0),
+                  out=out[lo:lo + chunk])
+    zero = ((0,) * w,) * n
+    return ([tuple(map(tuple, m)) for m in out.reshape(count, n, w).tolist()]
+            + [zero] * (solved + tail - count))

@@ -55,12 +55,6 @@ class Graph:
         """The dense matrix as a tuple of tuples, built from the rows on first read."""
         return _dense(self.out_edges)
 
-    def degree(self, i: int) -> int:
-        return sum(a for _, a in self.out_edges[i])
-
-    def degrees(self) -> list:
-        return [self.degree(i) for i in range(self.n_vertices)]
-
     def spectral_radius(self) -> float:
         a = np.array(self.adjacency, dtype=float)
         return float(max(abs(np.linalg.eigvals(a))))

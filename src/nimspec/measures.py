@@ -59,10 +59,6 @@ class FourierTable:
     def __init__(self, terms: Iterable[Tuple[Fraction, int, int]]):
         self.terms = tuple(terms)
 
-    def __call__(self, r: int) -> Fraction:
-        (num,), den = self.numerators(r, r)
-        return Fraction(num, den)
-
     def numerators(self, lo: int, hi: int) -> Tuple[List[int], int]:
         """(C, L): the coefficients at r = lo..hi as integer numerators C
         over one denominator L, each term stepped through the range once."""

@@ -5,19 +5,22 @@ functions, T and Theta series by independent routes, Kostant numerator
 extraction, and Molien series of abelian SU(3) subgroups.
 
 The matrix Hilbert series H(t) = D(t)^{-1} N(t) are one recurrence on the
-graph's sparse out-edge rows (`_solve`).  `hilbert_su2`, `hilbert_su3` and
-`cy3_hilbert` solve every column by default, as int64 array steps: one
-gather-multiply per degree, summed straight into the ring slot of the block
-it replaces.  A bound on |entry| proven in Python keeps every sum inside
-int64; the ring's real entries are read only when that bound runs out of
-headroom, and the ring switches to Python ints only if they are too large
+graph's sparse out-edge rows, solved in the private kernel module
+`nimspec._recurrence`.  `hilbert_su2`, `hilbert_su3` and `cy3_hilbert` solve
+every column by default, into one integer block array: each degree is one
+gather of the previous blocks' rows and one matrix product written straight
+into the next block.  A bound on |entry| proven in Python keeps every sum
+inside int64; the real entries are read only when that bound runs out of
+headroom, and the array switches to Python ints only if they are too large
 as well.  With `column=j` they solve only column j, one Python sum per row
 at about nnz(D) steps per degree, for the identities that read one column
 (the CY3 Molien check, F_id = H_{id,id}, the Kostant numerators).  Either
 solve stops at the first degree from which every later block is provably
-zero.  The sign and termination checks of `hilbert_su2` and `hilbert_su3`
-run on each block as it is solved, on the array for a full solve, and never
-on the shared zero tail.
+zero.  The termination check runs on each block as it is solved, and the
+sign check once on the solved blocks.  A `MatrixSeries` holds the block
+array and the length of its zero tail; its tuple rows (`mats`) are built
+only when read, and `su2_numerator`/`su3_numerator` multiply the array, one
+batched gather over all degrees.
 """
 
 from __future__ import annotations
@@ -27,20 +30,16 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (
-    FailedIdentityError,
-    InvalidParameterError,
-    SymmetryError,
-    require_int,
-)
-from .graphs import (Graph, _cycle_graph, _dense, _graph_from, _out_edges, _su3_rotation_rows,
-                     by_id, parse_id)
+from ._recurrence import _check_order, _identity_rows, _multiply, _solve, _stack
+from .errors import FailedIdentityError, InvalidParameterError, require_int
+from .graphs import (Graph, _cycle_graph, _graph_from, _out_edges, _su3_rotation_rows, by_id,
+                     parse_id)
 
 Number = Union[int, Fraction, float, complex]
 
@@ -259,11 +258,6 @@ def _integer_numerators(coeffs) -> Tuple[List[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _check_order(order: int) -> None:
-    if require_int("series order", order) < 0:
-        raise InvalidParameterError(f"series order must be non-negative, got {order}")
-
-
 def _factor_product(factors: Sequence[Tuple[int, int]], order: int) -> List[int]:
     """The integer coefficients of prod (1 + sign * q^k) to the order: each
     factor is a shift-add, p_i += sign * p_{i-k} from the top down."""
@@ -320,21 +314,38 @@ def mat_scale(c: int, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-@dataclass
 class MatrixSeries:
     """H_0 .. H_order as n x n matrices, or as n x 1 blocks when only one
-    column was solved; entry(i, j) is H_{i,j} either way."""
-    graph_id: str
-    mats: list                  # list of Matrix, index = degree
-    var: str = "t"
-    column: Optional[int] = None   # the one solved column; None: all of them
+    column was solved; entry(i, j) is H_{i,j} either way.
+
+    The coefficients are `blocks`, one integer array of shape (s, n, w),
+    int64 or Python ints (dtype object), followed by `tail` zero blocks.  A
+    solve passes its block array and zero tail; a list of matrices is
+    stacked, and is then also `mats`."""
+
+    def __init__(self, graph_id: str, mats, var: str = "t",
+                 column: Optional[int] = None, tail: int = 0):
+        self.graph_id, self.var, self.column, self.tail = graph_id, var, column, tail
+        if isinstance(mats, np.ndarray):
+            self.blocks = mats
+        else:
+            self.mats = list(mats)
+            self.blocks = _stack(self.mats)
+
+    @cached_property
+    def mats(self) -> list:
+        """The list of Matrix, index = degree, as tuple rows built on first
+        read; the zero tail is one shared block."""
+        _, n, w = self.blocks.shape
+        zero = ((0,) * w,) * n
+        return [tuple(map(tuple, m)) for m in self.blocks.tolist()] + [zero] * self.tail
 
     @property
     def order(self) -> int:
-        return len(self.mats) - 1
+        return len(self.blocks) + self.tail - 1
 
     def entry(self, i: int, j: int) -> TruncatedSeries:
-        n = len(self.mats[0])
+        n = self.blocks.shape[1]
         i, j = require_int("row index", i), require_int("column index", j)
         if not (0 <= i < n and 0 <= j < n):
             raise InvalidParameterError(f"entry ({i}, {j}) is outside an {n}x{n} series")
@@ -342,261 +353,23 @@ class MatrixSeries:
             raise InvalidParameterError(
                 f"column {j} was not solved; this series holds column {self.column} only")
         col = j if self.column is None else 0
-        return TruncatedSeries([m[i][col] for m in self.mats], self.var)
+        return TruncatedSeries(self.blocks[:, i, col].tolist() + [0] * self.tail, self.var)
 
     def total_at_one(self) -> int:
         """Sum of all coefficients of all solved entries (requires termination)."""
-        return sum(sum(sum(row) for row in m) for m in self.mats)
+        return self.blocks.sum(dtype=object)
 
     def to_json(self) -> dict:
+        _, n, w = self.blocks.shape
         out = {
             "graph_id": self.graph_id,
             "variable": self.var,
             "order": self.order,
-            "coefficient_matrices": [[list(r) for r in m] for m in self.mats],
+            "coefficient_matrices": self.blocks.tolist() + [[[0] * w] * n] * self.tail,
         }
         if self.column is not None:
             out["column"] = self.column
         return out
-
-
-# ---------------------------------------------------------------------------
-# The matrix-recurrence kernel: each Hilbert series is H = D(t)^{-1} N(t),
-# solved for all columns or for one, and each numerator check computes
-# D(t) H(t).  A block is n rows of its w solved columns.  Full blocks step as
-# integer arrays, one gather-multiply per degree summed straight into the
-# ring slot of the block it replaces (`_Ring`); one-column blocks take one
-# Python sum per row (`_convolve`), which is faster at that width.  The ring
-# stays int64 under a bound on |entry| that is proven in Python and checked
-# against the ring's real entries only when it grows too large.  Each solved
-# block is checked for sign while it is still an array (or a short Python
-# column), so no check walks the returned tuple rows.
-# ---------------------------------------------------------------------------
-
-_GATHER_ELEMENTS = 1 << 20      # one gather's temporary: at most 8 MB of int64
-_INT64_SAFE = 1 << 62           # reach * (bound + 1) below this: every partial sum fits
-
-
-def _denominator(graph: Graph, directed: bool) -> list:
-    """D(t) = 1 + sum_j c_j M_j t^j as terms (j, c_j, sparse rows of M_j):
-    1 - Delta t + t^2, or 1 - Delta t + Delta^T t^2 - t^3 when directed.
-    Delta's rows are the graph's out-edges, and Delta^T's are scattered from
-    them once; no dense matrix is built."""
-    rows = graph.out_edges
-    one = _identity_rows(len(rows))
-    if not directed:
-        return [(1, -1, rows), (2, 1, one)]
-    cols = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        for j, a in row:
-            cols[j].append((i, a))
-    return [(1, -1, rows), (2, 1, tuple(map(tuple, cols))), (3, -1, one)]
-
-
-def _identity_rows(n: int) -> tuple:
-    return tuple(((i, 1),) for i in range(n))
-
-
-def _block(rows: tuple, column: Optional[int]) -> Matrix:
-    """The n x n matrix with these sparse rows, or its n x 1 block at column."""
-    if column is None:
-        return _dense(rows)
-    return tuple((dict(row).get(column, 0),) for row in rows)
-
-
-def _check_numerator(q_rows: tuple, terms: list, n: int) -> None:
-    """Q must be a signed permutation, row i = s_i e_{sigma(i)}, that commutes
-    with every D_j.  Q D_j == D_j Q is Q D_j Q^T == D_j: each entry (i, l, a)
-    of D_j reappears, relabelled through sigma, as (sigma(i), sigma(l),
-    s_i s_l a)."""
-    unsigned = sorted(tuple((c, abs(s)) for c, s in row) for row in q_rows)
-    if unsigned != [((j, 1),) for j in range(n)]:
-        raise InvalidParameterError(
-            f"the numerator must be an {n}x{n} signed permutation, one entry +-1 per row")
-    sigma, sign = zip(*(row[0] for row in q_rows))
-    for j, _, rows in terms:
-        entries = {(i, l, a) for i, row in enumerate(rows) for l, a in row}
-        if entries != {(sigma[i], sigma[l], sign[i] * sign[l] * a) for i, l, a in entries}:
-            raise SymmetryError(f"numerator permutation does not commute with "
-                                f"the t^{j} coefficient of the denominator")
-
-
-class _Ring:
-    """The last deg full n x n blocks X_{k-deg} .. X_{k-1} in one array, and
-    sign * sum_j c_j D_j X_{k-j} by one gather-multiply per degree.
-
-    Row i of the sum has one slot per nonzero (l, a) of row i of each D_j:
-    the ring row of X_{k-j}'s row l, and the multiplier sign * c_j * a.
-    Short rows are padded with X_{k-deg}'s row i and multiplier 0.  `reach`,
-    the largest row sum of |multiplier|, bounds every partial sum by
-    reach * max|X|.  So the ring is int64 while reach * (bound + 1) < 2**62
-    for `bound`, a proven bound on max|X|, and holds Python ints from then
-    on: no sum wraps."""
-
-    def __init__(self, terms: list, n: int, sign: int, bound: int):
-        self.n, self.deg = n, terms[-1][0]
-        slots = [[(j, l, sign * c * a) for j, c, rows in terms for l, a in rows[i]]
-                 for i in range(n)]
-        width = max(map(len, slots), default=0)
-        slots = [row + [(self.deg, i, 0)] * (width - len(row)) for i, row in enumerate(slots)]
-        j, l = (np.array([[s[f] for s in row] for row in slots], np.intp).reshape(n, width)
-                for f in (0, 1))
-        self.idx = [((r - j) % self.deg) * n + l for r in range(self.deg)]
-        mult = [[s[2] for s in row] for row in slots]
-        self.reach = max((sum(map(abs, row)) for row in mult), default=0)
-        self.bound = bound
-        dtype = np.int64 if self.reach * (bound + 1) < _INT64_SAFE else object
-        self.mult = np.array(mult, dtype=dtype).reshape(n, 1, width)
-        self.blocks = np.zeros((self.deg * n, n), dtype)
-
-    def slot(self, k: int) -> np.ndarray:
-        """The ring rows that hold X_k, where X_{k-deg} was."""
-        at = k % self.deg * self.n
-        return self.blocks[at:at + self.n]
-
-    def sum_into(self, k: int, out: np.ndarray) -> None:
-        """out = sign * sum_j c_j D_j X_{k-j}, in row chunks so that one
-        gather holds at most _GATHER_ELEMENTS entries.  out may be X_k's
-        slot: D_deg is the identity, so a chunk reads X_{k-deg} only in its
-        own rows, and its gather copies them before it writes."""
-        idx = self.idx[k % self.deg]
-        step = max(1, _GATHER_ELEMENTS // max(1, idx.shape[1] * self.n))
-        for lo in range(0, self.n, step):
-            part = out[lo:lo + step]
-            np.matmul(self.mult[lo:lo + step], self.blocks.take(idx[lo:lo + step], axis=0),
-                      out=part.reshape(len(part), 1, self.n))
-
-    def solve(self, k: int, n_k: Optional[tuple]) -> np.ndarray:
-        """X_k = N_k + sign * sum_j c_j D_j X_{k-j}, summed into X_k's slot,
-        for N_k given by the (column, value) of its one entry +-1 per row,
-        or None.
-
-        Each step keeps bound >= max|X| by bound <- reach * bound + 1.  Only
-        when that bound leaves no headroom is the ring's real magnitude read,
-        and only if that leaves none either does the ring switch to Python
-        ints."""
-        if self.blocks.dtype != object and self.reach * (self.bound + 1) >= _INT64_SAFE:
-            self.bound = _magnitude(self.blocks)
-            if self.reach * (self.bound + 1) >= _INT64_SAFE:
-                self.mult, self.blocks = self.mult.astype(object), self.blocks.astype(object)
-        block = self.slot(k)
-        self.sum_into(k, block)
-        if n_k is not None:
-            cols, values = n_k
-            block[range(self.n), cols] += values
-        if self.blocks.dtype != object:
-            self.bound = self.reach * self.bound + 1
-        return block
-
-
-def _convolve(terms: list, mats: Sequence[Matrix], k: int, acc: Matrix,
-              sign: int) -> Matrix:
-    """acc + sign * sum_{1 <= j <= k} D_j H_{k-j} for one-column blocks
-    H_i = mats[i]: one sum per row over row i of every D_j."""
-    active = [(sign * c, rows, mats[k - j]) for j, c, rows in terms if j <= k]
-    return tuple((x + sum(c * a * mat[l][0] for c, rows, mat in active for l, a in rows[i]),)
-                 for i, (x,) in enumerate(acc))
-
-
-def _magnitude(block: np.ndarray) -> int:
-    """The largest |entry|, negated as a Python int so that -2**63 cannot wrap."""
-    return max(int(block.max()), -int(block.min()))
-
-
-def _matrix(block: np.ndarray) -> Matrix:
-    return tuple(map(tuple, block.tolist()))
-
-
-def _solve(graph: Graph, directed: bool, order: int,
-           numerator: Optional[Tuple[int, tuple]] = None,
-           column: Optional[int] = None, nonnegative: bool = False,
-           vanish_from: Optional[int] = None) -> List[Matrix]:
-    """H_0 .. H_order of H(t) = D(t)^{-1} N(t), where N(t) = 1 + Q t^h for
-    numerator (h, sparse rows of Q) and N(t) = 1 for None:
-    H_k = N_k - sum_{j>=1} D_j H_{k-j}.  Q must be a signed permutation that
-    commutes with every D_j, so that the series is also N(t) D(t)^{-1}.
-    With a column, N_0 and N_h are cut to it and each H_k is an n x 1 block.
-
-    Once k is at least N's degree and H_k and the deg - 1 blocks before it
-    are zero (deg is D's degree), H_{k+1} = N_{k+1} - sum_j D_j H_{k+1-j}
-    is zero, and so is every later block: the solve stops there and fills
-    the rest with the zero block.
-
-    The checks of hilbert_su2 and hilbert_su3 run on each block as it is
-    solved: a nonzero block from degree vanish_from on raises at once, and
-    with nonnegative, a negative entry raises once the solve ends, so that a
-    later failure to vanish is still the error reported."""
-    _check_order(order)
-    n = graph.n_vertices
-    if column is not None:
-        column = require_int("column", column)
-        if not 0 <= column < n:
-            raise InvalidParameterError(f"column {column} is outside 0..{n - 1}")
-    terms = _denominator(graph, directed)
-    num = {0: _identity_rows(n)}
-    if numerator is not None:
-        h, q_rows = numerator
-        if h < 1:                   # t^0 would overwrite N_0 = 1
-            raise InvalidParameterError(f"numerator degree h = {h} must be at least 1")
-        _check_numerator(q_rows, terms, n)
-        num[h] = q_rows
-    zero = _block(((),) * n, column)
-    mats: List[Matrix] = []
-    if column is None and n > 1:
-        ring = _Ring(terms, n, -1, 0)
-        entries = {d: tuple(zip(*(row[0] for row in rows))) for d, rows in num.items()}
-
-        def step(k: int) -> tuple:
-            block = ring.solve(k, entries.get(k))
-            if not block.any():
-                return zero, False
-            return _matrix(block), nonnegative and block.min() < 0
-    else:
-        blocks = {d: _block(rows, column) for d, rows in num.items()}
-
-        def step(k: int) -> tuple:
-            block = _convolve(terms, mats, k, blocks.get(k, zero), -1)
-            if not any(map(any, block)):
-                return zero, False
-            return block, nonnegative and any(x < 0 for (x,) in block)
-    last, deg, run, negative = max(num), terms[-1][0], 0, False
-    for k in range(order + 1):
-        block, below = step(k)
-        mats.append(block)
-        if block is zero:
-            run += 1
-        elif vanish_from is not None and k >= vanish_from:
-            raise FailedIdentityError(
-                f"{graph.id}: pre-projective series fails to terminate at degree {k}")
-        else:
-            negative, run = negative or below, 0
-        if run >= deg and k >= last:
-            mats += [zero] * (order - k)
-            break
-    if negative:
-        raise FailedIdentityError(f"{graph.id}: negative Hilbert coefficient")
-    return mats
-
-
-def _multiply(graph: Graph, directed: bool, mats: Sequence[Matrix]) -> List[Matrix]:
-    """The coefficients N_k = H_k + sum_{j>=1} D_j H_{k-j} of D(t) H(t)."""
-    terms = _denominator(graph, directed)
-    if not mats or not mats[0] or len(mats[0][0]) == 1:
-        return [_convolve(terms, mats, k, m, 1) for k, m in enumerate(mats)]
-    try:
-        stack = np.array(mats, dtype=np.int64)
-    except OverflowError:
-        stack = np.array(mats, dtype=object)
-    ring = _Ring(terms, len(mats[0]), 1, _magnitude(stack))
-    stack = stack.astype(ring.blocks.dtype, copy=False)
-    out = []
-    for k, block in enumerate(stack):
-        acc = np.empty_like(block)
-        ring.sum_into(k, acc)
-        acc += block
-        out.append(_matrix(acc))
-        ring.slot(k)[:] = block
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -635,15 +408,15 @@ def hilbert_su2(graph: Graph, order: int = 40,
         raise InvalidParameterError("hilbert_su2 needs an unoriented graph")
     adet = graph.family in ("A", "D", "E", "Tad")
     h = graph.coxeter_h
-    mats = _solve(graph, False, order,
-                  (h, _out_edges(su2_involution(graph))) if adet else None, column,
-                  nonnegative=True, vanish_from=h - 1 if adet else None)
-    return MatrixSeries(graph.id, mats, column=column)
+    blocks, tail = _solve(graph, False, order,
+                          (h, _out_edges(su2_involution(graph))) if adet else None, column,
+                          nonnegative=True, vanish_from=h - 1 if adet else None)
+    return MatrixSeries(graph.id, blocks, column=column, tail=tail)
 
 
 def su2_numerator(hs: MatrixSeries, graph: Graph) -> List[Matrix]:
     """Coefficients of (1 - Delta t + t^2) * H, for identity checks."""
-    return _multiply(graph, False, hs.mats)
+    return _multiply(graph, False, hs)
 
 
 # ---------------------------------------------------------------------------
@@ -673,20 +446,21 @@ def hilbert_su3(graph: Graph, p: Optional[Matrix] = None,
                 or any(type(a) is not int for row in p_rows for _, a in row)):
             raise InvalidParameterError(f"P must be an {n}x{n} permutation matrix of ints")
     minus_p = tuple(tuple((j, -a) for j, a in row) for row in p_rows)
-    mats = _solve(graph, True, 3 * h if order is None else order, (h, minus_p), column,
-                  nonnegative=True)
-    return MatrixSeries(graph.id, mats, column=column)
+    blocks, tail = _solve(graph, True, 3 * h if order is None else order, (h, minus_p),
+                          column, nonnegative=True)
+    return MatrixSeries(graph.id, blocks, column=column, tail=tail)
 
 
 def su3_numerator(hs: MatrixSeries, graph: Graph) -> List[Matrix]:
     """Coefficients of (1 - Delta t + Delta^T t^2 - t^3) * H."""
-    return _multiply(graph, True, hs.mats)
+    return _multiply(graph, True, hs)
 
 
 def cy3_hilbert(mckay: Graph, order: int = 30, column: Optional[int] = None) -> MatrixSeries:
     """(1 - Delta t + Delta^T t^2 - t^3)^{-1} for a subgroup McKay graph, or
     only its column with the given index."""
-    return MatrixSeries(mckay.id, _solve(mckay, True, order, column=column), column=column)
+    blocks, tail = _solve(mckay, True, order, column=column)
+    return MatrixSeries(mckay.id, blocks, column=column, tail=tail)
 
 
 def _weights_mod(weights: Tuple[int, int, int], m: int,

@@ -166,6 +166,25 @@ def dense_hilbert(adjacency, order, directed=False, numerator=None):
     return mats
 
 
+def dense_numerator(adjacency, mats, directed=False):
+    """N_0 .. N_order of D(t) H(t) for the matrices H_k (n x n, or the n x 1
+    blocks of one column), degree by degree by dense products:
+    N_k = H_k - A H_{k-1} + H_{k-2}, or
+    N_k = H_k - A H_{k-1} + A^T H_{k-2} - H_{k-3} when directed."""
+    n = len(adjacency)
+    one = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    terms = [(1, adjacency, -1), (2, tuple(zip(*adjacency)) if directed else one, 1)]
+    if directed:
+        terms.append((3, one, -1))
+    out = []
+    for k, m in enumerate(mats):
+        for j, d, sign in terms:
+            if k >= j:
+                m = _dense_add(m, _dense_mul(d, mats[k - j]), sign)
+        out.append(m)
+    return out
+
+
 def dfs_path_count(adjacency, start: int, end: int, length: int) -> int:
     """Paths of a given length from start to end by explicit DFS."""
     size = len(adjacency)

@@ -14,6 +14,14 @@ from nimspec.graphs import by_id, eigen_moment, eigendata
 from nimspec.paths import moment_path_count
 
 
+def _degree(g, i):
+    return sum(a for _, a in g.out_edges[i])
+
+
+def _degrees(g):
+    return [_degree(g, i) for i in range(g.n_vertices)]
+
+
 def test_a3_is_path_with_sqrt2_radius():
     g = by_id("A(3)")
     assert g.n_vertices == 3
@@ -23,14 +31,14 @@ def test_a3_is_path_with_sqrt2_radius():
 
 def test_e6_shape():
     g = by_id("E(6)")
-    assert sorted(g.degrees()) == [1, 1, 1, 2, 2, 3]
+    assert sorted(_degrees(g)) == [1, 1, 1, 2, 2, 3]
     assert g.coxeter_h == 12
 
 
 def test_d4_star_shape():
     g = by_id("D(4)")
-    assert sorted(g.degrees()) == [1, 1, 1, 3]
-    assert g.degree(g.distinguished) == 1
+    assert sorted(_degrees(g)) == [1, 1, 1, 3]
+    assert _degree(g, g.distinguished) == 1
 
 
 @pytest.mark.parametrize("gid", ["A(0)", "D(3)", "E(5)", "Tad(0)"])
@@ -41,11 +49,11 @@ def test_su2_range_errors(gid):
 
 def test_affine_cycle_and_mckay_shapes():
     c4 = by_id("Aff-A(4)")
-    assert c4.n_vertices == 4 and all(d == 2 for d in c4.degrees())
+    assert c4.n_vertices == 4 and all(d == 2 for d in _degrees(c4))
     e8 = by_id("Aff-E(8)")
     assert e8.n_vertices == 9
     d4 = by_id("Aff-D(4)")
-    assert sorted(d4.degrees()) == [1, 1, 1, 1, 4]
+    assert sorted(_degrees(d4)) == [1, 1, 1, 1, 4]
     with pytest.raises(InvalidParameterError):
         by_id("Aff-A(5)")      # odd cycles are not in the family
 
@@ -64,9 +72,9 @@ def test_affine_distinguished_degree():
     # extended vertex has degree 1 except on cycles where it has degree 2
     for gid in ["Aff-D(5)", "Aff-E(6)", "Aff-E(7)", "Aff-E(8)"]:
         g = by_id(gid)
-        assert g.degree(g.distinguished) == 1
+        assert _degree(g, g.distinguished) == 1
     g = by_id("Aff-A(6)")
-    assert g.degree(g.distinguished) == 2
+    assert _degree(g, g.distinguished) == 2
 
 
 def test_dynkin_star_has_lowest_pf_weight():
@@ -86,7 +94,7 @@ def test_truncations():
     t = by_id("Trunc-SU3Ainf(3)")
     assert t.n_vertices == 10
     t = by_id("Trunc-Dinf(4)")
-    assert sorted(t.degrees()) == [1, 1, 1, 2, 2, 3]
+    assert sorted(_degrees(t)) == [1, 1, 1, 2, 2, 3]
 
 
 def test_hexagonal_truncation_radius_increases_to_three():

@@ -456,8 +456,8 @@ def test_fourier_tables_match_the_nested_closures(spec):
         assert moment_t_exact(mu, 3) is None
         return
     for r in range(-40, 41):
-        got = mu.fourier(r)
-        assert type(got) is Fraction and got == want(r)
+        (num,), den = mu.fourier.numerators(r, r)
+        assert Fraction(num, den) == want(r)
     assert circle_series(mu, 40) == [want(r) for r in range(41)]
     for m in range(9):
         for shift in (0, 1):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nimspec import graphs, series
+from nimspec import _recurrence, graphs
 from nimspec.errors import InvalidParameterError, TruncationError
 from nimspec.graphs import Graph, by_id
 from nimspec.paths import (
@@ -244,4 +244,4 @@ def test_sparse_rows_are_built_once_per_graph():
     g = Graph("g", (0, 1, 2), graphs._out_edges(adjacency), 0)
     counts = [moment_path_count(g, m, n) for m in range(4) for n in range(4)]
     assert counts == [brute_pair_paths(adjacency, 0, m, n) for m in range(4) for n in range(4)]
-    assert series._denominator(g, False)[0][2] is g.out_edges == graphs._out_edges(adjacency)
+    assert _recurrence._denominator(g, False)[0][2] is g.out_edges == graphs._out_edges(adjacency)

@@ -1,3 +1,5 @@
+import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from nimspec import _recurrence
 from nimspec.errors import (
     FailedIdentityError,
     InvalidParameterError,
@@ -41,6 +44,7 @@ from nimspec.subgroups import ClassData, ClassRow, class_data, generate_group
 
 from oracles import (
     dense_hilbert,
+    dense_numerator,
     fraction_generalized_t,
     fraction_inverse,
     fraction_mul,
@@ -48,6 +52,12 @@ from oracles import (
     preprojective_dimensions,
     quadratic_class_sum,
 )
+
+
+def _solve(graph, *args, **kwargs):
+    """The kernel's solve, read back as the matrices of the series it gives."""
+    blocks, tail = _recurrence._solve(graph, *args, **kwargs)
+    return MatrixSeries(graph.id, blocks, tail=tail).mats
 
 
 # -- series arithmetic -------------------------------------------------------
@@ -274,8 +284,6 @@ def _swap01(n):
 @pytest.mark.parametrize("column", [None, 2])
 @pytest.mark.parametrize("gid, directed", [("A(4)", False), ("SU3-A(5)", True)])
 def test_a_numerator_that_does_not_commute_is_rejected(gid, directed, column):
-    from nimspec.series import _solve
-
     g = by_id(gid)
     q = _swap01(g.n_vertices)
     with pytest.raises(SymmetryError, match="does not commute"):
@@ -293,8 +301,6 @@ def test_a_numerator_that_does_not_commute_is_rejected(gid, directed, column):
     (((0, 1),), ((1, 1),)),                     # too few rows
 ], ids=["entry-2", "two-entries", "empty-row", "repeated-column", "short"])
 def test_a_numerator_that_is_not_a_signed_permutation_is_rejected(q_rows):
-    from nimspec.series import _solve
-
     with pytest.raises(InvalidParameterError, match="signed permutation"):
         _solve(by_id("A(3)"), False, 6, (2, q_rows))
 
@@ -356,7 +362,6 @@ def weighted_adjacency(draw, symmetric):
 def test_a_graph_built_from_its_rows_gives_back_its_matrix(adjacency):
     g = Graph("g", tuple(range(len(adjacency))), _out_edges(adjacency), 0, symmetric=False)
     assert g.adjacency == adjacency
-    assert g.degrees() == [sum(row) for row in adjacency]
 
 
 def _outcome(call):
@@ -474,8 +479,6 @@ def test_every_su2_column_equals_the_full_solve():
 
 @pytest.mark.parametrize("l", range(4, 10))
 def test_su3_columns_equal_the_full_solve_and_raise_only_where_it_is_negative(l):
-    from nimspec.series import _solve
-
     g = by_id(f"SU3-A({l})")
     n = g.n_vertices
     full = hilbert_su3(g, order=3 * l)
@@ -503,8 +506,6 @@ def test_every_cy3_column_equals_the_full_solve():
 
 
 def test_an_adet_column_raises_exactly_where_its_column_fails_to_terminate():
-    from nimspec.series import _solve
-
     # a triangle labelled as A(3): P swaps vertices 1 and 3 and commutes with
     # Delta, but the series does not terminate
     tri = Graph("A(3)", (1, 2, 3), (((1, 1), (2, 1)), ((0, 1), (2, 1)), ((0, 1), (1, 1))),
@@ -650,8 +651,6 @@ def invariant_graph(draw):
 @given(invariant_graph(), st.integers(30, 40), st.sampled_from([None, 1, -1]),
        st.integers(1, 40))
 def test_the_full_kernel_equals_the_dense_oracle_across_the_int64_switch(graph, order, sign, h):
-    from nimspec.series import _solve
-
     adj, sigma, directed = graph
     n = len(adj)
     g = Graph("g", tuple(range(n)), _out_edges(adj), 0, symmetric=not directed)
@@ -666,11 +665,10 @@ def test_the_full_kernel_equals_the_dense_oracle_across_the_int64_switch(graph, 
 def test_a_long_affine_solve_rereads_its_magnitude_only_when_the_bound_trips(monkeypatch):
     """Aff-D(11)'s entries grow polynomially, so the proven bound trips
     again and again, and each time the real magnitude still fits."""
-    from nimspec import series
-
     reads = []
-    magnitude = series._magnitude
-    monkeypatch.setattr(series, "_magnitude", lambda block: reads.append(1) or magnitude(block))
+    magnitude = _recurrence._magnitude
+    monkeypatch.setattr(_recurrence, "_magnitude",
+                        lambda block: reads.append(1) or magnitude(block))
     g = by_id("Aff-D(11)")
     hs = hilbert_su2(g, 600)
     assert hs.mats == dense_hilbert(g.adjacency, 600)
@@ -682,9 +680,7 @@ def test_row_chunked_gathers_equal_the_dense_oracle(monkeypatch, elements):
     """With a gather of one row, or of a few, at a time, each chunk is summed
     into the ring slot it shares with X_{k-deg}, whose other rows the later
     chunks still read."""
-    from nimspec import series
-
-    monkeypatch.setattr(series, "_GATHER_ELEMENTS", elements)
+    monkeypatch.setattr(_recurrence, "_GATHER_ELEMENTS", elements)
     g = by_id("SU3-A(6)")
     minus_p = mat_scale(-1, su3_rotation(g))
     hs = hilbert_su3(g, order=18)
@@ -714,12 +710,115 @@ def test_a_long_terminating_solve_holds_only_its_ring_and_one_zero_block():
     assert hs.mats[-1] == mat_zero(g.n_vertices)
 
 
+# -- the block array and the tuple rows read from it ------------------------------
+
+def _solved_cases():
+    """(graph, directed, series, the dense oracle's matrices) for full solves
+    that terminate, that do not, and that pass int64 on the way, and for
+    column solves."""
+    cases = []
+    for gid in ("A(5)", "E(6)"):
+        g = by_id(gid)
+        h, p = g.coxeter_h, su2_involution(g)
+        cases.append((g, False, hilbert_su2(g, 4 * h),
+                      dense_hilbert(g.adjacency, 4 * h, False, (h, p))))
+    g = by_id("SU3-A(6)")
+    cases.append((g, True, hilbert_su3(g, order=18),
+                  dense_hilbert(g.adjacency, 18, True, (6, mat_scale(-1, su3_rotation(g))))))
+    g = by_id("Aff-D(5)")
+    cases.append((g, False, hilbert_su2(g, 30), dense_hilbert(g.adjacency, 30)))
+    g = abelian_mckay(5, (1, 1, 3))
+    cases.append((g, True, cy3_hilbert(g, 12), dense_hilbert(g.adjacency, 12, True)))
+    sym, digraph = _weighted_complete(5, 2, 2), _weighted_complete(5, 2, 1)
+    g = Graph("sym", tuple(range(5)), _out_edges(sym), 0, symmetric=True)
+    cases.append((g, False, hilbert_su2(g, 40), dense_hilbert(sym, 40)))
+    g = Graph("digraph", tuple(range(5)), _out_edges(digraph), 0, symmetric=False)
+    cases.append((g, True, cy3_hilbert(g, 40, column=2), _cut(dense_hilbert(digraph, 40, True), 2)))
+    g = by_id("A(5)")
+    cases.append((g, False, hilbert_su2(g, 24, column=1),
+                  _cut(dense_hilbert(g.adjacency, 24, False, (6, su2_involution(g))), 1)))
+    return cases
+
+
+def test_a_solved_series_reads_the_same_as_its_list_of_matrices():
+    """A solve's block array with its zero tail, and the same series built
+    from its list of matrices, agree with the dense oracle on every reading:
+    the rows, each entry, H(1), the JSON text and both numerator products."""
+    for g, directed, hs, want in _solved_cases():
+        listed = MatrixSeries(hs.graph_id, hs.mats, column=hs.column)
+        assert hs.mats == listed.mats == want, g.id
+        assert hs.order == listed.order == len(want) - 1
+        for i in range(g.n_vertices):
+            for j in range(g.n_vertices) if hs.column is None else [hs.column]:
+                col = j if hs.column is None else 0
+                assert hs.entry(i, j) == listed.entry(i, j)
+                assert hs.entry(i, j).coeffs == [m[i][col] for m in want]
+        assert hs.total_at_one() == listed.total_at_one() == sum(map(sum, sum(want, ())))
+        blob = {"graph_id": g.id, "variable": "t", "order": len(want) - 1,
+                "coefficient_matrices": [[list(r) for r in m] for m in want]}
+        if hs.column is not None:
+            blob["column"] = hs.column
+        text = json.dumps(blob, indent=1, sort_keys=True)
+        assert json.dumps(hs.to_json(), indent=1, sort_keys=True) == text
+        assert json.dumps(listed.to_json(), indent=1, sort_keys=True) == text
+        multiply = su3_numerator if directed else su2_numerator
+        assert multiply(hs, g) == multiply(listed, g) == dense_numerator(g.adjacency, want, directed)
+
+
+@pytest.mark.parametrize("elements", [1, 100])
+def test_the_batched_numerator_product_equals_the_per_degree_oracle(monkeypatch, elements):
+    """One gather over all degrees, cut into chunks of one row or of a few,
+    on the solved series and on lists of small random matrices, whose
+    products are not 1 + P t^h."""
+    monkeypatch.setattr(_recurrence, "_GATHER_ELEMENTS", elements)
+    rng = random.Random(19)
+    for g, directed, hs, want in _solved_cases():
+        multiply = su3_numerator if directed else su2_numerator
+        assert multiply(hs, g) == dense_numerator(g.adjacency, want, directed), g.id
+        n, w = g.n_vertices, len(want[0][0])
+        noise = [tuple(tuple(rng.randint(-3, 3) for _ in range(w)) for _ in range(n))
+                 for _ in range(9)]
+        column = None if hs.column is None else hs.column
+        assert (multiply(MatrixSeries(g.id, noise, column=column), g)
+                == dense_numerator(g.adjacency, noise, directed))
+
+
+def test_a_full_solve_builds_its_tuple_rows_only_when_read():
+    g = by_id("SU3-A(7)")
+    hs = hilbert_su3(g, order=21)
+    assert hs.order == 21 and hs.entry(0, 0).coeffs[0] == 1
+    hs.total_at_one()
+    hs.to_json()
+    su3_numerator(hs, g)
+    assert "mats" not in hs.__dict__
+    mats = hs.mats
+    assert hs.mats is mats
+    assert mats[-1] is mats[-2]
+
+
+@pytest.mark.parametrize("other", ["A(2)", "A(4)"])
+@pytest.mark.parametrize("column", [None, 1])
+def test_a_numerator_product_rejects_a_series_of_another_size(other, column):
+    hs = hilbert_su2(by_id("A(3)"), 6, column=column)
+    with pytest.raises(InvalidParameterError, match="blocks"):
+        su2_numerator(hs, by_id(other))
+    su3 = hilbert_su3(by_id("SU3-A(5)"), order=6, column=column)
+    with pytest.raises(InvalidParameterError, match="blocks"):
+        su3_numerator(su3, by_id("SU3-A(4)" if other == "A(2)" else "SU3-A(6)"))
+
+
+def test_a_full_product_rejects_column_blocks_and_ragged_matrices():
+    g = by_id("A(3)")
+    with pytest.raises(InvalidParameterError, match="blocks"):
+        su2_numerator(MatrixSeries(g.id, hilbert_su2(g, 6, column=1).mats), g)
+    with pytest.raises(InvalidParameterError, match="equal-shaped"):
+        MatrixSeries(g.id, [mat_identity(3), mat_identity(2)])
+
+
 @pytest.mark.parametrize("column", [None, 1])
 def test_fewer_zero_blocks_than_the_denominator_degree_do_not_end_the_series(column):
     """With no edges, H = 1/(1 - t^3) and 1/(1 + t^2): one or two zero
     blocks in a row, then a nonzero one."""
-    from nimspec.series import _solve
-
     g = Graph("empty", (0, 1, 2), ((), (), ()), 0, coxeter_h=4, symmetric=True)
     empty = mat_zero(3)
     cut = _cut if column is not None else (lambda mats, c: mats)
