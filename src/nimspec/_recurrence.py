@@ -2,26 +2,26 @@
 
 Each Hilbert series is H(t) = D(t)^{-1} N(t), solved for all columns or for
 one (`_solve`), and each numerator check computes D(t) H(t) (`_multiply`).
-A block is n rows of its w solved columns.
+A block is n rows of its w solved columns: w = n, or w = 1 for one column.
 
-A full solve keeps X_{-deg} .. X_k as one stacked integer array (deg is
-D's degree), grown by doubling up to order + 1 blocks.  Each degree slices
-the previous deg blocks, gathers the rows that the sparse rows of D name
-with one `take` along a plan built once per solve, and writes one `matmul`
-with the multipliers straight into the next block.  The array stays int64
+A solve keeps X_{-deg} .. X_k as one stacked integer array (deg is D's
+degree), grown by doubling up to order + 1 blocks.  Each degree slices the
+previous deg blocks, gathers the rows that the sparse rows of D name with
+one `take` along a plan built once per solve, and writes one `matmul` with
+the multipliers straight into the next block; N_k is added as single
+entries, cut to the solved column when there is one.  The array stays int64
 under a bound on |entry| that is proven in Python and checked against the
 real entries only when it runs out of headroom; it holds Python ints only
-if those are too large as well.  One-column blocks take one Python sum per
-row (`_convolve`), which is faster at that width, and are stacked once the
-solve ends.  Either solve stops at the first degree from which every later
-block is provably zero, and returns the solved blocks with the length of
-that zero tail: tuple rows are built by `MatrixSeries.mats` on first read.
-The product D(t) H(t) is the same gather, batched over all degrees.
+if those are too large as well.  The solve stops at the first degree from
+which every later block is provably zero, and returns the solved blocks
+with the length of that zero tail: tuple rows are built by
+`MatrixSeries.mats` on first read.  The product D(t) H(t) is the same
+gather, batched over all degrees.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -111,19 +111,6 @@ def _stack(mats) -> np.ndarray:
     return blocks
 
 
-def _column(rows: tuple, column: int) -> tuple:
-    """Column `column` of the matrix with these sparse rows, as an n x 1 block."""
-    return tuple((dict(row).get(column, 0),) for row in rows)
-
-
-def _convolve(terms: list, mats: list, k: int, acc: tuple, sign: int) -> tuple:
-    """acc + sign * sum_{1 <= j <= k} D_j H_{k-j} for one-column blocks
-    H_i = mats[i]: one sum per row over row i of every D_j."""
-    active = [(sign * c, rows, mats[k - j]) for j, c, rows in terms if j <= k]
-    return tuple((x + sum(c * a * mat[l][0] for c, rows, mat in active for l, a in rows[i]),)
-                 for i, (x,) in enumerate(acc))
-
-
 def _solve(graph: Graph, directed: bool, order: int,
            numerator: Optional[Tuple[int, tuple]] = None,
            column: Optional[int] = None, nonnegative: bool = False,
@@ -157,55 +144,42 @@ def _solve(graph: Graph, directed: bool, order: int,
             raise InvalidParameterError(f"numerator degree h = {h} must be at least 1")
         _check_numerator(q_rows, terms, n)
         num[h] = q_rows
-    deg = terms[-1][0]
-    if column is None:
-        idx, mult, reach = _plan(terms, n, -1)
-        dtype = np.int64 if reach < _INT64_SAFE else object
-        mult = np.array(mult, dtype).reshape(n, 1, -1)
-        hist = np.zeros((deg + min(order + 1, _FIRST_BLOCKS), n, 1, n), dtype)
-        chunk = max(1, _GATHER_ELEMENTS // (idx.shape[1] * n))
-        parts = [(slice(lo, lo + chunk), idx[lo:lo + chunk]) for lo in range(0, n, chunk)]
-        entries = {d: (range(n), [row[0][0] for row in rows], [row[0][1] for row in rows])
-                   for d, rows in num.items()}
-        bound, exact = 0, dtype is np.int64     # bound >= max|X| over the solved blocks
-
-        def step(k: int) -> bool:
-            """X_k = N_k + sign * sum_j c_j D_j X_{k-j}, written into block deg + k.
-            Each step keeps bound >= max|X| by bound <- reach * bound + 1.
-            Only when that bound leaves no headroom are the window's real
-            entries read, and only if they leave none either does the array
-            switch to Python ints."""
-            nonlocal hist, mult, bound, exact
-            if exact and reach * (bound + 1) >= _INT64_SAFE:
-                bound = _magnitude(hist[k:k + deg])
-                if reach * (bound + 1) >= _INT64_SAFE:
-                    hist, mult, exact = hist.astype(object), mult.astype(object), False
-            if deg + k == len(hist):
-                grown = np.zeros((deg + min(2 * k, order + 1),) + hist.shape[1:], hist.dtype)
-                grown[:len(hist)] = hist
-                hist = grown
-            window, block = hist[k:k + deg].reshape(deg * n, n), hist[deg + k]
-            for rows, at in parts:
-                np.matmul(mult[rows], window.take(at, axis=0), out=block[rows])
-            if k in entries:
-                i, cols, values = entries[k]
-                block[i, 0, cols] += values
-            if exact:
-                bound = reach * bound + 1
-            return np.count_nonzero(block) > 0
-    else:
-        zero = ((0,),) * n
-        blocks = {d: _column(rows, column) for d, rows in num.items()}
-        mats: List[tuple] = []
-
-        def step(k: int) -> bool:
-            block = _convolve(terms, mats, k, blocks.get(k, zero), -1)
-            nonzero = any(x for (x,) in block)
-            mats.append(block if nonzero else zero)
-            return nonzero
+    deg, w = terms[-1][0], n if column is None else 1
+    idx, mult, reach = _plan(terms, n, -1)
+    dtype = np.int64 if reach < _INT64_SAFE else object
+    mult = np.array(mult, dtype).reshape(n, 1, -1)
+    hist = np.zeros((deg + min(order + 1, _FIRST_BLOCKS), n, 1, w), dtype)
+    chunk = max(1, _GATHER_ELEMENTS // (idx.shape[1] * w))
+    parts = [(slice(lo, lo + chunk), idx[lo:lo + chunk]) for lo in range(0, n, chunk)]
+    # N_d's entries (row, column, value) within the solved columns
+    entries = {d: [(i, c if column is None else 0, a) for i, row in enumerate(rows)
+                   for c, a in row if column in (None, c)] for d, rows in num.items()}
+    entries = {d: tuple(map(list, zip(*found))) for d, found in entries.items() if found}
+    bound, exact = 0, dtype is np.int64     # bound >= max|X| over the solved blocks
     last, run = max(num), 0
     for k in range(order + 1):
-        if not step(k):
+        # X_k = N_k + sign * sum_j c_j D_j X_{k-j}, written into block deg + k.
+        # Each step keeps bound >= max|X| by bound <- reach * bound + 1.  Only
+        # when that bound leaves no headroom are the window's real entries
+        # read, and only if they leave none either does the array switch to
+        # Python ints.
+        if exact and reach * (bound + 1) >= _INT64_SAFE:
+            bound = _magnitude(hist[k:k + deg])
+            if reach * (bound + 1) >= _INT64_SAFE:
+                hist, mult, exact = hist.astype(object), mult.astype(object), False
+        if deg + k == len(hist):
+            grown = np.zeros((deg + min(2 * k, order + 1),) + hist.shape[1:], hist.dtype)
+            grown[:len(hist)] = hist
+            hist = grown
+        window, block = hist[k:k + deg].reshape(deg * n, w), hist[deg + k]
+        for rows, at in parts:
+            np.matmul(mult[rows], window.take(at, axis=0), out=block[rows])
+        if k in entries:
+            i, cols, values = entries[k]
+            block[i, 0, cols] += values
+        if exact:
+            bound = reach * bound + 1
+        if not np.count_nonzero(block):
             run += 1
             if run >= deg and k >= last:
                 break
@@ -215,8 +189,7 @@ def _solve(graph: Graph, directed: bool, order: int,
         else:
             run = 0
     solved = k + 1 - run
-    out = (hist[deg:deg + solved].reshape(solved, n, n) if column is None
-           else _stack(mats[:solved]))
+    out = hist[deg:deg + solved].reshape(solved, n, w)
     if nonnegative and out.min() < 0:
         raise FailedIdentityError(f"{graph.id}: negative Hilbert coefficient")
     return out, order + 1 - solved

@@ -6,6 +6,10 @@ Angles are taken in [0,1); a rational angle may be a Fraction, and then its
 S3 orbit is exact.  Stacked measures use the array forms: Phi and the
 sine-product Jacobian over an (N, 2) array of float angles, and D_l as
 integer numerators over 3l (``dl_numerators``), the one form of the grid.
+The cubic inversion (``invert_phi``, ``invert_phi_pairs``) is one array
+kernel, Cardano's formula and then a Newton polish of only the roots that
+have not yet converged; a single complex point is its one-point form, with
+list results.
 """
 
 from __future__ import annotations
@@ -89,9 +93,11 @@ def discriminant(z: complex) -> complex:
     return 27 - 18 * z * zb + 4 * z ** 3 + 4 * zb ** 3 - (z * zb) ** 2
 
 
-def in_deltoid(z: complex, tol: float = 1e-9) -> bool:
+def in_deltoid(z: Union[complex, np.ndarray], tol: float = 1e-9) -> Union[bool, np.ndarray]:
+    """Whether z (a complex number, or each point of an array) lies in the
+    closed deltoid: its discriminant is real and nonnegative within tol."""
     d = discriminant(z)
-    return abs(d.imag) < tol and d.real >= -tol
+    return (abs(d.imag) < tol) & (d.real >= -tol)
 
 
 def jacobian(p: TorusPoint, form: str = "theta") -> float:
@@ -140,83 +146,109 @@ def jacobian_array(theta: np.ndarray) -> np.ndarray:
     )
 
 
-def _polish_root(w: complex, z: complex) -> complex:
-    """Newton-polish a root of p(w) = w^3 - z w^2 + zbar w - 1.
+_THIRD_ROOTS = np.array([cmath.exp(2j * math.pi * k / 3) for k in range(3)])
+
+
+def _cubic(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """p(w) = w^3 - z w^2 + zbar w - 1, elementwise."""
+    return w ** 3 - z * w ** 2 + z.conj() * w - 1
+
+
+def _polish(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Newton-polish each root w of p at the z beside it (equal-shaped 1-d
+    arrays); returns the polished roots.
 
     Along the deltoid boundary the cubic has a double root; there the
-    residual is quadratically flat, so the position is recovered from
-    p'(w) = 0 instead (a full-precision quadratic).
-    """
-    zb = z.conjugate()
-
-    def p(x):
-        return x ** 3 - z * x ** 2 + zb * x - 1
-
-    dp = 3 * w ** 2 - 2 * z * w + zb
-    if abs(dp) < 1e-4:
-        disc = cmath.sqrt(z * z - 3 * zb)
-        for cand in ((z + disc) / 3, (z - disc) / 3):
-            if abs(cand - w) < 1e-4 and abs(p(cand)) <= abs(p(w)) + 1e-14:
-                return cand
+    residual is quadratically flat, so where |p'(w)| < 1e-4 the root moves
+    to a zero of p' (a full-precision quadratic), the + branch first, if
+    that zero lies within 1e-4 and its residual is no worse.  Every other
+    root takes up to 60 Newton steps, each root stopping once |p(w)| < 1e-15
+    or |p'(w)| < 1e-8."""
+    w = w.copy()
+    newton = np.ones(len(w), bool)
+    near = np.flatnonzero(np.abs(3 * w ** 2 - 2 * z * w + z.conj()) < 1e-4)
+    if len(near):
+        wn, zn = w[near], z[near]
+        disc = np.sqrt(zn * zn - 3 * zn.conj())
+        residual = np.abs(_cubic(wn, zn)) + 1e-14
+        moved = np.zeros(len(near), bool)
+        for cand in ((zn + disc) / 3, (zn - disc) / 3):
+            take = ~moved & (np.abs(cand - wn) < 1e-4) & (np.abs(_cubic(cand, zn)) <= residual)
+            wn[take] = cand[take]
+            moved |= take
+        w[near] = wn
+        newton[near[moved]] = False
+    at = np.flatnonzero(newton)
     for _ in range(60):
-        f = p(w)
-        if abs(f) < 1e-15:
+        wa, za = w[at], z[at]
+        f, df = _cubic(wa, za), 3 * wa ** 2 - 2 * za * wa + za.conj()
+        go = (np.abs(f) >= 1e-15) & (np.abs(df) >= 1e-8)
+        if not go.any():
             break
-        df = 3 * w ** 2 - 2 * z * w + zb
-        if abs(df) < 1e-8:
-            break
-        w = w - f / df
+        at = at[go]
+        w[at] = wa[go] - f[go] / df[go]
     return w
 
 
-def invert_phi(z: complex, tol: float = 1e-9) -> List[complex]:
+def _roots(z: np.ndarray, tol: float) -> np.ndarray:
+    """The (N, 3) array of the roots of p at each point of the 1-d array z,
+    in Cardano's order; a point outside the deltoid raises, naming it."""
+    outside = ~in_deltoid(z, tol=math.sqrt(tol))
+    if outside.any():
+        raise InvalidParameterError(f"{complex(z[outside.argmax()])} lies outside the deltoid")
+    zb = z.conj()
+    p3 = 27 - 9 * z * zb + 2 * z ** 3 + 3 * math.sqrt(3) * np.sqrt(discriminant(z))
+    mag = np.abs(p3) ** (1 / 3)
+    roots = np.repeat(z[:, None] / 3, 3, axis=1)        # the triple root at a cusp
+    live = np.flatnonzero(mag >= 1e-7)
+    ang = np.angle(p3[live]) / 3
+    ang = np.where(ang < 0, ang + 2 * math.pi / 3, ang)
+    ang = np.where(ang >= 2 * math.pi / 3, ang - 2 * math.pi / 3, ang)
+    big_p = (mag[live] * np.exp(1j * ang))[:, None]
+    zl = z[live, None]
+    c = 2 ** (1 / 3)
+    w = (zl + big_p * _THIRD_ROOTS / c
+         + c * _THIRD_ROOTS.conj() * (zl * zl - 3 * zl.conj()) / big_p) / 3
+    roots[live] = _polish(w.reshape(-1), np.repeat(z[live], 3)).reshape(-1, 3)
+    residual = np.abs(_cubic(roots[live], zl))
+    if (residual > tol).any():
+        i, k = divmod(int(residual.argmax()), 3)
+        raise FailedIdentityError(f"cubic root {complex(roots[live[i], k])} fails the "
+                                  f"residual check at z={complex(z[live[i]])}")
+    return roots
+
+
+def invert_phi(z: Union[complex, np.ndarray],
+               tol: float = 1e-9) -> Union[List[complex], np.ndarray]:
     """The three roots w of w^3 - z w^2 + zbar w - 1 = 0 (values of omega_1).
 
     The omega_2 roots are the conjugates of these; for z inside the deltoid
     all three roots are unimodular.  Cusps (where the cube root P
     degenerates) return the triple root z/3; boundary double roots are
-    Newton-polished.
+    Newton-polished.  A complex z gives a list of three complex roots; an
+    array of points gives an array with one more axis, of length 3, and a
+    point outside the deltoid raises for the whole array.
     """
-    if not in_deltoid(z, tol=math.sqrt(tol)):
-        raise InvalidParameterError(f"{z} lies outside the deltoid")
-    zb = z.conjugate()
-    d = discriminant(z)
-    p3 = 27 - 9 * z * zb + 2 * z ** 3 + 3 * math.sqrt(3) * cmath.sqrt(d)
-    mag = abs(p3) ** (1 / 3)
-    if mag < 1e-7:
-        w = z / 3
-        return [w, w, w]
-    ang = cmath.phase(p3) / 3
-    while ang < 0:
-        ang += 2 * math.pi / 3
-    while ang >= 2 * math.pi / 3:
-        ang -= 2 * math.pi / 3
-    big_p = mag * cmath.exp(1j * ang)
-    c = 2 ** (1 / 3)
-    roots = []
-    for k in range(3):
-        eps = cmath.exp(2j * math.pi * k / 3)
-        w = (z + big_p * eps / c + c * eps.conjugate() * (z * z - 3 * zb) / big_p) / 3
-        roots.append(_polish_root(w, z))
-    for w in roots:
-        if abs(w ** 3 - z * w ** 2 + zb * w - 1) > tol:
-            raise FailedIdentityError(f"cubic root {w} fails the residual check at z={z}")
-    return roots
+    zs = np.asarray(z, complex)
+    roots = _roots(zs.reshape(-1), tol)
+    return roots[0].tolist() if zs.ndim == 0 else roots.reshape(zs.shape + (3,))
 
 
-def invert_phi_pairs(z: complex, tol: float = 1e-9) -> List[Tuple[complex, complex]]:
+def invert_phi_pairs(z: Union[complex, np.ndarray], tol: float = 1e-9
+                     ) -> Union[List[Tuple[complex, complex]], np.ndarray]:
     """(omega_1, omega_2) preimage pairs of z: each omega_1 root is paired
-    with the conjugated root that reproduces z under Phi."""
-    roots = invert_phi(z, tol=tol)
-    pairs = []
-    for w1 in roots:
-        best = None
-        for w2 in (r.conjugate() for r in roots):
-            val = w1 + 1 / w2 + w2 / w1
-            if best is None or abs(val - z) < best[0]:
-                best = (abs(val - z), w2)
-        pairs.append((w1, best[1]))
-    return pairs
+    with the conjugated root that reproduces z under Phi most closely (the
+    first on a tie).  A complex z gives a list of three pairs; an array of
+    points gives an array with two more axes, of lengths 3 and 2."""
+    zs = np.asarray(z, complex)
+    flat = zs.reshape(-1)
+    w1 = invert_phi(flat, tol)
+    w2 = w1.conj()[:, None, :]
+    miss = np.abs(w1[:, :, None] + 1 / w2 + w2 / w1[:, :, None] - flat[:, None, None])
+    pairs = np.stack([w1, np.take_along_axis(w1.conj(), miss.argmin(axis=2), axis=1)], axis=-1)
+    if zs.ndim == 0:
+        return [tuple(pair) for pair in pairs[0].tolist()]
+    return pairs.reshape(zs.shape + (3, 2))
 
 
 def dl_numerators(l: int) -> np.ndarray:

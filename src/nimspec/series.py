@@ -12,15 +12,17 @@ gather of the previous blocks' rows and one matrix product written straight
 into the next block.  A bound on |entry| proven in Python keeps every sum
 inside int64; the real entries are read only when that bound runs out of
 headroom, and the array switches to Python ints only if they are too large
-as well.  With `column=j` they solve only column j, one Python sum per row
-at about nnz(D) steps per degree, for the identities that read one column
-(the CY3 Molien check, F_id = H_{id,id}, the Kostant numerators).  Either
-solve stops at the first degree from which every later block is provably
-zero.  The termination check runs on each block as it is solved, and the
-sign check once on the solved blocks.  A `MatrixSeries` holds the block
-array and the length of its zero tail; its tuple rows (`mats`) are built
-only when read, and `su2_numerator`/`su3_numerator` multiply the array, one
-batched gather over all degrees.
+as well.  With `column=j` the same kernel solves only column j, on n x 1
+blocks, for the identities that read one column (the CY3 Molien check,
+F_id = H_{id,id}, the Kostant numerators).  Every solve stops at the first
+degree from which every later block is provably zero.  The termination
+check runs on each block as it is solved, and the sign check once on the
+solved blocks.  A `MatrixSeries` holds the block array and the length of
+its zero tail; its tuple rows (`mats`) are built only when read, and
+`su2_numerator`/`su3_numerator` multiply the array, one batched gather over
+all degrees.  `generalized_t`, the independent route to the same series on
+affine graphs, sums binomial multiples of the powers of Delta in one
+tensordot, and the Molien counts are one bincount over the monomials.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ import numpy as np
 
 from ._recurrence import _check_order, _identity_rows, _multiply, _solve, _stack
 from .errors import FailedIdentityError, InvalidParameterError, require_int
-from .graphs import (Graph, _cycle_graph, _graph_from, _out_edges, _su3_rotation_rows, by_id,
-                     parse_id)
+from .graphs import (Graph, _cycle_graph, _dense, _graph_from, _out_edges, _su3_rotation_rows,
+                     by_id, parse_id)
 
 Number = Union[int, Fraction, float, complex]
 
@@ -303,13 +305,6 @@ def mat_zero(n: int) -> Matrix:
     return tuple(tuple(0 for _ in range(n)) for _ in range(n))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def mat_scale(c: int, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
@@ -376,9 +371,8 @@ class MatrixSeries:
 # SU(2) pre-projective Hilbert series
 # ---------------------------------------------------------------------------
 
-def su2_involution(graph: Graph) -> Matrix:
-    """The numerator permutation: the unique nontrivial involution for A_n,
-    D_odd and E6; the identity for D_even, E7, E8 and tadpoles."""
+def _su2_involution_rows(graph: Graph) -> tuple:
+    """The sparse rows of su2_involution: row i holds (sigma(i), 1)."""
     n = graph.n_vertices
     fam = graph.family
     idx = {v: i for i, v in enumerate(graph.vertices)}
@@ -392,10 +386,13 @@ def su2_involution(graph: Graph) -> Matrix:
         swaps = {1: 5, 5: 1, 2: 4, 4: 2, 3: 3, 6: 6}
         for v, w in swaps.items():
             perm[idx[v]] = idx[w]
-    p = [[0] * n for _ in range(n)]
-    for i, j in enumerate(perm):
-        p[i][j] = 1
-    return tuple(tuple(row) for row in p)
+    return tuple(((j, 1),) for j in perm)
+
+
+def su2_involution(graph: Graph) -> Matrix:
+    """The numerator permutation: the unique nontrivial involution for A_n,
+    D_odd and E6; the identity for D_even, E7, E8 and tadpoles."""
+    return _dense(_su2_involution_rows(graph))
 
 
 def hilbert_su2(graph: Graph, order: int = 40,
@@ -409,7 +406,7 @@ def hilbert_su2(graph: Graph, order: int = 40,
     adet = graph.family in ("A", "D", "E", "Tad")
     h = graph.coxeter_h
     blocks, tail = _solve(graph, False, order,
-                          (h, _out_edges(su2_involution(graph))) if adet else None, column,
+                          (h, _su2_involution_rows(graph)) if adet else None, column,
                           nonnegative=True, vanish_from=h - 1 if adet else None)
     return MatrixSeries(graph.id, blocks, column=column, tail=tail)
 
@@ -494,30 +491,36 @@ def molien_abelian(m: int, weights: Tuple[int, int, int], j: int,
     """Molien series of the symmetric algebra of the dual module for the
     cyclic subgroup: coefficient k counts degree-k monomials of character j.
 
-    Exact, by enumeration of monomial weights: the dual module carries the
-    negated weights.
+    Exact integer counts, by enumeration of monomial weights: the dual
+    module carries the negated weights.
     """
     weights = _weights_mod(weights, m)
     j = require_int("character j", j) % m
     _check_order(order)
-    counts = _monomial_characters(m, weights, order)
-    return TruncatedSeries([Fraction(row[j]) for row in counts], "t")
+    return TruncatedSeries(_monomial_characters(m, weights, order)[:, j].tolist(), "t")
+
+
+@lru_cache(maxsize=8)
+def _monomial_grid(order: int) -> np.ndarray:
+    """Rows k, x, y over every monomial of degree k <= order in three
+    variables: x and y are its first two exponents, and k - x - y the third
+    (read-only, as it is cached)."""
+    k, x, y = grid = np.indices((order + 1,) * 3).reshape(3, -1)
+    grid = grid[:, x + y <= k]
+    grid.flags.writeable = False
+    return grid
 
 
 @lru_cache(maxsize=64)
-def _monomial_characters(m: int, weights: Tuple[int, int, int],
-                         order: int) -> Tuple[Tuple[int, ...], ...]:
-    """counts[k][j]: the degree-k monomials x^a y^b z^c of character j,
-    one enumeration bucketing every character."""
+def _monomial_characters(m: int, weights: Tuple[int, int, int], order: int) -> np.ndarray:
+    """counts[k, j]: the degree-k monomials x^a y^b z^c of character j, as
+    one bincount over the monomial grid (read-only, as it is cached)."""
     a, b, c = weights
-    counts = []
-    for k in range(order + 1):
-        row = [0] * m
-        for x in range(k + 1):
-            for y in range(k + 1 - x):
-                row[-(a * x + b * y + c * (k - x - y)) % m] += 1
-        counts.append(tuple(row))
-    return tuple(counts)
+    k, x, y = _monomial_grid(order)
+    character = -(a * x + b * y + c * (k - x - y)) % m
+    counts = np.bincount(k * m + character, minlength=(order + 1) * m).reshape(order + 1, m)
+    counts.flags.writeable = False
+    return counts
 
 
 def molien_abelian_det(m: int, weights: Tuple[int, int, int], j: int,
@@ -646,16 +649,26 @@ def generalized_t(graph: Graph, order: int = 24) -> MatrixSeries:
         raise InvalidParameterError("generalized T series needs an unoriented graph")
     _check_order(order)
     n = graph.n_vertices
-    mats = [[[0] * n for _ in range(n)] for _ in range(order + 1)]
-    power = mat_identity(n)
-    for k in range(order + 1):
-        for d in range(k, order + 1, 2):
-            m = (d - k) // 2
-            c = (-1) ** m * math.comb(k + m, m)
-            mats[d] = [[x + c * p for x, p in zip(row, p_row)]
-                       for row, p_row in zip(mats[d], power)]
-        power = mat_mul(power, graph.adjacency)
-    return MatrixSeries(graph.id, [tuple(map(tuple, m)) for m in mats])
+    coeff = [[(-1) ** ((d - k) // 2) * math.comb((d + k) // 2, k) if (d - k) % 2 == 0 else 0
+              for k in range(d + 1)] + [0] * (order - d) for d in range(order + 1)]
+    # |Delta^k| <= r^k entrywise, so sum_k |c_dk| r^k bounds every partial sum
+    # of the t^d coefficient, and of Delta^d itself (its c_dd = 1): int64 holds
+    # every degree before the first whose bound reaches 2**63
+    r = max((sum(abs(a) for _, a in row) for row in graph.out_edges), default=0)
+    safe = next((d for d, row in enumerate(coeff)
+                 if sum(abs(c) * r ** k for k, c in enumerate(row)) >= 2 ** 63), order + 1)
+    delta = np.array(graph.adjacency, np.int64 if safe > 1 else object)
+    powers = [np.identity(n, np.int64)]
+    for k in range(1, order + 1):
+        if k == safe:
+            delta = delta.astype(object)
+        powers.append(powers[-1] @ delta)
+    c = np.array(coeff, object)
+    blocks = np.tensordot(c[:safe, :safe].astype(np.int64), np.array(powers[:safe]), 1)
+    if safe <= order:
+        blocks = np.concatenate([blocks.astype(object),
+                                 np.tensordot(c[safe:], np.array(powers, object), 1)])
+    return MatrixSeries(graph.id, blocks)
 
 
 def g_composition_route(cd, order: int) -> TruncatedSeries:

@@ -9,7 +9,9 @@ recurrences, finite groups are closed and partitioned one matrix product at
 a time, torus moments are summed one atom at a time, the D_l measure and
 its J^2 density are built one Fraction atom at a time through the scalar
 deltoid routes, the deltoid-density CSV is written one grid point at a time
-through the complex discriminant, circle Fourier transforms are nested
+through the complex discriminant, the cubic inversion of Phi runs Cardano's
+formula one point at a time on Python complex numbers, Molien counts
+enumerate monomials one at a time, circle Fourier transforms are nested
 closures built node by node from a measure spec, and circle atom dicts are
 built and merged eagerly, node by node, from the same spec.
 """
@@ -397,6 +399,90 @@ def atom_moment_t2(atoms, m: int, n: int):
         total += term
         size += abs(term)
     return total, size
+
+
+def loop_monomial_characters(m: int, weights, order: int):
+    """counts[k][j]: the degree-k monomials x^a y^b z^c whose character
+    -(a w1 + b w2 + c w3) is j mod m, one monomial at a time."""
+    w1, w2, w3 = weights
+    counts = []
+    for k in range(order + 1):
+        row = [0] * m
+        for x in range(k + 1):
+            for y in range(k + 1 - x):
+                row[-(w1 * x + w2 * y + w3 * (k - x - y)) % m] += 1
+        counts.append(row)
+    return counts
+
+
+def _scalar_polish_root(w: complex, z: complex) -> complex:
+    """Newton-polish one root of p(w) = w^3 - z w^2 + zbar w - 1; at a
+    boundary double root, move to the zero of p' instead."""
+    zb = z.conjugate()
+
+    def p(x):
+        return x ** 3 - z * x ** 2 + zb * x - 1
+
+    dp = 3 * w ** 2 - 2 * z * w + zb
+    if abs(dp) < 1e-4:
+        disc = cmath.sqrt(z * z - 3 * zb)
+        for cand in ((z + disc) / 3, (z - disc) / 3):
+            if abs(cand - w) < 1e-4 and abs(p(cand)) <= abs(p(w)) + 1e-14:
+                return cand
+    for _ in range(60):
+        f = p(w)
+        if abs(f) < 1e-15:
+            break
+        df = 3 * w ** 2 - 2 * z * w + zb
+        if abs(df) < 1e-8:
+            break
+        w = w - f / df
+    return w
+
+
+def scalar_invert_phi(z: complex, tol: float = 1e-9):
+    """The three roots of w^3 - z w^2 + zbar w - 1 by Cardano's formula on
+    Python complex numbers, one point at a time: the triple root z/3 at a
+    cusp, each other root Newton-polished and checked against tol."""
+    zb = z.conjugate()
+    d = deltoid.discriminant(z)
+    if not (abs(d.imag) < math.sqrt(tol) and d.real >= -math.sqrt(tol)):
+        raise ValueError(f"{z} lies outside the deltoid")
+    p3 = 27 - 9 * z * zb + 2 * z ** 3 + 3 * math.sqrt(3) * cmath.sqrt(d)
+    mag = abs(p3) ** (1 / 3)
+    if mag < 1e-7:
+        return [z / 3] * 3
+    ang = cmath.phase(p3) / 3
+    while ang < 0:
+        ang += 2 * math.pi / 3
+    while ang >= 2 * math.pi / 3:
+        ang -= 2 * math.pi / 3
+    big_p = mag * cmath.exp(1j * ang)
+    c = 2 ** (1 / 3)
+    roots = []
+    for k in range(3):
+        eps = cmath.exp(2j * math.pi * k / 3)
+        w = (z + big_p * eps / c + c * eps.conjugate() * (z * z - 3 * zb) / big_p) / 3
+        roots.append(_scalar_polish_root(w, z))
+    for w in roots:
+        if abs(w ** 3 - z * w ** 2 + zb * w - 1) > tol:
+            raise ValueError(f"cubic root {w} fails the residual check at z={z}")
+    return roots
+
+
+def scalar_invert_phi_pairs(z: complex, tol: float = 1e-9):
+    """Each root w1 of scalar_invert_phi paired with the first conjugated
+    root w2 that brings w1 + 1/w2 + w2/w1 closest to z."""
+    roots = scalar_invert_phi(z, tol)
+    pairs = []
+    for w1 in roots:
+        best = None
+        for w2 in (r.conjugate() for r in roots):
+            val = w1 + 1 / w2 + w2 / w1
+            if best is None or abs(val - z) < best[0]:
+                best = (abs(val - z), w2)
+        pairs.append((w1, best[1]))
+    return pairs
 
 
 def dl_atoms(l: int) -> dict:

@@ -11,6 +11,8 @@ from nimspec.errors import InvalidParameterError
 from nimspec.graphs import su3_exponent_angles, su3_psi_star
 from nimspec.suites import run_suite
 
+from oracles import scalar_invert_phi, scalar_invert_phi_pairs
+
 
 def _dl_points(l):
     """D_l as Fraction pairs, read off the library's integer numerators."""
@@ -130,6 +132,69 @@ def test_invert_phi_roundtrip_on_interior():
         for w1, w2 in deltoid.invert_phi_pairs(z):
             assert abs(w1 + 1 / w2 + w2 / w1 - z) < 1e-9
             assert abs(abs(w1) - 1) < 1e-9
+
+
+def _well_separated_points():
+    """Points whose three roots are well apart: torus images with
+    discriminant >= 1e-4, and points of the curves r = 0.99 and 0.999 just
+    inside the boundary (away from the cusps, as the roots there coalesce)."""
+    rng = random.Random(17)
+    pts = []
+    while len(pts) < 500:
+        z = deltoid.phi((rng.random(), rng.random()))
+        if deltoid.discriminant(z).real >= 1e-4:
+            pts.append(z)
+    for r in (0.99, 0.999):
+        pts += [deltoid.boundary_point(r, (k + 0.5) / 300) for k in range(300)
+                if min((k + 0.5) / 300 % (1 / 3), 1 / 3 - (k + 0.5) / 300 % (1 / 3)) > 0.02]
+    return pts
+
+
+def test_the_array_inversion_agrees_with_the_scalar_route_where_the_roots_are_apart():
+    """Root by root, in Cardano's order.  numpy's complex arithmetic rounds
+    differently from Python's, and the roots' condition number grows as they
+    approach each other, so 1e-12 holds where the roots are well apart."""
+    pts = _well_separated_points()
+    roots = deltoid.invert_phi(np.array(pts))
+    pairs = deltoid.invert_phi_pairs(np.array(pts))
+    assert roots.shape == (len(pts), 3) and pairs.shape == (len(pts), 3, 2)
+    for z, row, pair_row in zip(pts[::9], roots[::9], pairs[::9]):
+        assert deltoid.invert_phi(z) == row.tolist()
+        assert deltoid.invert_phi_pairs(z) == [tuple(pair) for pair in pair_row.tolist()]
+    for z, row, pair_row in zip(pts, roots, pairs):
+        assert max(abs(a - b) for a, b in zip(row, scalar_invert_phi(z))) <= 1e-12
+        # w1 is each root in turn, and w2 the conjugate of a root that makes
+        # (w1, w2) a preimage of z; two of the three conjugates do, so the
+        # scalar route's pick between them is set by rounding
+        for (w1, w2), root, (_, want) in zip(pair_row, row, scalar_invert_phi_pairs(z)):
+            assert w1 == root and w2 in row.conj()
+            assert abs(w1 + 1 / w2 + w2 / w1 - z) <= 1e-12
+            assert abs(w1 + 1 / want + want / w1 - z) <= 1e-12
+
+
+def test_the_array_inversion_keeps_the_scalar_rules_at_the_boundary_and_the_cusps():
+    """On the boundary curve and next to the cusps the roots coalesce, so
+    each is fixed only up to the residual rule |p(w)| <= 1e-9: within
+    sqrt(1e-9) of a double root and 1e-9 ** (1/3) of a triple one.  Both
+    routes must meet the rule and give the same roots within that."""
+    rng = random.Random(19)
+    cusps = [3 * cmath.exp(2j * math.pi * k / 3) for k in range(3)]
+    pts = [deltoid.boundary_point(1.0, rng.random()) for _ in range(400)]
+    pts += [c * (1 - eps) for c in cusps for eps in (0, 1e-16, 1e-13, 1e-10, 1e-7)]
+    roots = deltoid.invert_phi(np.array(pts))
+    for z, row in zip(pts, roots.tolist()):
+        want = scalar_invert_phi(z)
+        assert all(abs(w ** 3 - z * w ** 2 + z.conjugate() * w - 1) <= 1e-9 for w in row)
+        assert max(min(abs(w - v) for v in want) for w in row) <= 2e-3
+    assert deltoid.invert_phi(np.array([3 + 0j, 0.5 + 0.25j]))[0].tolist() == [1 + 0j] * 3
+
+
+def test_a_batch_with_one_point_outside_raises_naming_it():
+    batch = np.array([0.5 + 0.25j, 0j, 3 + 3j, 2.9 + 0j])
+    with pytest.raises(InvalidParameterError, match=r"^\(3\+3j\) lies outside the deltoid$"):
+        deltoid.invert_phi(batch)
+    with pytest.raises(InvalidParameterError, match=r"\(3\+3j\)"):
+        deltoid.invert_phi_pairs(batch)
 
 
 def test_invert_phi_rejects_outside():

@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,7 @@ from oracles import (
     fraction_inverse,
     fraction_mul,
     horner_compose,
+    loop_monomial_characters,
     preprojective_dimensions,
     quadratic_class_sum,
 )
@@ -341,6 +343,22 @@ def test_cy3_hilbert_equals_molien_exactly():
                     assert h.entry(j, 0).coeffs == [int(x) for x in mol.coeffs]
 
 
+def test_molien_counts_equal_the_monomial_loop():
+    """Every weight triple for m <= 6 and every det-1 triple for m <= 12, at
+    order 20 and at one order 0..20 that cycles along the triples: all
+    characters j."""
+    triples = [(m, (a, b, c)) for m in range(1, 7)
+               for a in range(m) for b in range(m) for c in range(m)]
+    triples += [(m, (a, b, (-a - b) % m)) for m in range(7, 13) for a in range(m) for b in range(m)]
+    for i, (m, weights) in enumerate(triples):
+        want = loop_monomial_characters(m, weights, 20)
+        for order in (20, i % 21):
+            for j in range(m):
+                got = molien_abelian(m, weights, j, order).coeffs
+                assert got == [row[j] for row in want[:order + 1]], (m, weights, j, order)
+                assert all(type(c) is int for c in got)
+
+
 def test_molien_det_route_cross_check():
     mol = molien_abelian(5, (1, 1, 3), 0, 25)
     det = molien_abelian_det(5, (1, 1, 3), 0, 25)
@@ -503,6 +521,45 @@ def test_every_cy3_column_equals_the_full_solve():
                 full = cy3_hilbert(g, 12)
                 for c in range(m):
                     assert cy3_hilbert(g, 12, column=c).mats == _cut(full.mats, c)
+
+
+def _column_cases():
+    """(label, solve): solve() is the full solve and solve(j) the solve of
+    column j alone, on ADET, affine, SU3-A, SU3-Astar and cy3 Z_m graphs,
+    and on a weighted graph whose entries pass 2**63, so that its bound
+    trips into dtype object."""
+    heavy = Graph("heavy", tuple(range(5)), _out_edges(_weighted_complete(5, 2, 2)), 0,
+                  symmetric=True)
+    return [
+        *((gid, lambda c=None, g=by_id(gid): hilbert_su2(g, 30, column=c))
+          for gid in ("A(6)", "D(5)", "E(6)", "E(8)", "Tad(4)", "Aff-D(5)", "Aff-E(8)")),
+        *((gid, lambda c=None, g=by_id(gid): hilbert_su3(g, order=24, column=c))
+          for gid in ("SU3-A(6)", "SU3-Astar(10)")),
+        ("cy3 Z7(1,2,4)", lambda c=None: cy3_hilbert(abelian_mckay(7, (1, 2, 4)), 20, column=c)),
+        ("past int64", lambda c=None: hilbert_su2(heavy, 40, column=c)),
+    ]
+
+
+@pytest.mark.parametrize("elements", [1 << 20, 1])
+def test_a_one_column_solve_is_column_j_of_the_full_solve(monkeypatch, elements):
+    """For every column j, the blocks, the zero tail and the tuple rows of
+    the column solve are column j of the full solve's: the column may end
+    its solved blocks earlier, never later.  With _GATHER_ELEMENTS = 1 every
+    row is its own gather."""
+    monkeypatch.setattr(_recurrence, "_GATHER_ELEMENTS", elements)
+    for label, solve in _column_cases():
+        full = solve()
+        for j in range(full.blocks.shape[1]):
+            col = solve(j)
+            s = len(col.blocks)
+            assert col.blocks.shape[1:] == (full.blocks.shape[1], 1), (label, j)
+            assert np.array_equal(col.blocks, full.blocks[:s, :, j:j + 1]), (label, j)
+            assert not full.blocks[s:, :, j].any() and s + col.tail == full.order + 1
+            assert col.mats == _cut(full.mats, j), (label, j)
+            if label == "past int64":
+                assert col.blocks.dtype == object and max(col.blocks[40].ravel()) > 2 ** 100
+            else:
+                assert col.blocks.dtype == full.blocks.dtype == np.int64, (label, j)
 
 
 def test_an_adet_column_raises_exactly_where_its_column_fails_to_terminate():
@@ -907,6 +964,23 @@ def test_generalized_t_matches_the_fraction_route_and_hilbert(adjacency, order):
     assert mats == dense_hilbert(adjacency, order)
     hs = _outcome(lambda: hilbert_su2(g, order).mats)
     assert hs is FailedIdentityError or hs == mats
+
+
+@pytest.mark.parametrize("build, order", [
+    (lambda: by_id("Aff-E(8)"), 48),
+    (lambda: Graph("heavy", tuple(range(4)), _out_edges(_weighted_complete(4, 3, 3)), 0,
+                   symmetric=True), 30),
+], ids=["Aff-E(8)", "past-int64"])
+def test_generalized_t_past_the_int64_bound_equals_the_fraction_route(build, order):
+    """On Aff-E(8) (r = 3) the bound sum_k |c_dk| 3^k passes 2**63 at degree
+    37 while every entry stays small; on the weighted K4 (r = 9) the entries
+    themselves pass 2**63, so int64 sums would wrap."""
+    g = build()
+    gt = generalized_t(g, order)
+    assert gt.blocks.dtype == object
+    assert gt.mats == fraction_generalized_t(g.adjacency, order)
+    if g.id == "heavy":
+        assert max(gt.mats[order][0]) > 2 ** 63
 
 
 def test_generalized_t_star_entry_is_scalar_t():
