@@ -17,6 +17,11 @@ which every later block is provably zero, and returns the solved blocks
 with the length of that zero tail: tuple rows are built by
 `MatrixSeries.mats` on first read.  The product D(t) H(t) is the same
 gather, batched over all degrees.
+
+A solve's setup costs about the size of D's sparse rows: the plan writes
+each row's indices and multipliers in one pass over its entries, N_d's
+entries are listed once, and the numerator Q is checked against Delta
+alone, since Q Delta^T Q^T = (Q Delta Q^T)^T and 1 commutes with Q.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ def _identity_rows(n: int) -> tuple:
 
 def _denominator(graph: Graph, directed: bool) -> list:
     """D(t) = 1 + sum_j c_j M_j t^j as terms (j, c_j, sparse rows of M_j):
-    1 - Delta t + t^2, or 1 - Delta t + Delta^T t^2 - t^3 when directed.
-    Delta's rows are the graph's out-edges, and Delta^T's are scattered from
-    them once; no dense matrix is built."""
+    1 - Delta t + t^2, or 1 - Delta t + Delta^T t^2 - t^3 when directed, so
+    the last term's rows are the identity's.  Delta's rows are the graph's
+    out-edges, and Delta^T's are scattered from them once; no dense matrix
+    is built."""
     rows = graph.out_edges
     one = _identity_rows(len(rows))
     if not directed:
@@ -58,21 +64,21 @@ def _denominator(graph: Graph, directed: bool) -> list:
     return [(1, -1, rows), (2, 1, tuple(map(tuple, cols))), (3, -1, one)]
 
 
-def _check_numerator(q_rows: tuple, terms: list, n: int) -> None:
+def _check_numerator(q_rows: tuple, delta: tuple, n: int) -> None:
     """Q must be a signed permutation, row i = s_i e_{sigma(i)}, that commutes
-    with every D_j.  Q D_j == D_j Q is Q D_j Q^T == D_j: each entry (i, l, a)
-    of D_j reappears, relabelled through sigma, as (sigma(i), sigma(l),
-    s_i s_l a)."""
-    unsigned = sorted(tuple((c, abs(s)) for c, s in row) for row in q_rows)
-    if unsigned != [((j, 1),) for j in range(n)]:
+    with D(t).  Q Delta == Delta Q is Q Delta Q^T == Delta: each entry
+    (i, l, a) of Delta reappears, relabelled through sigma, as (sigma(i),
+    sigma(l), s_i s_l a).  That is the whole check: the other coefficients
+    are 1 and Delta^T, and Q Delta^T Q^T = (Q Delta Q^T)^T."""
+    if (len(q_rows) != n or any(len(row) != 1 or abs(row[0][1]) != 1 for row in q_rows)
+            or sorted(row[0][0] for row in q_rows) != list(range(n))):
         raise InvalidParameterError(
             f"the numerator must be an {n}x{n} signed permutation, one entry +-1 per row")
     sigma, sign = zip(*(row[0] for row in q_rows))
-    for j, _, rows in terms:
-        entries = {(i, l, a) for i, row in enumerate(rows) for l, a in row}
-        if entries != {(sigma[i], sigma[l], sign[i] * sign[l] * a) for i, l, a in entries}:
-            raise SymmetryError(f"numerator permutation does not commute with "
-                                f"the t^{j} coefficient of the denominator")
+    entries = {(i, l, a) for i, row in enumerate(delta) for l, a in row}
+    if entries != {(sigma[i], sigma[l], sign[i] * sign[l] * a) for i, l, a in entries}:
+        raise SymmetryError("numerator permutation does not commute with "
+                            "the t^1 coefficient of the denominator")
 
 
 def _plan(terms: list, n: int, sign: int) -> Tuple[np.ndarray, list, int]:
@@ -81,15 +87,36 @@ def _plan(terms: list, n: int, sign: int) -> Tuple[np.ndarray, list, int]:
     (deg - j) * n + l, for deg the largest j.  Returns the (n, width) window
     rows, their multipliers sign * c_j * a, and `reach`, the largest row sum
     of |multiplier|, so that every partial sum is at most reach * max|X|.
-    Short rows are padded with window row i and multiplier 0."""
+    Each row's indices and multipliers are written in one pass over its
+    entries; short rows are padded with window row i and multiplier 0."""
     deg = terms[-1][0]
-    slots = [[((deg - j) * n + l, sign * c * a) for j, c, rows in terms for l, a in rows[i]]
-             for i in range(n)]
-    width = max(1, max(map(len, slots)))
-    slots = [row + [(i, 0)] * (width - len(row)) for i, row in enumerate(slots)]
-    idx = np.array([[at for at, _ in row] for row in slots], np.intp)
-    mult = [[m for _, m in row] for row in slots]
-    return idx, mult, max(sum(map(abs, row)) for row in mult)
+    steps = [((deg - j) * n, sign * c, rows) for j, c, rows in terms]
+    idx, mult = [], []
+    for i in range(n):
+        at, by = [], []
+        for base, f, rows in steps:
+            for l, a in rows[i]:
+                at.append(base + l)
+                by.append(f * a)
+        idx.append(at)
+        mult.append(by)
+    width = max(1, max(map(len, idx)))
+    for i, (at, by) in enumerate(zip(idx, mult)):
+        if len(at) < width:
+            at += [i] * (width - len(at))
+            by += [0] * (width - len(by))
+    return np.array(idx, np.intp), mult, max(sum(map(abs, by)) for by in mult)
+
+
+def _entries(rows: tuple, column: Optional[int]) -> tuple:
+    """The entries of sparse rows as three lists (rows, columns, values), in
+    one pass; with a column, only its entries, at column 0 of an n x 1 block.
+    Empty when no entry is left."""
+    if column is None:
+        found = [(i, c, a) for i, row in enumerate(rows) for c, a in row]
+    else:
+        found = [(i, 0, a) for i, row in enumerate(rows) for c, a in row if c == column]
+    return tuple(map(list, zip(*found)))
 
 
 def _magnitude(block: np.ndarray) -> int:
@@ -137,12 +164,12 @@ def _solve(graph: Graph, directed: bool, order: int,
         if not 0 <= column < n:
             raise InvalidParameterError(f"column {column} is outside 0..{n - 1}")
     terms = _denominator(graph, directed)
-    num = {0: _identity_rows(n)}
+    num = {0: terms[-1][2]}         # N_0 = 1, the rows of D's top coefficient
     if numerator is not None:
         h, q_rows = numerator
         if h < 1:                   # t^0 would overwrite N_0 = 1
             raise InvalidParameterError(f"numerator degree h = {h} must be at least 1")
-        _check_numerator(q_rows, terms, n)
+        _check_numerator(q_rows, graph.out_edges, n)
         num[h] = q_rows
     deg, w = terms[-1][0], n if column is None else 1
     idx, mult, reach = _plan(terms, n, -1)
@@ -151,10 +178,8 @@ def _solve(graph: Graph, directed: bool, order: int,
     hist = np.zeros((deg + min(order + 1, _FIRST_BLOCKS), n, 1, w), dtype)
     chunk = max(1, _GATHER_ELEMENTS // (idx.shape[1] * w))
     parts = [(slice(lo, lo + chunk), idx[lo:lo + chunk]) for lo in range(0, n, chunk)]
-    # N_d's entries (row, column, value) within the solved columns
-    entries = {d: [(i, c if column is None else 0, a) for i, row in enumerate(rows)
-                   for c, a in row if column in (None, c)] for d, rows in num.items()}
-    entries = {d: tuple(map(list, zip(*found))) for d, found in entries.items() if found}
+    # N_d's entries as (rows, columns, values) within the solved columns
+    entries = {d: _entries(rows, column) for d, rows in num.items()}
     bound, exact = 0, dtype is np.int64     # bound >= max|X| over the solved blocks
     last, run = max(num), 0
     for k in range(order + 1):
@@ -174,7 +199,7 @@ def _solve(graph: Graph, directed: bool, order: int,
         window, block = hist[k:k + deg].reshape(deg * n, w), hist[deg + k]
         for rows, at in parts:
             np.matmul(mult[rows], window.take(at, axis=0), out=block[rows])
-        if k in entries:
+        if entries.get(k):
             i, cols, values = entries[k]
             block[i, 0, cols] += values
         if exact:
@@ -213,7 +238,8 @@ def _multiply(graph: Graph, directed: bool, series) -> list:
             f"{graph.id} needs {shape[0]}x{shape[1]} blocks, "
             f"the series has {blocks.shape[1]}x{blocks.shape[2]}")
     solved, w = len(blocks), shape[1]
-    terms = [(0, 1, _identity_rows(n))] + _denominator(graph, directed)
+    terms = _denominator(graph, directed)
+    terms = [(0, 1, terms[-1][2])] + terms      # D_0 = 1, the rows of D's top coefficient
     deg = terms[-1][0]
     count = min(solved + deg, solved + tail)
     idx, mult, reach = _plan(terms, n, 1)

@@ -5,7 +5,9 @@ deltoid membership, the cubic inversion of Phi, and the D_l grid.
 Angles are taken in [0,1); a rational angle may be a Fraction, and then its
 S3 orbit is exact.  Stacked measures use the array forms: Phi and the
 sine-product Jacobian over an (N, 2) array of float angles, and D_l as
-integer numerators over 3l (``dl_numerators``), the one form of the grid.
+integer numerators over 3l (``dl_numerators``, written directly, not
+filtered), the one form of the grid; Phi on numerators over one denominator
+(``phi_grid``) reads each point's w1, w2 from one table of roots of unity.
 The cubic inversion (``invert_phi``, ``invert_phi_pairs``) is one array
 kernel, Cardano's formula and then a Newton polish of only the roots that
 have not yet converged; a single complex point is its one-point form, with
@@ -44,12 +46,22 @@ def phi(p: TorusPoint) -> complex:
     return w1 + 1 / w2 + w2 / w1
 
 
+def _phi_of(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    return w1 + 1 / w2 + w2 / w1
+
+
 def phi_array(theta: np.ndarray) -> np.ndarray:
     """Phi at each row (theta1, theta2) of an (N, 2) float array; it agrees
     with phi to rounding (numpy divides complex numbers in another order)."""
-    w1 = np.exp(2j * math.pi * theta[:, 0])
-    w2 = np.exp(2j * math.pi * theta[:, 1])
-    return w1 + 1 / w2 + w2 / w1
+    return _phi_of(np.exp(2j * math.pi * theta[:, 0]), np.exp(2j * math.pi * theta[:, 1]))
+
+
+def phi_grid(q: np.ndarray, den: int) -> np.ndarray:
+    """Phi at each row (q1, q2) of an (N, 2) array of integer numerators in
+    [0, den): bit for bit phi_array(q / den), with each w = e^{2 pi i k/den}
+    read from one table of the den roots of unity."""
+    roots = np.exp(2j * math.pi * (np.arange(den) / den))
+    return _phi_of(roots[q[:, 0]], roots[q[:, 1]])
 
 
 # The S3 action on exponents, generated by T2 (order 2) and T3 (order 3).
@@ -253,15 +265,15 @@ def invert_phi_pairs(z: Union[complex, np.ndarray], tol: float = 1e-9
 
 def dl_numerators(l: int) -> np.ndarray:
     """D_l as integer numerators over 3l: the (3 l^2, 2) array of all
-    (q1, q2) with q1 + q2 = 0 mod 3, q1 outer and q2 inner."""
+    (q1, q2) with q1 + q2 = 0 mod 3, q1 outer and q2 inner.  For each q1
+    these are q2 = (-q1 mod 3) + 3j, j = 0 .. l - 1, written directly."""
     if l < 4:
         raise InvalidParameterError("D_l grid needs l >= 4")
-    q1, q2 = np.divmod(np.arange(9 * l * l), 3 * l)
-    keep = (q1 + q2) % 3 == 0
-    q = np.stack([q1[keep], q2[keep]], axis=1)
-    if len(q) != 3 * l * l:
-        raise FailedIdentityError(f"D_l grid has {len(q)} points, not 3 l^2 = {3 * l * l}")
-    return q
+    q1 = np.arange(3 * l)
+    q = np.empty((3 * l, l, 2), q1.dtype)
+    q[:, :, 0] = q1[:, None]
+    q[:, :, 1] = (-q1 % 3)[:, None] + 3 * np.arange(l)
+    return q.reshape(-1, 2)
 
 
 def boundary_point(r: float, t: float) -> complex:

@@ -7,6 +7,13 @@ distinguished vertex * is the endpoint 1, for D_n it is the tail-end vertex n
 (the two fork tips are vertices 1 and 2), for E_n it is the degree-1 vertex of
 lowest Perron-Frobenius weight, and for every affine diagram it is the
 extended vertex (the identity representation of the McKay subgroup).
+
+A graph is built at about the cost of its out-edge rows.  Edge-list graphs
+append each arc's target index to its source's list and sort each list once
+(``_graph_from``).  The SU(3) triangles and the truncated hexagon are
+lattice regions with one run of b per a, so their rows are written in index
+order from the runs, with no label lookups (``_su3_lattice``).  ``by_id``
+sets the family on the graph it has just built instead of copying it.
 """
 
 from __future__ import annotations
@@ -14,10 +21,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
+from itertools import accumulate, repeat
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -117,22 +125,71 @@ def _dense(rows: tuple) -> tuple:
     return tuple(dense)
 
 
+def _row(targets: list) -> tuple:
+    """The sorted out-edge row (j, a) of a vertex whose arcs end at the
+    vertex indices in targets, a counting the repeats of j."""
+    targets.sort()
+    if len(set(targets)) == len(targets):
+        return tuple(zip(targets, repeat(1)))
+    return tuple((j, targets.count(j)) for j in sorted(set(targets)))
+
+
 def _graph_from(id_, labels, edges, star, h=None, symmetric=True, depth=None, loops=()):
     """Assemble a Graph from an edge list (plus optional loops); each edge
-    runs both ways unless symmetric is False."""
+    runs both ways unless symmetric is False.  Each arc appends its target
+    index to its source's list, and each list becomes one sorted row."""
     idx = {v: i for i, v in enumerate(labels)}
-    rows = [{} for _ in labels]
-    arcs = [*edges, *((v, u) for u, v in edges if symmetric), *((u, u) for u in loops)]
-    for u, v in arcs:
-        row, j = rows[idx[u]], idx[v]
-        row[j] = row.get(j, 0) + 1
+    targets = [[] for _ in labels]
+    for u, v in edges:
+        i, j = idx[u], idx[v]
+        targets[i].append(j)
+        if symmetric:
+            targets[j].append(i)
+    for u in loops:
+        targets[idx[u]].append(idx[u])
     return Graph(
         id=id_,
         vertices=tuple(labels),
-        out_edges=tuple(tuple(sorted(row.items())) for row in rows),
+        out_edges=tuple(map(_row, targets)),
         distinguished=idx[star],
         coxeter_h=h,
         symmetric=symmetric,
+        trunc_depth=depth,
+    )
+
+
+def _su3_lattice(id_: str, spans: list, h: Optional[int] = None,
+                 depth: Optional[int] = None) -> Graph:
+    """The directed SU(3) fusion graph on the lattice points (a, b) with
+    lo <= b <= hi, for the rows (a, lo, hi) of spans (a consecutive and
+    ascending), with * = (0, 0).  The vertices are in (a, b) order, so each
+    row of spans is one run of indices, and the arcs of (a, b) to
+    (a - 1, b + 1), (a, b - 1) and (a + 1, b) that stay inside are already
+    in index order: each out-edge row is written in one pass, with no label
+    lookups."""
+    start = list(accumulate((hi - lo + 1 for _, lo, hi in spans), initial=0))
+    labels, rows = [], []
+    for r, (a, lo, hi) in enumerate(spans):
+        up = spans[r - 1] if r else (a - 1, 1, 0)           # (1, 0): no b fits
+        down = spans[r + 1] if r + 1 < len(spans) else (a + 1, 1, 0)
+        for i, b in enumerate(range(lo, hi + 1), start[r]):
+            row = []
+            if up[1] <= b + 1 <= up[2]:
+                row.append((start[r - 1] + b + 1 - up[1], 1))
+            if b > lo:
+                row.append((i - 1, 1))
+            if down[1] <= b <= down[2]:
+                row.append((start[r + 1] + b - down[1], 1))
+            labels.append((a, b))
+            rows.append(tuple(row))
+    star = -spans[0][0]                 # the row of spans with a = 0
+    return Graph(
+        id=id_,
+        vertices=tuple(labels),
+        out_edges=tuple(rows),
+        distinguished=start[star] - spans[star][1],
+        coxeter_h=h,
+        symmetric=False,
         trunc_depth=depth,
     )
 
@@ -195,20 +252,7 @@ def _su3_astar_graph(l: int) -> Graph:
 
 def _su3_triangle(id_: str, size: int, h: Optional[int] = None, depth: Optional[int] = None) -> Graph:
     """Directed graph on {(l1,l2) >= 0, l1+l2 <= size} with the fusion edges."""
-    labels = [
-        (l1, l2)
-        for s in range(size + 1)
-        for l1 in range(s + 1)
-        for l2 in (s - l1,)
-    ]
-    labels.sort()
-    inside = set(labels)
-    directed = []
-    for (l1, l2) in labels:
-        for tgt in ((l1 + 1, l2), (l1, l2 - 1), (l1 - 1, l2 + 1)):
-            if tgt in inside:
-                directed.append(((l1, l2), tgt))
-    return _graph_from(id_, labels, directed, star=(0, 0), h=h, symmetric=False, depth=depth)
+    return _su3_lattice(id_, [(l1, 0, size - l1) for l1 in range(size + 1)], h=h, depth=depth)
 
 
 # Truncations of infinite graphs: the finite induced subgraph of radius
@@ -227,24 +271,10 @@ def _trunc_dinf_graph(depth: int) -> Graph:
 
 
 def _trunc_su3a6inf_graph(depth: int) -> Graph:
-    verts = {(0, 0)}
-    frontier = {(0, 0)}
-    steps = [(1, 0), (0, -1), (-1, 1), (-1, 0), (0, 1), (1, -1)]
-    for _ in range(depth):
-        frontier = {
-            (v[0] + s[0], v[1] + s[1]) for v in frontier for s in steps
-        } - verts
-        verts |= frontier
-    labels = sorted(verts)
-    fwd = [(1, 0), (0, -1), (-1, 1)]
-    directed = [
-        (v, (v[0] + s[0], v[1] + s[1]))
-        for v in labels
-        for s in fwd
-        if (v[0] + s[0], v[1] + s[1]) in verts
-    ]
-    return _graph_from(f"Trunc-SU3A6inf({depth})", labels, directed, star=(0, 0),
-                       symmetric=False, depth=depth)
+    """The hexagon max(|a|, |b|, |a + b|) <= depth: the points that the six
+    steps (+-1, 0), (0, +-1), +-(1, -1) reach from * in depth steps."""
+    spans = [(a, max(-depth, -depth - a), min(depth, depth - a)) for a in range(-depth, depth + 1)]
+    return _su3_lattice(f"Trunc-SU3A6inf({depth})", spans, depth=depth)
 
 
 def _su3_rotation_rows(graph: Graph) -> tuple:
@@ -479,7 +509,9 @@ def _build(name: str, n: int) -> Graph:
     family.check(n)
     if family.graph is None:
         raise DataUnavailableError(f"{name}({n}) has no adjacency figure here")
-    return replace(family.graph(n), family=name)
+    graph = family.graph(n)
+    object.__setattr__(graph, "family", name)     # the new graph is not yet shared: no copy
+    return graph
 
 
 def by_id(graph_id: str) -> Graph:

@@ -12,7 +12,8 @@ read, once, by the same node-by-node merges as an eager build.  The exact
 routes (``fourier``) never read it.  Every measure caches a stacked view
 (float angles, float weights and, on the torus, the values of Phi), and the
 float torus routes (with_j2, moments_t2) read only that view; a grid measure's
-``to_json`` is formatted from its numerators.
+``to_json`` is formatted from its numerators, and its Phi values are read off
+one table of the denominator's roots of unity (``deltoid.phi_grid``).
 
 Moments are evaluated two independent ways wherever possible: a float route,
 and an exact rational route through the Fourier coefficients of the measure
@@ -87,7 +88,8 @@ class DiscreteMeasure:
     of the dict, ``atoms`` calls it the first time it is read and keeps the
     result.  A measure made by ``on_grid`` keeps its angles as integer
     numerators over one denominator (distinct rows) and builds ``atoms`` the
-    same way, in numerator-array order.  The stacked view
+    same way, in numerator-array order; its Phi values come from the
+    numerators too.  The stacked view
     ``angle_array`` (N x dimension floats), ``weight_array`` (N floats) and,
     on the torus, ``phi_array`` (Phi at each atom) is computed once and
     cached, in atom order; its arrays are read-only too, so the view cannot go
@@ -144,6 +146,9 @@ class DiscreteMeasure:
     def phi_array(self) -> np.ndarray:
         if self.dimension != 2:
             raise InvalidParameterError("Phi is evaluated on torus measures")
+        if self._grid is not None:
+            q, den, _ = self._grid
+            return _frozen(deltoid.phi_grid(q, den))
         return _frozen(deltoid.phi_array(self.angle_array))
 
     def _with_weights(self, weights: np.ndarray, provenance: str) -> "DiscreteMeasure":

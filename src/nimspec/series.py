@@ -442,7 +442,7 @@ def hilbert_su3(graph: Graph, p: Optional[Matrix] = None,
         if (sorted(p_rows) != [((j, 1),) for j in range(n)]
                 or any(type(a) is not int for row in p_rows for _, a in row)):
             raise InvalidParameterError(f"P must be an {n}x{n} permutation matrix of ints")
-    minus_p = tuple(tuple((j, -a) for j, a in row) for row in p_rows)
+    minus_p = tuple(((j, -a),) for (j, a), in p_rows)   # each row of P holds one entry
     blocks, tail = _solve(graph, True, 3 * h if order is None else order, (h, minus_p),
                           column, nonnegative=True)
     return MatrixSeries(graph.id, blocks, column=column, tail=tail)

@@ -500,6 +500,14 @@ def _suite_deltoid(tol: float, rng: random.Random) -> List[Check]:
 _PREPROJECTIVE_TOTALS = {"A(2)": 4, "A(3)": 10, "D(4)": 28}   # brute-force oracle values
 
 
+def _preprojective_dimension(g) -> Fraction:
+    """h(h+1)n/6, the dimension of the pre-projective algebra of an ADE
+    Dynkin graph with n vertices and Coxeter number h (Malkin-Ostrik-
+    Vybornov, Duke Math. J. 126, 2005): the H(1) of its Hilbert series."""
+    h = g.coxeter_h
+    return Fraction(h * (h + 1) * g.n_vertices, 6)
+
+
 def _suite_hilbert(tol: float, rng: random.Random) -> List[Check]:
     checks: List[Check] = []
     ids = [f"A({n})" for n in range(2, 7)] + [f"D({n})" for n in (4, 5, 6)] + \
@@ -515,11 +523,12 @@ def _suite_hilbert(tol: float, rng: random.Random) -> List[Check]:
                 expect = p if k == g.coxeter_h else series.mat_zero(g.n_vertices)
                 ok &= num[k] == expect
             msg = "1 + P t^h"
+            total = hs.total_at_one()
+            ok &= total == _preprojective_dimension(g)
             if gid in _PREPROJECTIVE_TOTALS:
-                total = hs.total_at_one()
                 ok &= total == _PREPROJECTIVE_TOTALS[gid]
                 msg += f"; H(1) = {total} (oracle {_PREPROJECTIVE_TOTALS[gid]})"
-            return (ok, msg, "(1 - Dt + t^2) H = 1 + P t^h exactly", 0.0)
+            return (ok, msg, "(1 - Dt + t^2) H = 1 + P t^h exactly, H(1) = h(h+1)n/6", 0.0)
 
         checks.append((f"preprojective:{gid}", run))
 

@@ -5,11 +5,15 @@ counts are DFS enumerations, algebra dimensions come from Gaussian
 elimination on explicit path bases, tableau counts from direct recursion,
 series products, inverses and composition are direct loops on Fraction
 coefficient lists, matrix Hilbert series are dense tuple-of-tuples
-recurrences, finite groups are closed and partitioned one matrix product at
+recurrences whose numerator is checked against every coefficient of the
+denominator, finite groups are closed and partitioned one matrix product at
 a time, torus moments are summed one atom at a time, the D_l measure and
 its J^2 density are built one Fraction atom at a time through the scalar
 deltoid routes, the deltoid-density CSV is written one grid point at a time
-through the complex discriminant, the cubic inversion of Phi runs Cardano's
+through the complex discriminant, graphs are assembled one arc at a time in
+a dict keyed by label, the truncated hexagon is grown by breadth-first
+search, the D_l grid filters all (3l)^2 numerator pairs and Phi on it takes
+two complex exponentials per point, the cubic inversion of Phi runs Cardano's
 formula one point at a time on Python complex numbers, Molien counts
 enumerate monomials one at a time, circle Fourier transforms are nested
 closures built node by node from a measure spec, and circle atom dicts are
@@ -25,6 +29,8 @@ from fractions import Fraction
 import numpy as np
 
 from nimspec import deltoid
+from nimspec.errors import InvalidParameterError, SymmetryError
+from nimspec.graphs import Graph
 
 
 def brute_pair_paths(adjacency, start: int, m: int, n: int) -> int:
@@ -166,6 +172,23 @@ def dense_hilbert(adjacency, order, directed=False, numerator=None):
             m = _dense_add(m, numerator[1])
         mats.append(m)
     return mats
+
+
+def all_terms_check_numerator(q_rows, terms, n: int) -> None:
+    """The numerator check against every coefficient of D(t): Q must be a
+    signed permutation, and each term (j, c, sparse rows of D_j) must keep
+    its entry set under the relabelling (i, l, a) -> (sigma(i), sigma(l),
+    s_i s_l a)."""
+    unsigned = sorted(tuple((c, abs(s)) for c, s in row) for row in q_rows)
+    if unsigned != [((j, 1),) for j in range(n)]:
+        raise InvalidParameterError(
+            f"the numerator must be an {n}x{n} signed permutation, one entry +-1 per row")
+    sigma, sign = zip(*(row[0] for row in q_rows))
+    for j, _, rows in terms:
+        entries = {(i, l, a) for i, row in enumerate(rows) for l, a in row}
+        if entries != {(sigma[i], sigma[l], sign[i] * sign[l] * a) for i, l, a in entries}:
+            raise SymmetryError(f"numerator permutation does not commute with "
+                                f"the t^{j} coefficient of the denominator")
 
 
 def dense_numerator(adjacency, mats, directed=False):
@@ -483,6 +506,58 @@ def scalar_invert_phi_pairs(z: complex, tol: float = 1e-9):
                 best = (abs(val - z), w2)
         pairs.append((w1, best[1]))
     return pairs
+
+
+def dict_graph_from(id_, labels, edges, star, h=None, symmetric=True, depth=None, loops=()):
+    """A Graph from an edge list, one arc at a time: each arc adds 1 to the
+    dict entry of its target in its source's row, and each row is then
+    sorted by target index."""
+    idx = {v: i for i, v in enumerate(labels)}
+    rows = [{} for _ in labels]
+    arcs = [*edges, *((v, u) for u, v in edges if symmetric), *((u, u) for u in loops)]
+    for u, v in arcs:
+        row, j = rows[idx[u]], idx[v]
+        row[j] = row.get(j, 0) + 1
+    return Graph(id=id_, vertices=tuple(labels),
+                 out_edges=tuple(tuple(sorted(row.items())) for row in rows),
+                 distinguished=idx[star], coxeter_h=h, symmetric=symmetric,
+                 trunc_depth=depth)
+
+
+def dict_su3_triangle(id_, size, h=None, depth=None):
+    """The SU(3) triangle {(l1, l2) >= 0, l1 + l2 <= size}, with an arc to
+    each of (l1 + 1, l2), (l1, l2 - 1), (l1 - 1, l2 + 1) found in the label
+    set."""
+    labels = sorted((l1, s - l1) for s in range(size + 1) for l1 in range(s + 1))
+    inside = set(labels)
+    directed = [((l1, l2), tgt) for (l1, l2) in labels
+                for tgt in ((l1 + 1, l2), (l1, l2 - 1), (l1 - 1, l2 + 1)) if tgt in inside]
+    return dict_graph_from(id_, labels, directed, star=(0, 0), h=h, symmetric=False,
+                           depth=depth)
+
+
+def bfs_trunc_su3a6inf(depth):
+    """Trunc-SU3A6inf(depth): the points that a breadth-first search with the
+    six lattice steps reaches from (0, 0) in depth rounds, with the three
+    forward steps as arcs."""
+    verts, frontier = {(0, 0)}, {(0, 0)}
+    steps = [(1, 0), (0, -1), (-1, 1), (-1, 0), (0, 1), (1, -1)]
+    for _ in range(depth):
+        frontier = {(v[0] + s[0], v[1] + s[1]) for v in frontier for s in steps} - verts
+        verts |= frontier
+    labels = sorted(verts)
+    directed = [(v, (v[0] + s[0], v[1] + s[1])) for v in labels
+                for s in ((1, 0), (0, -1), (-1, 1)) if (v[0] + s[0], v[1] + s[1]) in verts]
+    return dict_graph_from(f"Trunc-SU3A6inf({depth})", labels, directed, star=(0, 0),
+                           symmetric=False, depth=depth)
+
+
+def filtered_dl_numerators(l: int) -> np.ndarray:
+    """D_l as numerators over 3l: all (3l)^2 pairs (q1, q2), q1 outer, kept
+    where q1 + q2 = 0 mod 3."""
+    q1, q2 = np.divmod(np.arange(9 * l * l), 3 * l)
+    keep = (q1 + q2) % 3 == 0
+    return np.stack([q1[keep], q2[keep]], axis=1)
 
 
 def dl_atoms(l: int) -> dict:

@@ -9,6 +9,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nimspec import deltoid, measures, series, subgroups
@@ -314,15 +315,16 @@ def test_criterion_12_deltoid():
         assert abs(jt * jt - ja * ja) < 1e-9 * max(1.0, jt * jt)
     for l in range(4, 13):
         assert len(deltoid.dl_numerators(l)) == 3 * l * l
-    done = 0
-    while done < 1000:
-        t = (rng.random(), rng.random())
-        z = deltoid.phi(t)
-        if deltoid.discriminant(z).real < 1e-8:
-            continue
-        done += 1
-        for w1, w2 in deltoid.invert_phi_pairs(z):
-            assert abs(w1 + 1 / w2 + w2 / w1 - z) < 1e-9
+    zs = []
+    while len(zs) < 1000:
+        z = deltoid.phi((rng.random(), rng.random()))
+        if deltoid.discriminant(z).real >= 1e-8:
+            zs.append(z)
+    zs = np.array(zs)
+    pairs = deltoid.invert_phi_pairs(zs)        # all 1000 points in one array call
+    w1, w2 = pairs[..., 0], pairs[..., 1]
+    miss = np.abs(w1 + 1 / w2 + w2 / w1 - zs[:, None])
+    assert (miss < 1e-9).all(), zs[miss.max(axis=1).argmax()]
     for k in range(500):
         z = deltoid.boundary_point(1.0, k / 500)
         assert abs(deltoid.discriminant(z)) < 1e-9

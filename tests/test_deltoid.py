@@ -11,7 +11,7 @@ from nimspec.errors import InvalidParameterError
 from nimspec.graphs import su3_exponent_angles, su3_psi_star
 from nimspec.suites import run_suite
 
-from oracles import scalar_invert_phi, scalar_invert_phi_pairs
+from oracles import filtered_dl_numerators, scalar_invert_phi, scalar_invert_phi_pairs
 
 
 def _dl_points(l):
@@ -120,18 +120,25 @@ def test_invert_phi_recovers_boundary_orbit_member():
     assert min(abs(w - target) for w in roots) < 1e-9
 
 
+def test_the_dl_grid_written_directly_equals_the_filtered_pairs():
+    for l in range(4, 121):
+        q, want = deltoid.dl_numerators(l), filtered_dl_numerators(l)
+        assert q.dtype == want.dtype and np.array_equal(q, want), l
+
+
 def test_invert_phi_roundtrip_on_interior():
     rng = random.Random(5)
-    done = 0
-    while done < 1000:
-        t = (rng.random(), rng.random())
-        z = deltoid.phi(t)
-        if deltoid.discriminant(z).real < 1e-8:
-            continue
-        done += 1
-        for w1, w2 in deltoid.invert_phi_pairs(z):
-            assert abs(w1 + 1 / w2 + w2 / w1 - z) < 1e-9
-            assert abs(abs(w1) - 1) < 1e-9
+    zs = []
+    while len(zs) < 1000:
+        z = deltoid.phi((rng.random(), rng.random()))
+        if deltoid.discriminant(z).real >= 1e-8:
+            zs.append(z)
+    zs = np.array(zs)
+    pairs = deltoid.invert_phi_pairs(zs)        # all 1000 points in one array call
+    w1, w2 = pairs[..., 0], pairs[..., 1]
+    miss = np.abs(w1 + 1 / w2 + w2 / w1 - zs[:, None])
+    assert (miss < 1e-9).all(), zs[miss.max(axis=1).argmax()]
+    assert (np.abs(np.abs(w1) - 1) < 1e-9).all()
 
 
 def _well_separated_points():

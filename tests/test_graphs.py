@@ -10,8 +10,10 @@ from nimspec.errors import (
     InvalidParameterError,
     UnsupportedConstructionError,
 )
-from nimspec.graphs import by_id, eigen_moment, eigendata
+from nimspec.graphs import FAMILIES, by_id, eigen_moment, eigendata
 from nimspec.paths import moment_path_count
+
+from oracles import bfs_trunc_su3a6inf, dict_graph_from, dict_su3_triangle
 
 
 def _degree(g, i):
@@ -199,3 +201,30 @@ def test_graph_json_roundtrip():
     assert blob["adjacency"] == [list(r) for r in g.adjacency]
     assert blob["distinguished"] == g.distinguished
     assert blob["coxeter_h"] == 5
+
+
+# The sizes each family is built at below; every family runs through 2..15
+# as well, where its domain admits them.
+_ORACLE_SIZES = {"Trunc-SU3A6inf": range(1, 21), "SU3-A": range(4, 31),
+                 "Trunc-SU3Ainf": range(1, 21)}
+
+
+def test_every_family_builder_matches_the_dict_oracle(monkeypatch):
+    """Each FAMILIES builder gives the graph of the reference builders in
+    oracles: arcs counted one at a time in a dict keyed by label, the SU(3)
+    triangle found by label-set lookups and the hexagon grown by
+    breadth-first search."""
+    built = {}
+    for name, family in FAMILIES.items():
+        for n in sorted({*range(2, 16), *_ORACLE_SIZES.get(name, ())}):
+            if (family.graph is not None and family.accepts(n)
+                    and not (name == "SU3-Astar" and n % 2)):
+                built[name, n] = by_id(f"{name}({n})")
+    monkeypatch.setattr(graphs, "_graph_from", dict_graph_from)
+    monkeypatch.setattr(graphs, "_su3_triangle", dict_su3_triangle)
+    for (name, n), g in built.items():
+        ref = bfs_trunc_su3a6inf(n) if name == "Trunc-SU3A6inf" else FAMILIES[name].graph(n)
+        assert g.family == name
+        for field in ("id", "vertices", "out_edges", "distinguished", "coxeter_h", "symmetric",
+                      "trunc_depth"):
+            assert getattr(g, field) == getattr(ref, field), (name, n, field)

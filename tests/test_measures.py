@@ -4,10 +4,12 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nimspec import deltoid
 from nimspec.errors import FailedIdentityError, InvalidParameterError, NoClosedFormError
 from nimspec.graphs import by_id, eigen_moment, eigendata
 from nimspec.measures import (
@@ -640,6 +642,17 @@ def test_grid_built_su3_a_measures_match_the_dict_oracle(l):
     got, want = canonical_measure(f"SU3-A({l})").atoms, j2_atoms(want)
     assert list(got) == list(want)
     assert all(math.isclose(got[k], w, rel_tol=1e-15, abs_tol=0) for k, w in want.items())
+
+
+def test_phi_on_a_grid_is_bit_equal_to_phi_of_the_float_angles():
+    """A grid measure's Phi, read from one table of roots of unity, has the
+    bits of deltoid.phi_array at the float angles q / den."""
+    grids = [(f"SU3-A({l})", deltoid.dl_numerators(l), 3 * l) for l in range(4, 81)]
+    grids += [(f"SU3-D({n})", np.stack(divmod(np.arange(n * n), n), axis=1), n)
+              for n in range(6, 31, 3)]
+    for gid, q, den in grids:
+        got, want = canonical_measure(gid).phi_array, deltoid.phi_array(q / den)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), gid
 
 
 @settings(max_examples=40, deadline=None)

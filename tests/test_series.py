@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nimspec import _recurrence
+from nimspec import _recurrence, suites
 from nimspec.errors import (
     FailedIdentityError,
     InvalidParameterError,
@@ -44,6 +44,7 @@ from nimspec.series import (
 from nimspec.subgroups import ClassData, ClassRow, class_data, generate_group
 
 from oracles import (
+    all_terms_check_numerator,
     dense_hilbert,
     dense_numerator,
     fraction_generalized_t,
@@ -195,6 +196,42 @@ def test_hilbert_totals_match_bruteforce_oracle(gid, total):
     assert graded[: len(dims)] == dims + [0] * (len(graded[: len(dims)]) - len(dims))
 
 
+def _last_degree_dropped(hs):
+    """The mutation of a terminating series that zeroes its last nonzero
+    degree: one solved block fewer, one zero block more."""
+    return MatrixSeries(hs.graph_id, hs.blocks[:-1], column=hs.column, tail=hs.tail + 1)
+
+
+def test_preprojective_dimension_is_h_h_plus_1_n_over_6():
+    """H(1) = h(h+1)n/6 on the pre-projective algebra of every ADE Dynkin
+    graph (Malkin-Ostrik-Vybornov).  Tad(n) is not a Dynkin graph: there the
+    same total is an observation, checked for n <= 20."""
+    ids = ([f"A({n})" for n in range(2, 41)] + [f"D({n})" for n in range(4, 41)]
+           + ["E(6)", "E(7)", "E(8)"] + [f"Tad({n})" for n in range(1, 21)])
+    for gid in ids:
+        g = by_id(gid)
+        h, n = g.coxeter_h, g.n_vertices
+        hs = hilbert_su2(g, h + 2)
+        assert 6 * hs.total_at_one() == h * (h + 1) * n, gid
+        assert 6 * _last_degree_dropped(hs).total_at_one() != h * (h + 1) * n, gid
+
+
+@pytest.mark.parametrize("mutation", ["drop the last degree", "H(1) formula + 1"])
+def test_each_mutation_fails_every_preprojective_case(monkeypatch, mutation):
+    """Dropping the last nonzero degree fails the numerator identity and the
+    H(1) check; a wrong H(1) formula alone fails the H(1) check."""
+    if mutation == "drop the last degree":
+        real = suites.series.hilbert_su2
+        monkeypatch.setattr(suites.series, "hilbert_su2",
+                            lambda g, order: _last_degree_dropped(real(g, order)))
+    else:
+        formula = suites._preprojective_dimension
+        monkeypatch.setattr(suites, "_preprojective_dimension", lambda g: formula(g) + 1)
+    cases = [c for c in suites.run_suite("hilbert").cases
+             if c.case_id.startswith("hilbert:preprojective:")]
+    assert len(cases) == 11 and all(c.status == "fail" for c in cases)
+
+
 def test_a2_hilbert_is_linear():
     g = by_id("A(2)")
     hs = hilbert_su2(g, 10)
@@ -305,6 +342,63 @@ def test_a_numerator_that_does_not_commute_is_rejected(gid, directed, column):
 def test_a_numerator_that_is_not_a_signed_permutation_is_rejected(q_rows):
     with pytest.raises(InvalidParameterError, match="signed permutation"):
         _solve(by_id("A(3)"), False, 6, (2, q_rows))
+
+
+@st.composite
+def numerator_cases(draw):
+    """(adjacency, Q's sparse rows, n): Q a signed permutation, and in half
+    the cases an adjacency summed over the orbit of Q's permutation, so that
+    the two commute once the signs agree along every edge; Q is sometimes
+    broken into a matrix that is no signed permutation."""
+    n = draw(st.integers(1, 5))
+    sigma = draw(st.permutations(range(n)))
+    signs = draw(st.one_of(st.just([1] * n), st.just([-1] * n),
+                           st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+    flat = draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))
+    dense = [flat[i * n:(i + 1) * n] for i in range(n)]
+    if draw(st.booleans()):
+        orbit, cur = [dense], dense
+        while True:
+            nxt = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for l in range(n):
+                    nxt[sigma[i]][sigma[l]] = cur[i][l]
+            if nxt == dense:
+                break
+            orbit.append(nxt)
+            cur = nxt
+        dense = [[sum(m[i][l] for m in orbit) for l in range(n)] for i in range(n)]
+    q_rows = [((sigma[i], signs[i]),) for i in range(n)]
+    broken = draw(st.sampled_from(["none"] * 4 + ["entry 2", "two entries", "repeated column",
+                                                  "short"]))
+    if broken == "entry 2":
+        q_rows[0] = ((sigma[0], 2 * signs[0]),)
+    elif broken == "two entries" and n > 1:
+        q_rows[0] = tuple(sorted({(sigma[0], signs[0]), (sigma[1], 1)}))
+    elif broken == "repeated column" and n > 1:
+        q_rows[1] = ((sigma[0], signs[1]),)
+    elif broken == "short":
+        q_rows.pop()
+    return _out_edges(dense), tuple(q_rows), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(numerator_cases(), st.booleans())
+def test_the_numerator_check_on_delta_alone_equals_the_all_terms_check(case, directed):
+    """Checking Q against Delta alone accepts and rejects, with the same
+    error, exactly what checking it against every coefficient of D(t) does."""
+    rows, q_rows, n = case
+    g = Graph("g", tuple(range(n)), rows, 0, symmetric=not directed)
+
+    def outcome(check, *args):
+        try:
+            check(q_rows, *args, n)
+        except NimspecError as exc:
+            return type(exc), str(exc)
+        return None
+
+    assert (outcome(_recurrence._check_numerator, rows)
+            == outcome(all_terms_check_numerator, _recurrence._denominator(g, directed)))
 
 
 @pytest.mark.parametrize("h", [0, -1])
