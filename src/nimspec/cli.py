@@ -118,8 +118,9 @@ def _export_payload(spec: str, args: argparse.Namespace):
             return series.theta_series(gid, args.order, "measure").to_json(), "json"
         if kind == "hilbert":
             g = by_id(gid)
-            hs = series.hilbert_su2(g, args.order) if g.symmetric else \
-                series.hilbert_su3(g, order=args.order)
+            # by family, not by symmetric: A^(l)* is undirected but an SU(3) graph
+            hs = series.hilbert_su3(g, order=args.order) if "SU3" in g.family else \
+                series.hilbert_su2(g, args.order)
             return hs.to_json(), "json"
         raise InvalidParameterError(f"unknown series kind {kind!r}")
     if spec.startswith("classdata:"):

@@ -21,10 +21,6 @@ def require_int(what: str, value) -> int:
     return int(value)
 
 
-class UnsupportedConstructionError(NimspecError):
-    """The object exists mathematically but has no adjacency construction here."""
-
-
 class DataUnavailableError(NimspecError, KeyError):
     """No tabulated eigendata / closed form for the requested graph."""
 

@@ -31,12 +31,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import deltoid
-from .errors import (
-    DataUnavailableError,
-    FailedIdentityError,
-    InvalidParameterError,
-    UnsupportedConstructionError,
-)
+from .errors import DataUnavailableError, FailedIdentityError, InvalidParameterError
 
 Exponent = Union[int, tuple, str]
 
@@ -50,7 +45,7 @@ class Graph:
     out_edges: tuple          # row i: the pairs (j, a) for the a > 0 edges i -> j, j ascending
     distinguished: int        # index into vertices
     coxeter_h: Optional[int] = None
-    symmetric: bool = True    # SU(2) graphs; False for directed SU(3) graphs
+    symmetric: bool = True    # False for directed graphs; A^(l)* is an undirected SU(3) graph
     trunc_depth: Optional[int] = None
     family: Optional[str] = None   # the FAMILIES row it was built from; None for McKay graphs
 
@@ -239,15 +234,6 @@ def _affine_dn_graph(n: int) -> Graph:
 def _affine_en_graph(n: int) -> Graph:
     edges, _, attach = _E_SHAPES[n]
     return _graph_from(f"Aff-E({n})", list(range(n + 1)), edges + [(0, attach)], star=0)
-
-
-def _su3_astar_graph(l: int) -> Graph:
-    if l % 2 != 0:
-        raise UnsupportedConstructionError(
-            "odd-l A^(l)* has no adjacency construction here; use eigendata"
-        )
-    # A_{l/2-1} with a loop at every vertex
-    return _path_graph(f"SU3-Astar({l})", l // 2 - 1, h=l, loops=range(1, l // 2))
 
 
 def _su3_triangle(id_: str, size: int, h: Optional[int] = None, depth: Optional[int] = None) -> Graph:
@@ -470,8 +456,11 @@ FAMILIES: Dict[str, Family] = {f.name: f for f in (
     Family("Aff-E", "n in {6, 7, 8}", lambda n: n in (6, 7, 8), _affine_en_graph),
     Family("SU3-A", "n >= 4", lambda n: n >= 4,
            lambda l: _su3_triangle(f"SU3-A({l})", l - 3, h=l), _su3_eigendata_a),
-    Family("SU3-Astar", "n >= 4 (adjacency for even n only)", lambda n: n >= 4,
-           _su3_astar_graph, _su3_eigendata_astar),
+    # A^(l)*: the path on (l - 1) // 2 vertices with a loop at each of the
+    # first l // 2 - 1, so at the far end too for even l only
+    Family("SU3-Astar", "n >= 4", lambda n: n >= 4,
+           lambda l: _path_graph(f"SU3-Astar({l})", (l - 1) // 2, h=l, loops=range(1, l // 2)),
+           _su3_eigendata_astar),
     Family("SU3-D", "n = 3k, k >= 2", lambda n: n >= 6 and n % 3 == 0,
            None, _su3_eigendata_d),
     Family("SU3-E", "n in {8, 24} (eigendata for n = 8 only)", lambda n: n in (8, 24),

@@ -13,7 +13,7 @@ from nimspec.cli import main
 from nimspec.errors import InvalidParameterError, NimspecError
 from nimspec.graphs import FAMILIES, by_id
 from nimspec.measures import canonical_measure
-from nimspec.series import t_series
+from nimspec.series import hilbert_su2, hilbert_su3, t_series
 from nimspec.suites import SUITE_NAMES, run_suite
 from oracles import loop_density_csv
 
@@ -35,7 +35,7 @@ def test_verify_all_passes_every_case():
     # the whole headline, not only the suites the CLI tests run
     report = run_suite("all")
     assert [(c.case_id, c.measured) for c in report.cases if c.status != "pass"] == []
-    assert len(report.cases) == 126
+    assert len(report.cases) == 136
     assert {c.case_id.split(":")[0] for c in report.cases} == set(SUITE_NAMES)
 
 
@@ -202,6 +202,35 @@ def test_export_theta_and_hilbert_series(capsys):
     code, out, _ = run_cli(["export", "series:hilbert:SU3-A(4)", "--order", "8"], capsys)
     blob = json.loads(out)
     assert blob["coefficient_matrices"][0] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("gid", ["SU3-Astar(7)", "SU3-Astar(8)"])
+def test_export_su3_astar_hilbert_is_the_su3_series(capsys, gid):
+    """A^(l)* is undirected, yet its series is the SU(3) one: its t^2 block
+    is Delta^2 - Delta^T, not the SU(2) series' Delta^2 - 1."""
+    code, out, _ = run_cli(["export", f"series:hilbert:{gid}", "--order", "9"], capsys)
+    assert code == 0
+    assert json.loads(out) == hilbert_su3(by_id(gid), order=9).to_json()
+
+
+@pytest.mark.parametrize("gid", ["A(4)", "D(5)", "E(6)", "Tad(3)", "Aff-A(4)", "Aff-D(5)"])
+def test_export_su2_hilbert_is_the_su2_series(capsys, gid):
+    code, out, _ = run_cli(["export", f"series:hilbert:{gid}", "--order", "9"], capsys)
+    assert code == 0
+    assert out == cli._json_text(hilbert_su2(by_id(gid), 9).to_json()) + "\n"
+
+
+def test_export_odd_su3_astar_graph_and_moments(capsys):
+    code, out, _ = run_cli(["export", "graph:SU3-Astar(9)"], capsys)
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["adjacency"] == [[1, 1, 0, 0], [1, 1, 1, 0], [0, 1, 1, 1], [0, 0, 1, 0]]
+    assert blob["coxeter_h"] == 9
+    code, out, _ = run_cli(["export", "moments:SU3-Astar(9)", "--depth", "3"], capsys)
+    assert code == 0
+    rows = [tuple(int(x) for x in line.split(",")) for line in out.splitlines()[1:]]
+    assert rows == [(0, 0, 1), (1, 0, 1), (2, 0, 2), (3, 0, 4), (4, 0, 9), (5, 0, 21),
+                    (6, 0, 51)]
 
 
 def _dumps(obj):

@@ -1,7 +1,8 @@
 """Guards on the source tree itself, read with ast and tokenize: every public
 top-level function and public method in src/nimspec has a caller, no check
-there is a bare assert (python -O strips those), and no module outgrows the
-parser's first token block."""
+there is a bare assert (python -O strips those), no module outgrows the
+parser's first token block, and the suites read kernels through their
+modules."""
 
 import ast
 import tokenize
@@ -123,3 +124,14 @@ def _parser_tokens(path: Path) -> int:
 def test_every_module_fits_in_the_parsers_first_token_block():
     sizes = {p.name: _parser_tokens(p) for p in sorted(SRC.glob("*.py"))}
     assert {name: n for name, n in sizes.items() if n > TOKEN_LIMIT} == {}
+
+
+def test_the_suites_import_modules_not_kernel_names():
+    """`from .paths import moments` would bind a second name in suites, which a
+    patch on paths.moments misses: suites.py imports nimspec modules, and
+    names from errors alone."""
+    modules = {p.stem for p in SRC.glob("*.py")}
+    bound = [(node.module, alias.name) for node in ast.walk(_parse(SRC / "suites.py"))
+             if isinstance(node, ast.ImportFrom) and node.level for alias in node.names]
+    assert bound and [(mod, name) for mod, name in bound
+                      if mod != "errors" and not (mod is None and name in modules)] == []

@@ -14,7 +14,6 @@ from nimspec.errors import (
     InvalidParameterError,
     NimspecError,
     NoClosedFormError,
-    UnsupportedConstructionError,
 )
 from nimspec.graphs import FAMILIES, by_id, eigendata, parse_id
 from nimspec.measures import canonical_measure, exceptional_measure_atoms, moments_t, moments_t2
@@ -49,9 +48,6 @@ def test_every_route_follows_the_family_row(name):
         assert parse_id(gid) == (name, n)
         if family.graph is None:
             with pytest.raises(DataUnavailableError):
-                by_id(gid)
-        elif name == "SU3-Astar" and n % 2:
-            with pytest.raises(UnsupportedConstructionError):
                 by_id(gid)
         else:
             g = by_id(gid)

@@ -5,11 +5,7 @@ import numpy as np
 import pytest
 
 from nimspec import graphs
-from nimspec.errors import (
-    DataUnavailableError,
-    InvalidParameterError,
-    UnsupportedConstructionError,
-)
+from nimspec.errors import DataUnavailableError, InvalidParameterError
 from nimspec.graphs import FAMILIES, by_id, eigen_moment, eigendata
 from nimspec.paths import moment_path_count
 
@@ -128,8 +124,21 @@ def test_su3_triangle_graphs():
     )
     assert star8.adjacency == expect
 
-    with pytest.raises(UnsupportedConstructionError):
-        by_id("SU3-Astar(7)")
+    # odd l: no loop at the far end
+    assert by_id("SU3-Astar(7)").adjacency == ((1, 1, 0), (1, 1, 1), (0, 1, 0))
+
+
+def test_su3_astar_spectrum_and_weights_match_the_eigendata():
+    """For both parities, the graph's eigenvalues are 1 + 2cos(2 pi j/l) and
+    the squared * entries of its eigenvectors are the eigendata weights."""
+    for l in range(4, 42):
+        g = by_id(f"SU3-Astar({l})")
+        values, vectors = np.linalg.eigh(np.array(g.adjacency, dtype=float))
+        entries = sorted(eigendata(g.id).entries, key=lambda e: e.eigenvalue.real)
+        assert len(entries) == g.n_vertices == (l - 1) // 2
+        assert max(abs(v - e.eigenvalue.real) for v, e in zip(values, entries)) < 1e-13, l
+        weights = vectors[g.distinguished] ** 2
+        assert max(abs(w - e.weight) for w, e in zip(weights, entries)) < 1e-13, l
 
 
 def test_su3_distinguished_out_degree_one():
@@ -217,8 +226,7 @@ def test_every_family_builder_matches_the_dict_oracle(monkeypatch):
     built = {}
     for name, family in FAMILIES.items():
         for n in sorted({*range(2, 16), *_ORACLE_SIZES.get(name, ())}):
-            if (family.graph is not None and family.accepts(n)
-                    and not (name == "SU3-Astar" and n % 2)):
+            if family.graph is not None and family.accepts(n):
                 built[name, n] = by_id(f"{name}({n})")
     monkeypatch.setattr(graphs, "_graph_from", dict_graph_from)
     monkeypatch.setattr(graphs, "_su3_triangle", dict_su3_triangle)

@@ -1,0 +1,89 @@
+"""A mutation table for the verification suites: each row patches one kernel
+on the module that defines it and names the cases that must then fail.
+
+A row runs only the suites it names.  Before it runs them, it checks that
+the patch really changed the kernel's output, so that no row can pass with
+a patch that reaches nothing.  The failing cases must be exactly the ones
+the row names: a case that a patch of its own route does not fail is a case
+that cannot fail."""
+
+import dataclasses
+from typing import Callable, NamedTuple, Tuple
+
+import pytest
+
+from nimspec import graphs, paths, suites
+
+
+class Row(NamedTuple):
+    patch: Callable                  # patch(monkeypatch) applies the mutation
+    probe: Callable                  # probe() reads the kernel the patch changes
+    suites: Tuple[str, ...]
+    must_fail: Callable[[str], bool]  # the case ids the row fails
+
+
+_real_moments = paths.moments
+
+
+def _plus_one_at_order_two(graph, pairs):
+    """paths.moments with +1 on every count of m + n = 2."""
+    return {mn: v + (sum(mn) == 2) for mn, v in _real_moments(graph, pairs).items()}
+
+
+def _patch_moments(*modules):
+    def patch(monkeypatch):
+        for module in modules:
+            monkeypatch.setattr(module, "moments", _plus_one_at_order_two, raising=False)
+    return patch
+
+
+# every case that reads a count of m + n = 2
+_MOMENT_CASES = (
+    "su2-measures:binomial-catalan-dimensions", "su2-measures:measure-vs-path:",
+    "su2-subgroups:", "series-theorems:T-series:", "su3-dimensions:moments:",
+    "su3-dimensions:five-way-identity:n=1", "su3-measures:measure:SU3-A(",
+    "su3-measures:measure:SU3-Astar(",
+)
+_MOMENT_SUITES = ("su2-measures", "su2-subgroups", "series-theorems", "su3-dimensions",
+                  "su3-measures")
+
+
+def _far_end_loop(monkeypatch):
+    """A^(l)* with a loop at the far end for odd l too, as for even l."""
+    family = graphs.FAMILIES["SU3-Astar"]
+    monkeypatch.setitem(graphs.FAMILIES, "SU3-Astar", dataclasses.replace(
+        family, graph=lambda l: graphs._path_graph(
+            f"SU3-Astar({l})", (l - 1) // 2, h=l, loops=range(1, (l + 1) // 2))))
+
+
+# walks of length <= 8 reach the far end and come back only while l <= 9;
+# the Hilbert solve finds a negative coefficient at every odd l
+_FAR_END_CASES = {"su3-measures:measure:SU3-Astar(5)", "su3-measures:measure:SU3-Astar(7)",
+                  "su3-measures:measure:SU3-Astar(9)", "hilbert:cy3-q:SU3-Astar(5)",
+                  "hilbert:cy3-q:SU3-Astar(7)"}
+
+ROWS = {
+    # a patch on the defining module fails the same cases as one that also
+    # sets the name on suites, which reads paths.moments through its module
+    "paths.moments +1 at m+n=2": Row(
+        _patch_moments(paths), lambda: paths.moments(graphs.by_id("A(3)"), [(1, 1)]),
+        _MOMENT_SUITES, lambda case: case.startswith(_MOMENT_CASES)),
+    "paths.moments and suites.moments +1 at m+n=2": Row(
+        _patch_moments(paths, suites), lambda: paths.moments(graphs.by_id("A(3)"), [(1, 1)]),
+        _MOMENT_SUITES, lambda case: case.startswith(_MOMENT_CASES)),
+    "SU3-Astar far-end loop at odd l": Row(
+        _far_end_loop, lambda: [graphs.by_id(f"SU3-Astar({l})").out_edges for l in (5, 7)],
+        ("su3-measures", "hilbert"), _FAR_END_CASES.__contains__),
+}
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_each_mutation_fails_exactly_its_cases(monkeypatch, name):
+    row = ROWS[name]
+    before = row.probe()
+    row.patch(monkeypatch)
+    assert row.probe() != before, "the patch does not change the kernel's output"
+    cases = [c for suite in row.suites for c in suites.run_suite(suite).cases]
+    failing = {c.case_id for c in cases if c.status == "fail"}
+    assert failing == {c.case_id for c in cases if row.must_fail(c.case_id)}
+    assert failing

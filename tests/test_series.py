@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -296,6 +297,38 @@ def test_su3_astar_hilbert_nonnegative():
     g = by_id("SU3-Astar(8)")
     hs = hilbert_su3(g, order=20)
     assert all(x >= 0 for m in hs.mats for row in m for x in row)
+
+
+@pytest.mark.parametrize("l", range(4, 18))
+def test_su3_astar_numerator_is_one_minus_t_to_the_l(l):
+    """A^(l)*, of either parity: (1 - Dt + D^T t^2 - t^3) H = 1 - t^l, with
+    P the identity, and the last nonzero degree of H is l - 3."""
+    g = by_id(f"SU3-Astar({l})")
+    n = g.n_vertices
+    hs = hilbert_su3(g, order=3 * l)
+    num = su3_numerator(hs, g)
+    assert num[0] == mat_identity(n)
+    for k in range(1, 3 * l + 1):
+        assert num[k] == (mat_scale(-1, mat_identity(n)) if k == l else mat_zero(n)), k
+    nonzero = [k for k, m in enumerate(hs.mats) if m != mat_zero(n)]
+    assert nonzero[-1] == l - 3
+
+
+def test_su3_a_hilbert_dimension_observation():
+    """An observation, with no source in this repository: H(1) of SU3-A(l)
+    is C(l + 2, 5), checked for l = 4..15."""
+    for l in range(4, 16):
+        assert hilbert_su3(by_id(f"SU3-A({l})")).total_at_one() == math.comb(l + 2, 5), l
+
+
+def test_su3_astar_hilbert_dimension_observation():
+    """An observation, with no source in this repository: H(1) of
+    SU3-Astar(2k) is k^2(k^2 - 1)/6 and H(1) of SU3-Astar(2k + 1) is
+    k(k + 1)(k^2 + k + 1)/6, checked for l = 4..41."""
+    for l in range(4, 42):
+        k = l // 2
+        six_h = k * k * (k * k - 1) if l % 2 == 0 else k * (k + 1) * (k * k + k + 1)
+        assert 6 * hilbert_su3(by_id(f"SU3-Astar({l})")).total_at_one() == six_h, l
 
 
 def test_su3_symmetry_validation():
