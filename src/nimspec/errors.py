@@ -28,7 +28,7 @@ class DataUnavailableError(NimspecError, KeyError):
 
 
 class TruncationError(NimspecError):
-    """A moment was requested beyond the safe depth of a truncated graph."""
+    """A truncated graph was asked for more than its safe depth determines."""
 
 
 class NoClosedFormError(NimspecError):

@@ -219,10 +219,10 @@ def _en_graph(n: int) -> Graph:
     return _graph_from(f"E({n})", list(range(1, n + 1)), edges, star=1, h=h)
 
 
-def _cycle_graph(m: int, id_: Optional[str] = None) -> Graph:
+def _cycle_graph(m: int) -> Graph:
     """m-cycle (McKay graph of the cyclic group Z_m); m = 2 gives a double bond."""
     edges = [(i, (i + 1) % m) for i in range(m)]
-    return _graph_from(id_ or f"Aff-A({m})", list(range(m)), edges, star=0)
+    return _graph_from(f"Aff-A({m})", list(range(m)), edges, star=0)
 
 
 def _affine_dn_graph(n: int) -> Graph:
@@ -451,7 +451,7 @@ FAMILIES: Dict[str, Family] = {f.name: f for f in (
     Family("E", "n in {6, 7, 8}", lambda n: n in (6, 7, 8), _en_graph, _su2_eigendata_en),
     Family("Tad", "n >= 1", lambda n: n >= 1,
            lambda n: _path_graph(f"Tad({n})", n, h=2 * n + 1, loops=(n,))),
-    Family("Aff-A", "n even, n >= 2", lambda n: n >= 2 and n % 2 == 0, _cycle_graph),
+    Family("Aff-A", "n >= 2", lambda n: n >= 2, _cycle_graph),
     Family("Aff-D", "n >= 4", lambda n: n >= 4, _affine_dn_graph),
     Family("Aff-E", "n in {6, 7, 8}", lambda n: n in (6, 7, 8), _affine_en_graph),
     Family("SU3-A", "n >= 4", lambda n: n >= 4,

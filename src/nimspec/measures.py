@@ -559,7 +559,7 @@ _CANONICAL: Dict[str, Optional[Callable[[int], DiscreteMeasure]]] = {
     "A": lambda n: with_alpha(d_measure(n + 1)),
     "D": lambda n: with_alpha(dprime_measure(n - 1)),
     "E": _e_measure,
-    "Aff-A": lambda n: d_measure(n // 2),
+    "Aff-A": lambda n: uniform_roots(n) if n % 2 else d_measure(n // 2),
     "Aff-D": lambda n: combine(
         (Fraction(1, 2), d_measure(n - 2)), (Fraction(1, 2), dprime_measure(1))
     ),
@@ -591,7 +591,6 @@ def exceptional_measure_atoms(graph_id: str) -> DiscreteMeasure:
     """S3-symmetrized torus atom list of an SU(3) graph, assembled from
     eigendata.  It exists for the exceptional graphs (their measures are not
     root-of-unity combinations; this is their atom-list representation)."""
-    # No suite reads this yet, but it is the only measure of SU3-E and SU3-E1.
     name, l = parse_id(graph_id)
     if name not in ("SU3-A", "SU3-Astar", "SU3-D", "SU3-E", "SU3-E1"):
         raise InvalidParameterError(f"{graph_id} has no SU(3) exponents")

@@ -39,9 +39,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._recurrence import _check_order, _identity_rows, _multiply, _solve, _stack
-from .errors import FailedIdentityError, InvalidParameterError, require_int
-from .graphs import (Graph, _cycle_graph, _dense, _graph_from, _out_edges, _su3_rotation_rows,
-                     by_id, parse_id)
+from .errors import FailedIdentityError, InvalidParameterError, TruncationError, require_int
+from .graphs import Graph, _dense, _graph_from, _out_edges, _su3_rotation_rows, by_id, parse_id
 
 Number = Union[int, Fraction, float, complex]
 
@@ -389,6 +388,13 @@ def _su2_involution_rows(graph: Graph) -> tuple:
     return tuple(((j, 1),) for j in perm)
 
 
+def _check_untruncated(graph: Graph) -> None:
+    """A truncated graph's Hilbert series is not its infinite graph's: refuse it."""
+    if graph.trunc_depth is not None:
+        raise TruncationError(f"{graph.id} is truncated at depth {graph.trunc_depth}; "
+                              "a Hilbert series needs the whole graph")
+
+
 def su2_involution(graph: Graph) -> Matrix:
     """The numerator permutation: the unique nontrivial involution for A_n,
     D_odd and E6; the identity for D_even, E7, E8 and tadpoles."""
@@ -401,6 +407,7 @@ def hilbert_su2(graph: Graph, order: int = 40,
     graph: (1 + P t^h)(1 - Delta t + t^2)^{-1} for ADET graphs (a matrix
     polynomial of degree h - 2), (1 - Delta t + t^2)^{-1} otherwise.  With a
     column index, only that column is solved and checked."""
+    _check_untruncated(graph)
     if not graph.symmetric:
         raise InvalidParameterError("hilbert_su2 needs an unoriented graph")
     adet = graph.family in ("A", "D", "E", "Tad")
@@ -427,6 +434,7 @@ def hilbert_su3(graph: Graph, p: Optional[Matrix] = None,
     an n x n permutation matrix commuting with Delta, by default the
     triangle rotation for A^(l) and the identity for A^(l)*.  With a column
     index, only that column is solved and checked."""
+    _check_untruncated(graph)
     n = graph.n_vertices
     h = graph.coxeter_h
     if h is None:
@@ -571,7 +579,8 @@ _T_FACTORS: Dict[str, Callable[[int], tuple]] = {
     "E": {6: ([(-1, 6), (-1, 8)], [(-1, 3), (-1, 12)]),
           7: ([(-1, 9), (-1, 12)], [(-1, 4), (-1, 18)]),
           8: ([(-1, 10), (-1, 15), (-1, 18)], [(-1, 5), (-1, 9), (-1, 30)])}.get,
-    "Aff-A": lambda k: ([(1, k // 2)], [(-1, 1), (-1, k // 2)]),
+    # 1 + q^m at m = lcm(k, 2)/2: an odd k-cycle has the even closed walks of the 2k-cycle
+    "Aff-A": lambda k: ([(1, math.lcm(k, 2) // 2)], [(-1, 1), (-1, math.lcm(k, 2) // 2)]),
     "Aff-D": lambda k: ([(1, k - 1)], [(-1, 2), (-1, k - 2)]),
     "Aff-E": {6: ([(1, 6)], [(-1, 3), (-1, 4)]),
               7: ([(1, 9)], [(-1, 4), (-1, 6)]),
@@ -718,7 +727,7 @@ _KOSTANT_AB: Dict[str, Callable[[int], Tuple[int, int]]] = {
 
 # family -> the affine (McKay) graph of the same subgroup
 _KOSTANT_PARTNER: Dict[str, Callable[[int], Graph]] = {
-    "A": lambda k: _cycle_graph(k + 1, id_=f"McKay-Z({k + 1})"),
+    "A": lambda k: by_id(f"Aff-A({k + 1})"),
     "D": lambda k: by_id(f"Aff-D({k})"),
     "E": lambda k: by_id(f"Aff-E({k})"),
 }

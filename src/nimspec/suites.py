@@ -78,7 +78,7 @@ def _su2_catalogue() -> List[str]:
         [f"A({n})" for n in range(1, 9)]
         + [f"D({n})" for n in range(4, 9)]
         + ["E(6)", "E(7)", "E(8)"]
-        + [f"Aff-A({m})" for m in (2, 4, 6, 8)]
+        + [f"Aff-A({m})" for m in (2, 3, 4, 5, 6, 8)]
         + [f"Aff-D({n})" for n in range(4, 9)]
         + ["Aff-E(6)", "Aff-E(7)", "Aff-E(8)"]
     )
@@ -228,7 +228,7 @@ def _suite_series_theorems(tol: float, rng: random.Random) -> List[Check]:
 
         checks.append((f"theorem-chain:{name}({n})", run))
 
-    for gid in ["E(6)", "E(7)", "E(8)", "A(3)", "A(5)", "D(4)", "D(6)"]:
+    for gid in ["E(6)", "E(7)", "E(8)", "A(3)", "A(4)", "A(5)", "D(4)", "D(6)"]:
         def run(gid=gid):
             zs = series.kostant_closed_form_check(gid)   # raises on failure
             a, b = series.kostant_parameters(gid)
@@ -414,6 +414,18 @@ def _suite_su3_obstructions(tol: float, rng: random.Random) -> List[Check]:
     checks.append(("E(8)-infeasible",
                    lambda: exceptional("SU3-E(8)", abs(1 / 16 - 1 / 12))))
     checks.append(("E1(12)-infeasible", lambda: exceptional("SU3-E1(12)", 1 / 36)))
+
+    def atoms_vs_eigendata(graph_id: str):
+        # the atoms sit at Phi of the table's exponent column; eigen_moment
+        # reads its eigenvalue column
+        pairs = [(m, n) for m in range(9) for n in range(9 - m)]
+        atoms = measures.moments_t2(measures.exceptional_measure_atoms(graph_id), pairs)
+        ed = graphs.eigendata(graph_id)
+        err = max(abs(mm - graphs.eigen_moment(ed, m, n)) for (m, n), mm in atoms.items())
+        return _case_max_err(err, tol, "S3-orbit atoms = eigendata moments, m+n <= 8")
+
+    for gid in ("SU3-E(8)", "SU3-E1(12)"):
+        checks.append((f"atoms-vs-eigendata:{gid}", lambda gid=gid: atoms_vs_eigendata(gid)))
     return checks
 
 

@@ -35,7 +35,7 @@ def test_verify_all_passes_every_case():
     # the whole headline, not only the suites the CLI tests run
     report = run_suite("all")
     assert [(c.case_id, c.measured) for c in report.cases if c.status != "pass"] == []
-    assert len(report.cases) == 136
+    assert len(report.cases) == 141
     assert {c.case_id.split(":")[0] for c in report.cases} == set(SUITE_NAMES)
 
 
@@ -213,11 +213,33 @@ def test_export_su3_astar_hilbert_is_the_su3_series(capsys, gid):
     assert json.loads(out) == hilbert_su3(by_id(gid), order=9).to_json()
 
 
-@pytest.mark.parametrize("gid", ["A(4)", "D(5)", "E(6)", "Tad(3)", "Aff-A(4)", "Aff-D(5)"])
+@pytest.mark.parametrize("gid", ["A(4)", "D(5)", "E(6)", "Tad(3)", "Aff-A(4)", "Aff-A(5)",
+                                 "Aff-D(5)"])
 def test_export_su2_hilbert_is_the_su2_series(capsys, gid):
     code, out, _ = run_cli(["export", f"series:hilbert:{gid}", "--order", "9"], capsys)
     assert code == 0
     assert out == cli._json_text(hilbert_su2(by_id(gid), 9).to_json()) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(n for n in FAMILIES if n.startswith("Trunc-")))
+def test_a_truncated_graph_has_no_hilbert_series(capsys, name):
+    code, out, err = run_cli(["export", f"series:hilbert:{name}(6)", "--order", "9"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name}(6) is truncated at depth 6")
+    assert err.count("\n") == 1
+
+
+def test_export_odd_cycle(capsys):
+    """Aff-A(5) exports by every route its family has (its Hilbert series is
+    checked above); T's measure route, and so Theta, needs the odd Fourier
+    moments to vanish, and they do not."""
+    for spec in ("graph:", "measure:", "moments:", "series:T:"):
+        code, _, err = run_cli(["export", f"{spec}Aff-A(5)", "--order", "6"], capsys)
+        assert (code, err) == (0, "")
+    code, out, _ = run_cli(["export", "series:T:Aff-A(5)", "--order", "6"], capsys)
+    assert json.loads(out)["coeffs"] == ["1/1"] * 5 + ["3/1"] * 2
+    code, _, err = run_cli(["export", "series:Theta:Aff-A(5)", "--order", "6"], capsys)
+    assert code == 2 and err == "error: odd coefficient at degree 5 is nonzero\n"
 
 
 def test_export_odd_su3_astar_graph_and_moments(capsys):

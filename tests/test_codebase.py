@@ -16,7 +16,6 @@ SRC = ROOT / "src" / "nimspec"
 # its definition.
 NO_CALLER_YET = {
     ("series", "molien_abelian_det"),           # the tests' reference Molien route
-    ("measures", "exceptional_measure_atoms"),  # the only SU3-E / SU3-E1 measure
 }
 
 # Public methods that stay without a caller, each for the reason given.

@@ -76,7 +76,7 @@ def test_every_route_follows_the_family_row(name):
                     route(gid)
 
 
-@pytest.mark.parametrize("gid", ["A(0)", "D(2)", "D(3)", "E(9)", "Aff-A(3)", "Aff-D(3)",
+@pytest.mark.parametrize("gid", ["A(0)", "D(2)", "D(3)", "E(9)", "Aff-A(1)", "Aff-D(3)",
                                  "Aff-E(9)", "SU3-A(3)", "SU3-D(7)"])
 def test_out_of_domain_ids_are_rejected_everywhere(gid):
     for route in ROUTES.values():

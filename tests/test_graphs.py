@@ -52,8 +52,8 @@ def test_affine_cycle_and_mckay_shapes():
     assert e8.n_vertices == 9
     d4 = by_id("Aff-D(4)")
     assert sorted(_degrees(d4)) == [1, 1, 1, 1, 4]
-    with pytest.raises(InvalidParameterError):
-        by_id("Aff-A(5)")      # odd cycles are not in the family
+    c5 = by_id("Aff-A(5)")     # odd cycles are in the family too
+    assert c5.n_vertices == 5 and all(d == 2 for d in _degrees(c5))
 
 
 @pytest.mark.parametrize("gid", ["A(5)", "D(6)", "E(7)", "Tad(3)"])

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Tuple
 
 import pytest
 
-from nimspec import graphs, paths, suites
+from nimspec import _recurrence, graphs, paths, series, suites
 
 
 class Row(NamedTuple):
@@ -62,6 +62,34 @@ _FAR_END_CASES = {"su3-measures:measure:SU3-Astar(5)", "su3-measures:measure:SU3
                   "su3-measures:measure:SU3-Astar(9)", "hilbert:cy3-q:SU3-Astar(5)",
                   "hilbert:cy3-q:SU3-Astar(7)"}
 
+
+def _identity_involution(monkeypatch):
+    """P = 1 in the pre-projective numerator 1 + P t^h, for every graph."""
+    monkeypatch.setattr(series, "_su2_involution_rows",
+                        lambda graph: _recurrence._identity_rows(graph.n_vertices))
+
+
+# P is the identity already on D(4), D(6), E(7) and E(8)
+_INVOLUTION_CASES = {f"hilbert:preprojective:{gid}"
+                     for gid in ("A(2)", "A(3)", "A(4)", "A(5)", "A(6)", "D(5)", "E(6)")}
+
+
+def _k_cycle_partner(monkeypatch):
+    """The k-cycle as A(k)'s affine partner, one vertex short."""
+    monkeypatch.setitem(series._KOSTANT_PARTNER, "A", graphs._cycle_graph)
+
+
+_KOSTANT_A_CASES = {f"series-theorems:kostant-numerators:A({k})" for k in (3, 4, 5)}
+
+
+def _scaled_e8_eigenvalue(monkeypatch):
+    """The first eigenvalue of the shipped SU3-E(8) table times 1.001."""
+    tables = dict(graphs._exceptional_tables())
+    first, *rest = tables["SU3-E(8)"]
+    tables["SU3-E(8)"] = (dataclasses.replace(first, eigenvalue=first.eigenvalue * 1.001), *rest)
+    monkeypatch.setattr(graphs, "_exceptional_tables", lambda: tables)
+
+
 ROWS = {
     # a patch on the defining module fails the same cases as one that also
     # sets the name on suites, which reads paths.moments through its module
@@ -74,6 +102,15 @@ ROWS = {
     "SU3-Astar far-end loop at odd l": Row(
         _far_end_loop, lambda: [graphs.by_id(f"SU3-Astar({l})").out_edges for l in (5, 7)],
         ("su3-measures", "hilbert"), _FAR_END_CASES.__contains__),
+    "su2_involution rows -> identity": Row(
+        _identity_involution, lambda: series._su2_involution_rows(graphs.by_id("A(3)")),
+        ("hilbert",), _INVOLUTION_CASES.__contains__),
+    "Kostant partner of A(k) -> the k-cycle": Row(
+        _k_cycle_partner, lambda: series.kostant_affine_partner("A(3)").out_edges,
+        ("series-theorems",), _KOSTANT_A_CASES.__contains__),
+    "SU3-E(8) table eigenvalue x 1.001": Row(
+        _scaled_e8_eigenvalue, lambda: graphs.eigendata("SU3-E(8)").entries,
+        ("su3-obstructions",), {"su3-obstructions:atoms-vs-eigendata:SU3-E(8)"}.__contains__),
 }
 
 

@@ -17,7 +17,8 @@ from nimspec.errors import (
     SymmetryError,
 )
 from nimspec.graphs import Graph, _out_edges, by_id, su3_rotation
-from nimspec.measures import canonical_measure, circle_series
+from nimspec.measures import canonical_measure, circle_series, moment_t_exact
+from nimspec.paths import moments
 from nimspec.series import (
     MatrixSeries,
     TruncatedSeries,
@@ -27,6 +28,7 @@ from nimspec.series import (
     generalized_t,
     hilbert_su2,
     hilbert_su3,
+    kostant_affine_partner,
     kostant_closed_form_check,
     kostant_parameters,
     mat_identity,
@@ -39,6 +41,7 @@ from nimspec.series import (
     su2_involution,
     su2_numerator,
     su3_numerator,
+    t_closed_form,
     t_series,
     theta_series,
 )
@@ -610,7 +613,7 @@ def test_every_su2_column_equals_the_full_solve():
     from nimspec.suites import _su2_catalogue
 
     ids = _su2_catalogue()
-    assert len(ids) == 28
+    assert len(ids) == 30
     for gid in ids:
         g = by_id(gid)
         order = 2 * (g.coxeter_h or 12)
@@ -1045,6 +1048,35 @@ def test_t_series_unknown_closed_form():
         t_series("Trunc-Ainf(8)", 10, "closed_form")
 
 
+def _cycle_adjacency(n):
+    adjacency = [[0] * n for _ in range(n)]
+    for i in range(n):
+        adjacency[i][(i + 1) % n] += 1
+        adjacency[(i + 1) % n][i] += 1
+    return tuple(map(tuple, adjacency))
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_every_cycle_is_one_family_row(n):
+    """Aff-A(n) is the n-cycle for either parity; its T row equals the loop
+    count route, and its canonical measure's exact moments equal its path
+    counts (odd orders included, which are nonzero on an odd cycle)."""
+    gid = f"Aff-A({n})"
+    g = by_id(gid)
+    assert g.adjacency == _cycle_adjacency(n) and g.distinguished == 0
+    assert t_closed_form(gid, 30).coeffs == t_series(gid, 30, "f_compose").coeffs
+    mu = canonical_measure(gid)
+    counts = moments(g, [(m, 0) for m in range(13)])
+    assert [moment_t_exact(mu, m) for m in range(13)] == [counts[(m, 0)] for m in range(13)]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+def test_the_measure_route_refuses_an_odd_cycle(n):
+    # u^n has a nonzero integral on the n-th roots, so T(q^2) has odd terms
+    with pytest.raises(FailedIdentityError):
+        t_series(f"Aff-A({n})", 6, "measure")
+
+
 def test_theta_routes_agree():
     for gid in ["A(3)", "A(6)", "E(6)", "Aff-A(4)", "Aff-E(6)"]:
         tm = theta_series(gid, 12, "measure")
@@ -1135,6 +1167,15 @@ def test_kostant_parameters():
     assert kostant_parameters("E(8)") == (12, 20)
     assert kostant_parameters("A(4)") == (2, 5)
     assert kostant_parameters("D(6)") == (4, 8)
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_the_a_partner_is_the_catalogue_cycle(k):
+    partner = kostant_affine_partner(f"A({k})")
+    assert partner.id == f"Aff-A({k + 1})"
+    rebuilt = by_id(partner.id)
+    assert (rebuilt.out_edges, rebuilt.distinguished) == (partner.out_edges, partner.distinguished)
+    assert partner.adjacency == _cycle_adjacency(k + 1)
 
 
 def test_kostant_ab_consistency():
