@@ -22,10 +22,37 @@ A solve's setup costs about the size of D's sparse rows: the plan writes
 each row's indices and multipliers in one pass over its entries, N_d's
 entries are listed once, and the numerator Q is checked against Delta
 alone, since Q Delta^T Q^T = (Q Delta Q^T)^T and 1 commutes with Q.
+
+A solve with N = 1 never stops early: D's top coefficient is +-1, so no
+column of D(t)^{-1} is a polynomial.  Its array holds deg + order + 1
+blocks from the start, with no doubling, and from degree 1 on, where the
+recurrence is homogeneous, X_{k+j} = T_j S_k for the window S_k of the last
+deg blocks.  The transfer blocks T_0 .. T_{m-1}, an (m n) x (deg n) integer
+matrix, are the kernel's own steps run for m degrees on the identity window
+(`_transfer`).  Each chunk of m degrees is then one product T S_k written
+into the array (`_chunks`), in float64 (BLAS) while reach(T) (max|S_k| + 1)
+< 2**53, so that every product and partial sum is an integer that a double
+holds exactly, whatever the summation order; once it is not, the solve goes
+on one degree at a time, as above.  max|S_k| is a bound proven from the
+last chunk, read from the real entries only when it trips.  An int64
+product is no alternative: numpy's integer matmul has no BLAS, and full
+solves with forced int64 chunks took 2-4.6 times as long as with float64
+ones (BENCH_25.json, `arith`: Aff-D(11) at order 158 to 2000, the Z12 CY3
+series at order 120).
+
+The rule for when to chunk is fixed: m = isqrt(order), and only when
+order >= _CHUNK_FROM = 24 and deg n^2 <= _CHUNK_WIDTH = 1024.  Timed on a
+2-core host (BENCH_25.json, `rule`, forced chunks against forced steps),
+with deg n^2 <= 800 chunks take 0.60-0.97 of the time at order 24,
+0.31-0.53 at order 100, and 0.90-1.26 at order 16; past that width the m
+wide steps that build T cost more than the narrow steps of a column solve
+they save: 1.01-1.34 of the time at orders 24-36 for SU3-A(8), Aff-A(30)
+and Aff-A(40).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -36,6 +63,9 @@ from .graphs import Graph
 _GATHER_ELEMENTS = 1 << 20      # one gather's temporary: at most 8 MB of int64
 _INT64_SAFE = 1 << 62           # reach * (bound + 1) below this: every partial sum fits
 _FIRST_BLOCKS = 16              # a full solve's first capacity, doubled as it fills
+_FLOAT_EXACT = 1 << 53          # reach * (bound + 1) below this: a float64 product is exact
+_CHUNK_FROM = 24                # the fewest homogeneous degrees solved in chunks
+_CHUNK_WIDTH = 1 << 10          # the most entries deg * n * n of one transfer block
 
 
 def _check_order(order: int) -> None:
@@ -138,6 +168,83 @@ def _stack(mats) -> np.ndarray:
     return blocks
 
 
+def _parts(idx: np.ndarray, w: int) -> list:
+    """The plan's rows in chunks whose gather holds at most _GATHER_ELEMENTS
+    entries of w columns each, as (row slice, window rows) pairs."""
+    chunk = max(1, _GATHER_ELEMENTS // (idx.shape[1] * w))
+    return [(slice(lo, lo + chunk), idx[lo:lo + chunk]) for lo in range(0, len(idx), chunk)]
+
+
+def _step(hist: np.ndarray, k: int, deg: int, mult: np.ndarray, parts: list) -> np.ndarray:
+    """Write the gathered sum over the window X_{k-deg} .. X_{k-1} into
+    block deg + k of hist, row chunk by row chunk, and return that block."""
+    _, n, _, w = hist.shape
+    window, block = hist[k:k + deg].reshape(deg * n, w), hist[deg + k]
+    for rows, at in parts:
+        np.matmul(mult[rows], window.take(at, axis=0), out=block[rows])
+    return block
+
+
+def _transfer(idx: np.ndarray, mult: np.ndarray, reach: int, deg: int,
+              m: int) -> Optional[Tuple[np.ndarray, int]]:
+    """The transfer blocks T_0 .. T_{m-1} of the homogeneous recurrence, as
+    one (m n, deg n) int64 array with X_{k+j} = T_j S_k for the window S_k
+    of X_{k-deg} .. X_{k-1} stacked as deg n rows, and reach(T), its largest
+    row sum of |entry|.  They are the kernel's own steps on the identity
+    window.  None when an entry or a row sum could leave int64."""
+    n, width = len(idx), deg * len(idx)
+    hist = np.zeros((deg + m, n, 1, width), np.int64)
+    hist[:deg].reshape(width, width)[:] = np.identity(width, np.int64)
+    parts, bound = _parts(idx, width), 1
+    for k in range(m):
+        if reach * (bound + 1) >= _INT64_SAFE:
+            bound = _magnitude(hist[k:k + deg])
+            if reach * (bound + 1) >= _INT64_SAFE:
+                return None
+        _step(hist, k, deg, mult, parts)
+        bound *= reach
+    t = hist[deg:].reshape(m * n, width)
+    size = np.abs(t)                # every entry is below 2**62, so abs cannot wrap
+    if int(size.max()) * width >= _INT64_SAFE:
+        return None
+    return t, int(size.sum(axis=1).max())
+
+
+def _product(t: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """T S in float64 (BLAS) for an int64 window S; the caller has proven
+    that every product and partial sum is an integer that a double holds
+    exactly."""
+    return t @ window.astype(np.float64)
+
+
+def _chunks(hist: np.ndarray, k: int, deg: int, idx: np.ndarray, mult: np.ndarray,
+            reach: int, bound: int) -> Tuple[int, int]:
+    """Solve the homogeneous degrees k .. of an int64 history in chunks of
+    m = isqrt(remaining degrees): each chunk is one float64 product T @ S_k
+    written into the block array, while reach(T) (max|S_k| + 1) < 2**53, so
+    that every product and partial sum is an integer that a double holds
+    exactly.  Returns the first degree left unsolved (len(hist) - deg when
+    every degree is) and a bound on |entry| of its window; the caller steps
+    on from there, one degree at a time."""
+    _, n, _, w = hist.shape
+    m = math.isqrt(len(hist) - deg - k)
+    found = _transfer(idx, mult, reach, deg, m)
+    if found is None:
+        return k, bound
+    t, reach_t = found
+    t = t.astype(np.float64)
+    while k < len(hist) - deg:
+        c = min(m, len(hist) - deg - k)
+        window = hist[k:k + deg].reshape(deg * n, w)
+        if reach_t * (bound + 1) >= _FLOAT_EXACT:
+            bound = _magnitude(window)
+            if reach_t * (bound + 1) >= _FLOAT_EXACT:
+                break
+        hist[deg + k:deg + k + c] = _product(t[:c * n], window).reshape(c, n, 1, w)
+        k, bound = k + c, reach_t * bound
+    return k, bound
+
+
 def _solve(graph: Graph, directed: bool, order: int,
            numerator: Optional[Tuple[int, tuple]] = None,
            column: Optional[int] = None, nonnegative: bool = False,
@@ -152,7 +259,11 @@ def _solve(graph: Graph, directed: bool, order: int,
 
     Once k is at least N's degree and H_k and the deg - 1 blocks before it
     are zero, H_{k+1} = N_{k+1} - sum_j D_j H_{k+1-j} is zero, and so is
-    every later block: the solve stops there.
+    every later block: the solve stops there.  With N = 1 that never
+    happens, since D's top coefficient is +-1 and so no column of D(t)^{-1}
+    is a polynomial: those solves hold order + 1 blocks from the start, and
+    from degree 1 on, where the recurrence is homogeneous, they run in
+    transfer-block chunks (`_chunks`).
 
     A nonzero block from degree vanish_from on raises at once.  With
     nonnegative, a negative entry raises once the solve ends, so that a
@@ -175,14 +286,21 @@ def _solve(graph: Graph, directed: bool, order: int,
     idx, mult, reach = _plan(terms, n, -1)
     dtype = np.int64 if reach < _INT64_SAFE else object
     mult = np.array(mult, dtype).reshape(n, 1, -1)
-    hist = np.zeros((deg + min(order + 1, _FIRST_BLOCKS), n, 1, w), dtype)
-    chunk = max(1, _GATHER_ELEMENTS // (idx.shape[1] * w))
-    parts = [(slice(lo, lo + chunk), idx[lo:lo + chunk]) for lo in range(0, n, chunk)]
+    blocks = order + 1 if numerator is None else min(order + 1, _FIRST_BLOCKS)
+    hist = np.zeros((deg + blocks, n, 1, w), dtype)
+    parts = _parts(idx, w)
     # N_d's entries as (rows, columns, values) within the solved columns
     entries = {d: _entries(rows, column) for d, rows in num.items()}
     bound, exact = 0, dtype is np.int64     # bound >= max|X| over the solved blocks
-    last, run = max(num), 0
-    for k in range(order + 1):
+    last, run, k = max(num), 0, 0
+    chunked = numerator is None and order >= _CHUNK_FROM and 0 < deg * n * n <= _CHUNK_WIDTH
+    while k <= order:               # k: the degrees solved so far
+        if chunked and k == 1 and exact:
+            k, bound = _chunks(hist, k, deg, idx, mult, reach, bound)
+            # the zero blocks at the end of a series with N = 1 are fewer than deg
+            run = next(i for i in range(deg) if np.count_nonzero(hist[deg + k - 1 - i]))
+            if k > order:
+                break
         # X_k = N_k + sign * sum_j c_j D_j X_{k-j}, written into block deg + k.
         # Each step keeps bound >= max|X| by bound <- reach * bound + 1.  Only
         # when that bound leaves no headroom are the window's real entries
@@ -196,9 +314,7 @@ def _solve(graph: Graph, directed: bool, order: int,
             grown = np.zeros((deg + min(2 * k, order + 1),) + hist.shape[1:], hist.dtype)
             grown[:len(hist)] = hist
             hist = grown
-        window, block = hist[k:k + deg].reshape(deg * n, w), hist[deg + k]
-        for rows, at in parts:
-            np.matmul(mult[rows], window.take(at, axis=0), out=block[rows])
+        block = _step(hist, k, deg, mult, parts)
         if entries.get(k):
             i, cols, values = entries[k]
             block[i, 0, cols] += values
@@ -207,13 +323,15 @@ def _solve(graph: Graph, directed: bool, order: int,
         if not np.count_nonzero(block):
             run += 1
             if run >= deg and k >= last:
+                k += 1
                 break
         elif vanish_from is not None and k >= vanish_from:
             raise FailedIdentityError(
                 f"{graph.id}: pre-projective series fails to terminate at degree {k}")
         else:
             run = 0
-    solved = k + 1 - run
+        k += 1
+    solved = k - run
     out = hist[deg:deg + solved].reshape(solved, n, w)
     if nonnegative and out.min() < 0:
         raise FailedIdentityError(f"{graph.id}: negative Hilbert coefficient")

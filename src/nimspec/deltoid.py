@@ -46,22 +46,24 @@ def phi(p: TorusPoint) -> complex:
     return w1 + 1 / w2 + w2 / w1
 
 
-def _phi_of(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    return w1 + 1 / w2 + w2 / w1
+def _phi_of(w1: np.ndarray, w2: np.ndarray, inv_w2: np.ndarray) -> np.ndarray:
+    return w1 + inv_w2 + w2 / w1
 
 
 def phi_array(theta: np.ndarray) -> np.ndarray:
     """Phi at each row (theta1, theta2) of an (N, 2) float array; it agrees
     with phi to rounding (numpy divides complex numbers in another order)."""
-    return _phi_of(np.exp(2j * math.pi * theta[:, 0]), np.exp(2j * math.pi * theta[:, 1]))
+    w2 = np.exp(2j * math.pi * theta[:, 1])
+    return _phi_of(np.exp(2j * math.pi * theta[:, 0]), w2, 1 / w2)
 
 
 def phi_grid(q: np.ndarray, den: int) -> np.ndarray:
     """Phi at each row (q1, q2) of an (N, 2) array of integer numerators in
     [0, den): bit for bit phi_array(q / den), with each w = e^{2 pi i k/den}
-    read from one table of the den roots of unity."""
+    read from one table of the den roots of unity, and each 1/w2 from the
+    table of their inverses (the same division on the same operands)."""
     roots = np.exp(2j * math.pi * (np.arange(den) / den))
-    return _phi_of(roots[q[:, 0]], roots[q[:, 1]])
+    return _phi_of(roots[q[:, 0]], roots[q[:, 1]], (1 / roots)[q[:, 1]])
 
 
 # The S3 action on exponents, generated by T2 (order 2) and T3 (order 3).

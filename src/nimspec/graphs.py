@@ -264,10 +264,14 @@ def _trunc_su3a6inf_graph(depth: int) -> Graph:
 
 
 def _su3_rotation_rows(graph: Graph) -> tuple:
-    """The sparse rows of su3_rotation: row v holds (w, 1) for the image w."""
-    size = max(v[0] + v[1] for v in graph.vertices)
-    idx = {v: i for i, v in enumerate(graph.vertices)}
-    return tuple(((idx[(size - v[0] - v[1], v[0])], 1),) for v in graph.vertices)
+    """The sparse rows of su3_rotation: row v holds (w, 1) for the image w.
+    The triangle's vertices are in (l1, l2) order (`_su3_triangle`), so
+    (a, b) has index start(a) + b, start(a) = a (2 size + 3 - a) / 2, and
+    the image (size - a - b, a) of each vertex is found by that arithmetic."""
+    size = graph.vertices[-1][0]        # the last vertex is (size, 0)
+    start = [a * (2 * size + 3 - a) // 2 for a in range(size + 1)]
+    return tuple(((start[size - a - b] + a, 1),)
+                 for a in range(size + 1) for b in range(size + 1 - a))
 
 
 def su3_rotation(graph: Graph) -> tuple:

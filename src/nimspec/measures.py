@@ -23,7 +23,11 @@ densities all have rational Fourier transforms).  A circle measure's
 meaning c [r + s = 0 (mod n)]: sums concatenate the tables, rational scalings
 rescale each c, and alpha_j appends the terms shifted by +-2j.  Every float
 moment, on the circle or the torus, is one numpy power sum w z^m conj(z)^n
-over the stacked view (``_power_terms``), with z = u + 1/u + shift, u or Phi.
+over the stacked view (``_power_terms``), with z = u + 1/u + shift, u or Phi,
+from a stack of the powers of z, each the product of the one before it and
+z (``_power_stack``).  A torus measure caches its stack of the powers of Phi
+as read-only arrays and grows it on demand, so the moments of many calls on
+one measure take each power once.
 """
 
 from __future__ import annotations
@@ -108,6 +112,7 @@ class DiscreteMeasure:
         else:
             self._atoms = MappingProxyType(dict(atoms))
         self._grid = None               # (numerators, denominator, exact weight or None)
+        self._phi_stack: tuple = ()     # (Phi^0, .., Phi^k), see _phi_powers
 
     @classmethod
     def on_grid(cls, numerators: np.ndarray, denominator: int, weights: np.ndarray,
@@ -150,6 +155,15 @@ class DiscreteMeasure:
             q, den, _ = self._grid
             return _frozen(deltoid.phi_grid(q, den))
         return _frozen(deltoid.phi_array(self.angle_array))
+
+    def _phi_powers(self, top: int) -> tuple:
+        """(Phi^0, .., Phi^k) at each atom for some k >= top: one cached
+        stack of read-only arrays, grown on demand, so that a call that needs
+        a higher power takes only the products not yet taken."""
+        if len(self._phi_stack) <= top:
+            grown = _power_stack(self.phi_array, top, self._phi_stack)
+            self._phi_stack = tuple(map(_frozen, grown))
+        return self._phi_stack
 
     def _with_weights(self, weights: np.ndarray, provenance: str) -> "DiscreteMeasure":
         """The same atoms with new float weights (in atom order): a grid stays
@@ -413,13 +427,20 @@ def _check_orders(*orders: int) -> None:
         raise InvalidParameterError("moment orders must be non-negative")
 
 
-def _power_terms(z: np.ndarray, w: np.ndarray,
+def _power_stack(z: np.ndarray, top: int, lower: Sequence[np.ndarray] = ()) -> list:
+    """[z^0 .. z^top], each power the product of the one before it and z.
+    The powers in lower, the first ones already taken, are reused, not
+    recomputed."""
+    powers = list(lower) or [np.ones_like(z)]
+    while len(powers) <= top:
+        powers.append(powers[-1] * z)
+    return powers
+
+
+def _power_terms(powers: Sequence[np.ndarray], w: np.ndarray,
                  pairs: Sequence[Tuple[int, int]]) -> Iterator[np.ndarray]:
     """The terms w z^m conj(z)^n of each pair (m, n), in pair order: one
-    array per pair, from one stack of the powers of z."""
-    powers = [np.ones_like(z)]
-    for _ in range(max((max(p) for p in pairs), default=0)):
-        powers.append(powers[-1] * z)
+    array per pair, from a stack of the powers of z (`_power_stack`)."""
     return (w * powers[m] * powers[n].conj() for m, n in pairs)
 
 
@@ -433,7 +454,8 @@ def moments_t(mu: DiscreteMeasure, orders: Iterable[int],
     orders = list(orders)
     _check_orders(*orders)
     u = np.exp(2j * np.pi * mu.angle_array[:, 0])
-    terms = _power_terms(u + 1 / u + shift, mu.weight_array, [(m, 0) for m in orders])
+    powers = _power_stack(u + 1 / u + shift, max(orders, default=0))
+    terms = _power_terms(powers, mu.weight_array, [(m, 0) for m in orders])
     out = {}
     for m, t in zip(orders, terms):
         total = complex(t.sum())
@@ -479,7 +501,8 @@ def circle_series(mu: DiscreteMeasure, order: int) -> list:
         return [Fraction(c, den) for c in nums]
     u = np.exp(2j * np.pi * mu.angle_array[:, 0])
     out = []
-    for terms in _power_terms(u, mu.weight_array, [(m, 0) for m in range(order + 1)]):
+    for terms in _power_terms(_power_stack(u, order), mu.weight_array,
+                              [(m, 0) for m in range(order + 1)]):
         val = complex(terms.sum())
         if abs(val.imag) > 1e-10:
             raise FailedIdentityError("circle series should be real for symmetric measures")
@@ -491,15 +514,17 @@ def moments_t2(mu: DiscreteMeasure,
                pairs: Iterable[Tuple[int, int]]) -> Dict[Tuple[int, int], complex]:
     """Integral of Phi^m conj(Phi)^n for each pair (m, n), for a torus measure.
 
-    Phi comes from the measure's cached stacked view, so it is evaluated
-    once per measure; each pair is then one weighted sum over the stacked
-    powers z^m conj(z)^n.  Every pair is checked first.
+    The powers of Phi come from the measure's cached stack
+    (``DiscreteMeasure._phi_powers``), so each power is computed once per
+    measure however many calls ask for it; each pair is then one weighted
+    sum over Phi^m conj(Phi^n).  Every pair is checked first.
     """
     if mu.dimension != 2:
         raise InvalidParameterError("moment_t2 needs a torus measure")
     pairs = list(pairs)
     _check_orders(*(k for pair in pairs for k in pair))
-    terms = _power_terms(mu.phi_array, mu.weight_array, pairs)
+    top = max((max(p) for p in pairs), default=0)
+    terms = _power_terms(mu._phi_powers(top), mu.weight_array, pairs)
     return {pair: complex(np.sum(t)) for pair, t in zip(pairs, terms)}
 
 

@@ -467,16 +467,22 @@ def _suite_deltoid(tol: float, rng: random.Random) -> List[Check]:
 
     def roundtrip():
         # points are drawn in rounds of the number still needed, so the rng
-        # stream is the one a point-by-point loop would draw
+        # stream is the one a point-by-point loop would draw; then 10^3 points
+        # on the ring r = 1 - 1e-5 just inside the boundary, where two roots
+        # nearly coincide and only the Newton polish meets the residual check
         zs = np.empty(0, complex)
         while len(zs) < 1000:
             z = deltoid.phi_array(np.array([(rng.random(), rng.random())
                                             for _ in range(1000 - len(zs))]))
             zs = np.concatenate([zs, z[deltoid.discriminant(z).real >= 1e-8]])
-        pairs = deltoid.invert_phi_pairs(zs)
-        w1, w2 = pairs[..., 0], pairs[..., 1]
-        worst = float(np.abs(w1 + 1 / w2 + w2 / w1 - zs[:, None]).max())
-        return _case_max_err(worst, tol, "Phi(invert_phi(z)) = z on 10^3 interior points")
+        ring = np.array([deltoid.boundary_point(1 - 1e-5, k / 1000) for k in range(1000)])
+        worst = 0.0
+        for points in (zs, ring):       # one at a time, so the kernel's arrays stay small
+            pairs = deltoid.invert_phi_pairs(points)
+            w1, w2 = pairs[..., 0], pairs[..., 1]
+            worst = max(worst, float(np.abs(w1 + 1 / w2 + w2 / w1 - points[:, None]).max()))
+        return _case_max_err(worst, tol, "Phi(invert_phi(z)) = z on 10^3 interior points "
+                             "and 10^3 points near the boundary")
 
     checks.append(("invert-phi-roundtrip", roundtrip))
 

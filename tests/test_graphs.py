@@ -236,3 +236,14 @@ def test_every_family_builder_matches_the_dict_oracle(monkeypatch):
         for field in ("id", "vertices", "out_edges", "distinguished", "coxeter_h", "symmetric",
                       "trunc_depth"):
             assert getattr(g, field) == getattr(ref, field), (name, n, field)
+
+
+def test_the_su3_rotation_rows_equal_the_label_dict_route():
+    """The rotation (l1, l2) -> (size - l1 - l2, l1), found by index
+    arithmetic on the triangle's lattice order, against a label lookup."""
+    for l in range(4, 41):
+        g = by_id(f"SU3-A({l})")
+        size = l - 3
+        idx = {v: i for i, v in enumerate(g.vertices)}
+        want = tuple(((idx[(size - a - b, a)], 1),) for a, b in g.vertices)
+        assert graphs._su3_rotation_rows(g) == want, l

@@ -702,3 +702,78 @@ def test_su3_d_grid_is_the_j2_product_of_two_uniform_measures(n):
     assert list(grid.atoms) == list(product.atoms)
     product.provenance = grid.provenance
     assert grid.to_json() == product.to_json()
+
+
+# -- the torus kernels against the elementwise expressions they replace ---------
+
+def _elementwise_phi_grid(q, den):
+    roots = np.exp(2j * math.pi * (np.arange(den) / den))
+    w1, w2 = roots[q[:, 0]], roots[q[:, 1]]
+    return w1 + 1 / w2 + w2 / w1
+
+
+def _elementwise_moment(mu, m, n):
+    """w Phi^m conj(Phi^n) summed by np.sum, from a fresh list of powers."""
+    z = mu.phi_array
+    powers = [np.ones_like(z)]
+    for _ in range(max(m, n)):
+        powers.append(powers[-1] * z)
+    return complex(np.sum(mu.weight_array * powers[m] * powers[n].conj()))
+
+
+def _bits(x):
+    return np.array(x, ndmin=1).view(np.int64)
+
+
+_TORUS_GRIDS = ([(f"SU3-A({l})", lambda l=l: deltoid.dl_numerators(l), 3 * l)
+                 for l in range(4, 81)]
+                + [(f"SU3-D({n})", lambda n=n: np.stack(divmod(np.arange(n * n), n), axis=1), n)
+                   for n in range(6, 31, 3)])
+_ALL_PAIRS = [(m, n) for m in range(9) for n in range(9 - m)]
+
+
+def _assert_moments_bit_equal(mu, calls):
+    for pairs in calls:
+        got = moments_t2(mu, pairs)
+        for m, n in pairs:
+            assert _bits(got[(m, n)]).tolist() == _bits(_elementwise_moment(mu, m, n)).tolist()
+            assert _bits(moment_t2(mu, m, n)).tolist() == _bits(got[(m, n)]).tolist()
+
+
+def test_torus_kernels_are_bit_equal_to_their_elementwise_expressions():
+    """phi_grid and the moments from the cached stack of powers of Phi
+    have the bits of the expressions they replace, whichever order the
+    moments are asked in: each measure takes its pairs shuffled, in calls
+    of 1 to 6 pairs, so its stack grows by different steps."""
+    import random
+
+    rng = random.Random(25)
+    for gid, numerators, den in _TORUS_GRIDS:
+        q = numerators()
+        assert np.array_equal(_bits(deltoid.phi_grid(q, den)),
+                              _bits(_elementwise_phi_grid(q, den))), gid
+        pairs = rng.sample(_ALL_PAIRS, len(_ALL_PAIRS))
+        cuts = sorted(rng.sample(range(1, len(pairs)), 8))
+        calls = [pairs[a:b] for a, b in zip([0] + cuts, cuts + [len(pairs)])]
+        _assert_moments_bit_equal(canonical_measure(gid), calls)
+
+
+@settings(max_examples=30, deadline=None)
+@given(torus_atoms | st.sampled_from(["SU3-A(5)", "SU3-A(12)", "SU3-D(9)"]),
+       st.lists(moment_pairs, min_size=1, max_size=4))
+def test_moments_of_any_call_order_are_bit_equal_to_the_elementwise_sums(which, calls):
+    mu = (canonical_measure(which) if isinstance(which, str)
+          else DiscreteMeasure(2, which, "random atoms"))
+    _assert_moments_bit_equal(mu, calls)
+
+
+def test_the_cached_powers_of_phi_are_read_only_and_grow_on_demand():
+    mu = canonical_measure("SU3-A(9)")
+    first = mu._phi_powers(2)
+    assert len(first) == 3
+    assert mu._phi_powers(1) is first
+    grown = mu._phi_powers(5)
+    assert len(grown) == 6 and all(a is b for a, b in zip(first, grown))
+    for power in grown:
+        with pytest.raises(ValueError):
+            power[0] = 0

@@ -10,9 +10,10 @@ that cannot fail."""
 import dataclasses
 from typing import Callable, NamedTuple, Tuple
 
+import numpy as np
 import pytest
 
-from nimspec import _recurrence, graphs, paths, series, suites
+from nimspec import _recurrence, deltoid, graphs, paths, series, suites
 
 
 class Row(NamedTuple):
@@ -90,6 +91,41 @@ def _scaled_e8_eigenvalue(monkeypatch):
     monkeypatch.setattr(graphs, "_exceptional_tables", lambda: tables)
 
 
+_real_product = _recurrence._product
+
+
+def _plus_one_in_each_chunk(monkeypatch):
+    """+1 on the last row's first entry of every transfer-chunk product."""
+    def product(t, window):
+        out = _real_product(t, window)
+        out[-1, 0] += 1
+        return out
+
+    monkeypatch.setattr(_recurrence, "_product", product)
+
+
+# every case that reads an unnumerated solve long enough to run in chunks
+_CHUNK_CASES = ({f"series-theorems:generalized-T:{gid}" for gid in (
+                    "Aff-A(4)", "Aff-A(6)", "Aff-D(4)", "Aff-D(5)", "Aff-E(6)", "Aff-E(7)",
+                    "Aff-E(8)")}
+                | {f"series-theorems:theorem-chain:{name}" for name in (
+                    "BT(None)", "BO(None)", "BI(None)", "BD(4)", "Z2n(2)")}
+                | {f"series-theorems:kostant-numerators:{gid}"
+                   for gid in ("E(6)", "E(7)", "E(8)", "D(6)")})
+
+_real_discriminant = deltoid.discriminant
+
+
+def _shifted_discriminant(monkeypatch):
+    """The discriminant plus 1e-6."""
+    monkeypatch.setattr(deltoid, "discriminant", lambda z: _real_discriminant(z) + 1e-6)
+
+
+def _unpolished_roots(monkeypatch):
+    """Cardano's roots as they come, with no Newton polish."""
+    monkeypatch.setattr(deltoid, "_polish", lambda w, z: w)
+
+
 ROWS = {
     # a patch on the defining module fails the same cases as one that also
     # sets the name on suites, which reads paths.moments through its module
@@ -108,6 +144,16 @@ ROWS = {
     "Kostant partner of A(k) -> the k-cycle": Row(
         _k_cycle_partner, lambda: series.kostant_affine_partner("A(3)").out_edges,
         ("series-theorems",), _KOSTANT_A_CASES.__contains__),
+    "transfer chunk +1 in one entry": Row(
+        _plus_one_in_each_chunk,
+        lambda: series.hilbert_su2(graphs.by_id("Aff-D(11)"), 158).blocks.tolist(),
+        ("series-theorems",), _CHUNK_CASES.__contains__),
+    "deltoid.discriminant + 1e-6": Row(
+        _shifted_discriminant, lambda: deltoid.discriminant(0j), ("deltoid-geometry",),
+        {"deltoid-geometry:jacobian-four-forms", "deltoid-geometry:boundary-curve"}.__contains__),
+    "deltoid._polish -> identity": Row(
+        _unpolished_roots, lambda: deltoid._polish(np.array([1.01 + 0j]), np.array([0j])).tolist(),
+        ("deltoid-geometry",), {"deltoid-geometry:invert-phi-roundtrip"}.__contains__),
     "SU3-E(8) table eigenvalue x 1.001": Row(
         _scaled_e8_eigenvalue, lambda: graphs.eigendata("SU3-E(8)").entries,
         ("su3-obstructions",), {"su3-obstructions:atoms-vs-eigendata:SU3-E(8)"}.__contains__),

@@ -862,6 +862,81 @@ def test_a_long_affine_solve_rereads_its_magnitude_only_when_the_bound_trips(mon
     assert 2 <= len(reads) <= 600 // 10
 
 
+@st.composite
+def unnumerated_case(draw):
+    """(adjacency, directed, order): a weighted graph on 1..6 vertices, its
+    weights c * 2**e with c <= 2, and an order up to 200.  At e = 0 the
+    entries often pass 2**53 and 2**63 on the way; at e = 20 and 40 they
+    start near them."""
+    n = draw(st.integers(1, 6))
+    directed = draw(st.booleans())
+    scale = 2 ** draw(st.sampled_from([0, 0, 20, 40]))
+    rows = [[draw(st.integers(0, 2)) * scale for _ in range(n)] for _ in range(n)]
+    if not directed:
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return tuple(map(tuple, rows)), directed, draw(st.integers(0, 200))
+
+
+@settings(max_examples=60, deadline=None)
+@given(unnumerated_case())
+@example((_weighted_complete(5, 1, 1), False, 100))  # float64 chunks, then steps into Python ints
+@example((((0, 1), (1, 0)), True, 200))
+@example((((0,),), False, 25))                       # 1/(1 + t^2): one zero block at the end
+@example((((0,),), True, 26))                        # 1/(1 - t^3): two
+def test_unnumerated_solves_equal_the_dense_oracle_in_its_integers(case):
+    """N = 1 solves, full and of every column, at every order 0..200: the
+    blocks equal dense_hilbert's up to its trailing zero blocks, hold Python
+    ints when read, and are int64 while the proven bound leaves room, Python
+    ints past 2**63."""
+    adj, directed, order = case
+    n = len(adj)
+    g = Graph("g", tuple(range(n)), _out_edges(adj), 0, symmetric=not directed)
+    want = dense_hilbert(adj, order, directed)
+    reach = _recurrence._plan(_recurrence._denominator(g, directed), n, -1)[2]
+    for column in [None, *range(n)]:
+        blocks, tail = _recurrence._solve(g, directed, order, column=column)
+        mats = want if column is None else _cut(want, column)
+        assert MatrixSeries("g", blocks, tail=tail).mats == mats
+        assert tail == len(mats) - max(k + 1 for k, m in enumerate(mats) if any(map(any, m)))
+        assert all(type(x) is int for x in blocks.ravel().tolist())
+        top = max(abs(x) for m in want for row in m
+                  for x in (row if column is None else (row[column],)))
+        if top >= 2 ** 63:
+            assert blocks.dtype == object
+        elif reach * (top + 1) < 2 ** 62:
+            assert blocks.dtype == np.int64
+
+
+def test_long_unnumerated_solves_run_in_transfer_chunks(monkeypatch):
+    """Aff-D(11) at order 158 and the Z12 CY3 series at order 120 are
+    solved in isqrt(order)-degree chunks, one float64 product each; once
+    the entries pass 2**53 the solve goes on one degree at a time.  Short
+    and numerated solves never chunk."""
+    products = []
+    product = _recurrence._product
+    monkeypatch.setattr(_recurrence, "_product",
+                        lambda t, window: products.append(t.dtype) or product(t, window))
+    g = by_id("Aff-D(11)")
+    assert hilbert_su2(g, 158).mats == dense_hilbert(g.adjacency, 158)
+    assert products == [np.float64] * math.ceil(158 / math.isqrt(158))
+    products.clear()
+    mckay = abelian_mckay(12, (1, 4, 7))
+    want = dense_hilbert(mckay.adjacency, 120, True)
+    assert cy3_hilbert(mckay, 120, column=0).mats == _cut(want, 0)
+    assert cy3_hilbert(mckay, 120).mats == want
+    assert products == [np.float64] * (2 * math.ceil(120 / math.isqrt(120)))
+    products.clear()
+    k5 = _weighted_complete(5, 1, 1)
+    hs = _solve(Graph("K5", tuple(range(5)), _out_edges(k5), 0, symmetric=True), False, 100)
+    assert hs == dense_hilbert(k5, 100)
+    assert products == [np.float64, np.float64]
+    products.clear()
+    hilbert_su2(g, 23)
+    hilbert_su2(by_id("E(8)"), 120)
+    hilbert_su3(by_id("SU3-A(6)"), order=60)
+    assert products == []
+
+
 @pytest.mark.parametrize("elements", [1, 100])
 def test_row_chunked_gathers_equal_the_dense_oracle(monkeypatch, elements):
     """With a gather of one row, or of a few, at a time, each chunk is summed
