@@ -12,9 +12,10 @@ float subclasses, non-str keys, ASCII-escaped strings).
 
 ``main`` builds its argument parser on its first call and reuses it for every
 later call in the process, so an in-process caller pays for the argparse tree
-once.  Parsing never changes that parser: a ``--config`` file is applied to
-the parsed namespace, and the options passed on the command line are found on
-a throwaway parser of its own (``_passed_options``).
+once.  Each line ``key = value`` of a ``--config`` file is the flag
+``--key=value``, parsed by that same parser before the command line's own
+flags, so a flag on the command line wins.  Every parser's ``error`` raises
+``InvalidParameterError``: a rejected argv is one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -34,35 +35,25 @@ from .graphs import by_id, eigendata, parse_id
 from .paths import moment_table_csv, moments
 
 
-def _load_config(path: str) -> dict:
-    """key=value config lines; '#' comments; flags always win."""
-    out = {}
+def _load_config(path: str) -> list:
+    """The config file's lines `key = value` as the flags `--key=value`;
+    '#' starts a comment, and the keys config and help are skipped."""
+    flags = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line or "=" not in line:
                 continue
             key, val = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = val
-    return out
+            if key not in ("config", "help"):
+                flags.append(f"--{key}={val}")
+    return flags
 
 
-def _apply_config(args: argparse.Namespace, cfg: dict, options: dict,
-                  passed: set) -> None:
-    """Set each option named in the config file that was not passed on the
-    command line, typed and checked like the flag itself."""
-    for key, val in cfg.items():
-        action = options.get(key)
-        if action is None or key in passed:
-            continue
-        try:
-            value = action.type(val) if action.type else val
-            if action.choices and value not in action.choices:
-                raise ValueError(val)
-        except ValueError:
-            raise InvalidParameterError(
-                f"config value {key} = {val!r} is not a valid --{key}") from None
-        setattr(args, key, value)
+def _usage_error(message: str):
+    """argparse's error hook: the rejection leaves main as one error line
+    (argparse quotes no unrecognized argument, so a newline in one is escaped)."""
+    raise InvalidParameterError(message.replace("\n", "\\n"))
 
 
 def _human_report(report: suites.SuiteReport) -> str:
@@ -202,8 +193,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     payload, kind = _export_payload(args.object, args)
     if kind == "json":
         if args.format == "csv":
-            print(f"error: {args.object} only exports as JSON", file=sys.stderr)
-            return 2
+            raise InvalidParameterError(f"{args.object} only exports as JSON")
         text = _json_text(payload) + "\n"
     else:
         text = payload
@@ -243,28 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--grid", type=int, default=100)
     ex.add_argument("--config", default=None)
     ex.set_defaults(func=cmd_export)
+    ap.error = va.error = ex.error = _usage_error
     return ap
-
-
-def _subparsers(ap: argparse.ArgumentParser) -> dict:
-    """command name -> its parser."""
-    return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
-
-
-def _subcommand_options(ap: argparse.ArgumentParser, command: str) -> dict:
-    """dest -> action for the options of a subcommand a config file may set."""
-    return {a.dest: a for a in _subparsers(ap)[command]._actions
-            if a.option_strings and a.dest not in ("help", "config")}
-
-
-def _passed_options(argv) -> set:
-    """dests of the options given on the command line: the same parse, with
-    every default suppressed."""
-    ap = build_parser()
-    for parser in _subparsers(ap).values():
-        for action in parser._actions:
-            action.default = argparse.SUPPRESS
-    return set(vars(ap.parse_args(argv)))
 
 
 _PARSER: Optional[argparse.ArgumentParser] = None     # main's parser, built on its first call
@@ -274,12 +244,13 @@ def main(argv=None) -> int:
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
-    ap = _PARSER
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = _PARSER.parse_args(argv)
         if args.config:
-            _apply_config(args, _load_config(args.config),
-                          _subcommand_options(ap, args.command), _passed_options(argv))
+            # argparse keeps the last value it sees: the file's flags go first
+            args = _PARSER.parse_known_args(
+                argv[:1] + _load_config(args.config) + argv[1:])[0]
         return args.func(args)
     except BrokenPipeError:
         return 0

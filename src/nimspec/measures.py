@@ -649,7 +649,10 @@ def fit_linear_system(rows: Sequence[Sequence[float]], rhs: Sequence[float],
 
     Sequential elimination (in the given row order) produces the
     certificate: a row that reduces to 0 = r with |r| > tol is inconsistent.
-    Rational inputs are eliminated exactly.
+    Rational inputs are eliminated exactly, and the elimination alone decides
+    them: a consistent exact system has its exact solution and residual 0.
+    Least squares gives a float system's coefficients, and the residual of
+    every system found infeasible.
     """
     if not rows:
         raise InvalidParameterError("a linear system needs at least one equation")
@@ -693,24 +696,22 @@ def fit_linear_system(rows: Sequence[Sequence[float]], rhs: Sequence[float],
                     pivots[k] = (col0, [a - f * b for a, b in zip(prow0, row)])
             pivots.append((lead, row))
 
+    if exact and not certificate:
+        # the elimination decides an exact system: back-substitute, with no float
+        solution = [Fraction(0)] * ncols
+        for col, prow in pivots:
+            acc = prow[-1]
+            for c in range(ncols):
+                if c != col:
+                    acc -= prow[c] * solution[c]
+            solution[col] = acc / prow[col]
+        return FitResult(True, solution, 0.0, certificate)
     a = np.array([[float(x) for x in row] for row in rows], dtype=float)
     b = np.array([float(x) for x in rhs], dtype=float)
     coeffs, *_ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.max(np.abs(a @ coeffs - b))) if len(rhs) else 0.0
-    feasible = residual < tol and not certificate
-    sol = None
-    if feasible:
-        if exact:
-            solution = [Fraction(0)] * ncols
-            for col, prow in pivots:
-                acc = prow[-1]
-                for c in range(ncols):
-                    if c != col:
-                        acc -= prow[c] * solution[c]
-                solution[col] = acc / prow[col]
-            sol = solution
-        else:
-            sol = [float(c) for c in coeffs]
+    residual = float(np.max(np.abs(a @ coeffs - b)))
+    feasible = not exact and residual < tol and not certificate
+    sol = [float(c) for c in coeffs] if feasible else None
     return FitResult(feasible, sol, residual, certificate)
 
 

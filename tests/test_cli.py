@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -412,10 +414,9 @@ def test_broken_pipe_exits_0(monkeypatch):
     assert main(["export", "graph:A(2)"]) == 0
 
 
-def test_verify_has_no_order_or_depth_flag():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "hilbert", "--order", "5"])
-    assert exc.value.code == 2
+def test_verify_has_no_order_or_depth_flag(capsys):
+    code, out, err = run_cli(["verify", "hilbert", "--order", "5"], capsys)
+    assert (code, out, err) == (2, "", "error: unrecognized arguments: --order 5\n")
 
 
 def test_export_moments_rejects_a_negative_depth(capsys):
@@ -452,7 +453,7 @@ def test_main_builds_its_parser_once_per_process(capsys, counted_parser, tmp_pat
     cfg = tmp_path / "nimspec.cfg"
     cfg.write_text("order = 7\n")
     assert main(["export", "series:T:A(2)", "--config", str(cfg)]) == 0
-    assert len(counted_parser) == 2         # the throwaway parser of _passed_options
+    assert len(counted_parser) == 1         # the file's lines are flags for the same parser
     capsys.readouterr()
 
 
@@ -477,3 +478,111 @@ def test_the_same_argv_gives_the_same_bytes(capsys, argv):
     first = run_cli(argv, capsys)
     assert first[0] == 0
     assert run_cli(argv, capsys) == first
+
+
+def _run_main(argv):
+    """main(argv) as (exit code, stdout, stderr), captured without a fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _rejected(result) -> bool:
+    code, out, err = result
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1 \
+        and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["nope"], ["verify"], ["verify", "no-such-suite"], ["export"],
+    ["export", "graph:A(2)", "--order", "abc"], ["export", "graph:A(2)", "--order"],
+    ["export", "graph:A(2)", "--bogus"], ["export", "graph:A(2)", "--o", "3"],
+    ["export", "graph:A(2)", "--format", "csv"], ["export", "graph:A(2)", "a\nb"],
+    ["verify", "hilbert", "--tol", "x"]])
+def test_every_rejected_argv_is_one_error_line(argv):
+    assert _rejected(_run_main(argv))
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nimspec export")
+
+
+def test_a_config_key_abbreviates_an_option_as_its_flag_does(capsys, tmp_path):
+    cfg = tmp_path / "nimspec.cfg"
+    cfg.write_text("ord = 5\n")
+    code, out, _ = run_cli(["export", "series:T:A(2)", "--config", str(cfg)], capsys)
+    assert code == 0 and json.loads(out)["order"] == 5
+    cfg.write_text("o = 5\n")                  # --order or --out
+    code, out, err = run_cli(["export", "series:T:A(2)", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: ambiguous option: --o=5 could match --out, --order\n"
+
+
+_EXPORT_OPTIONS = ("format", "order", "depth", "grid")
+_CHEAP_OBJECTS = ("series:T:A(2)", "graph:A(2)", "moments:A(3)", "measure:A(3)")
+
+
+def _small(text: str) -> bool:
+    """False for an int above 12 in size, which would make an export slow."""
+    try:
+        return abs(int(text)) <= 12
+    except ValueError:
+        return True
+
+
+# option values: the valid ones and junk, and no int that asks for a big export
+_VALUES = st.one_of(st.sampled_from(["json", "csv", "0", "-1", "3", "12", "1.5", "abc", ""]),
+                    st.integers(-3, 12).map(str), st.text(max_size=8).filter(_small))
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(_EXPORT_OPTIONS).flatmap(
+           lambda o: st.integers(1, len(o)).map(lambda k: o[:k])),
+       value=_VALUES.filter(lambda v: v == v.strip() and not set(v) & set("#\n\r")),
+       spec=st.sampled_from(_CHEAP_OBJECTS))
+def test_a_config_line_acts_as_its_flag(tmp_path_factory, key, value, spec):
+    cfg = tmp_path_factory.mktemp("cfg") / "nimspec.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    assert _run_main(["export", spec, "--config", str(cfg)]) == \
+        _run_main(["export", spec, f"--{key}={value}"])
+
+
+_SUBCOMMAND_OPTIONS = ("--format", "--order", "--depth", "--grid", "--tol", "--seed", "--jobs")
+
+
+def _harmless(token: str) -> bool:
+    """False for a token argparse would read as -h, --out or --config (which
+    print help, write a file or read one), and for a suite name."""
+    head = token.split("=", 1)[0]
+    return not (token.startswith("-h") or token in SUITE_NAMES or token == "all"
+                or head.startswith("--") and any(o.startswith(head)
+                                                 for o in ("--help", "--out", "--config")))
+
+
+_OPTIONS = st.one_of(
+    st.sampled_from(_SUBCOMMAND_OPTIONS),
+    st.sampled_from(_SUBCOMMAND_OPTIONS).flatmap(
+        lambda o: st.integers(3, len(o)).map(lambda k: o[:k])),
+    st.text(min_size=1, max_size=6).map(lambda t: "--" + t),
+).filter(_harmless)
+# a subcommand or junk, a catalogue object or junk (or neither, or both), then
+# options, real, abbreviated or unknown, each with a value
+_ARGVS = st.builds(
+    lambda command, words, pairs: [command, *words, *(w for pair in pairs for w in pair)],
+    st.sampled_from(["export"] * 5 + ["verify", "expo"]),
+    st.lists(st.sampled_from(_CHEAP_OBJECTS) | _VALUES.filter(_harmless),
+             min_size=1, max_size=2) | st.just([]),
+    st.lists(st.tuples(_OPTIONS, _VALUES.filter(_harmless)), max_size=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ARGVS)
+def test_any_argv_returns_an_exit_code_and_a_2_is_one_error_line(argv):
+    result = _run_main(argv)
+    assert result[0] in (0, 1, 2)
+    if result[0] == 2:
+        assert _rejected(result), result

@@ -325,6 +325,15 @@ def test_exact_rational_fit_path():
     assert fit.coefficients == [Fraction(1), Fraction(0)]
 
 
+def test_an_exact_system_is_decided_by_its_elimination_not_by_a_float():
+    # x = y = 1 solves it, though least squares in floats misses 10^12 + 1 by 1e-4
+    fit = fit_linear_system([[10 ** 12, 1], [1, 0]], [10 ** 12 + 1, 1])
+    assert (fit.feasible, fit.coefficients, fit.residual, fit.certificate) == \
+        (True, [Fraction(1), Fraction(1)], 0.0, [])
+    fit = fit_linear_system([[1, 1], [2, 2]], [Fraction(1, 3), 1])
+    assert (fit.feasible, fit.coefficients, fit.certificate) == (False, None, [(1, 1 / 3)])
+
+
 def test_empty_basis_rejected():
     with pytest.raises(InvalidParameterError):
         cyclotomic_fit(d_measure(2), [])

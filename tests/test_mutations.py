@@ -126,6 +126,30 @@ def _unpolished_roots(monkeypatch):
     monkeypatch.setattr(deltoid, "_polish", lambda w, z: w)
 
 
+_real_dl_numerators = deltoid.dl_numerators
+
+
+def _dl_on_the_wrong_coset(monkeypatch):
+    """D_l's numerators with q2 = (q1 mod 3) + 3j: q1 - q2, not q1 + q2, is 0 mod 3."""
+    def numerators(l):
+        q = _real_dl_numerators(l)
+        q[:, 1] += q[:, 0] % 3 - (-q[:, 0] % 3)
+        return q
+
+    monkeypatch.setattr(deltoid, "dl_numerators", numerators)
+
+
+_DL_CASES = {"deltoid-geometry:Dl-grid-size",
+             *(f"su3-dimensions:five-way-identity:n={n}" for n in (2, 5, 8)),
+             *(f"su3-measures:measure:SU3-A({l})" for l in range(4, 10))}
+
+
+def _shear_in_s3(monkeypatch):
+    """The shear ((1, 1), (0, 1)) in place of the second S3 matrix."""
+    first, _, *rest = deltoid._S3_MATRICES
+    monkeypatch.setattr(deltoid, "_S3_MATRICES", [first, ((1, 1), (0, 1)), *rest])
+
+
 ROWS = {
     # a patch on the defining module fails the same cases as one that also
     # sets the name on suites, which reads paths.moments through its module
@@ -157,6 +181,15 @@ ROWS = {
     "SU3-E(8) table eigenvalue x 1.001": Row(
         _scaled_e8_eigenvalue, lambda: graphs.eigendata("SU3-E(8)").entries,
         ("su3-obstructions",), {"su3-obstructions:atoms-vs-eigendata:SU3-E(8)"}.__contains__),
+    "deltoid.dl_numerators on the wrong coset": Row(
+        _dl_on_the_wrong_coset, lambda: deltoid.dl_numerators(4).tolist(),
+        ("deltoid-geometry", "su3-dimensions", "su3-measures"), _DL_CASES.__contains__),
+    "deltoid S3 matrix -> a shear": Row(
+        _shear_in_s3,
+        lambda: [deltoid._mat_apply(g, (0.1, 0.3)) for g in deltoid._S3_MATRICES],
+        ("deltoid-geometry", "su3-obstructions"),
+        {"deltoid-geometry:jacobian-s3-invariance", "su3-obstructions:atoms-vs-eigendata:SU3-E(8)",
+         "su3-obstructions:atoms-vs-eigendata:SU3-E1(12)"}.__contains__),
 }
 
 
