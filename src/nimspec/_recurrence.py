@@ -5,49 +5,51 @@ one (`_solve`), and each numerator check computes D(t) H(t) (`_multiply`).
 A block is n rows of its w solved columns: w = n, or w = 1 for one column.
 
 A solve keeps X_{-deg} .. X_k as one stacked integer array (deg is D's
-degree), grown by doubling up to order + 1 blocks.  Each degree slices the
-previous deg blocks, gathers the rows that the sparse rows of D name with
-one `take` along a plan built once per solve, and writes one `matmul` with
-the multipliers straight into the next block; N_k is added as single
-entries, cut to the solved column when there is one.  The array stays int64
-under a bound on |entry| that is proven in Python and checked against the
-real entries only when it runs out of headroom; it holds Python ints only
-if those are too large as well.  The solve stops at the first degree from
-which every later block is provably zero, and returns the solved blocks
-with the length of that zero tail: tuple rows are built by
-`MatrixSeries.mats` on first read.  The product D(t) H(t) is the same
-gather, batched over all degrees.
+degree).  Each degree slices the previous deg blocks, gathers the rows that
+the sparse rows of D name with one `take` along a plan built once per
+solve, and writes one `matmul` with the multipliers straight into the next
+block; N_k is added as single entries, cut to the solved column when there
+is one.  The array stays int64 under a bound on |entry| that is proven in
+Python and checked against the real entries only when it runs out of
+headroom; it holds Python ints only if those are too large as well.  The
+solve returns the solved blocks with the length of their zero tail: tuple
+rows are built by `MatrixSeries.mats` on first read.  The product D(t) H(t)
+is the same gather, batched over all degrees.
 
 A solve's setup costs about the size of D's sparse rows: the plan writes
 each row's indices and multipliers in one pass over its entries, N_d's
 entries are listed once, and the numerator Q is checked against Delta
 alone, since Q Delta^T Q^T = (Q Delta Q^T)^T and 1 commutes with Q.
 
-A solve with N = 1 never stops early: D's top coefficient is +-1, so no
-column of D(t)^{-1} is a polynomial.  Its array holds deg + order + 1
-blocks from the start, with no doubling, and from degree 1 on, where the
-recurrence is homogeneous, X_{k+j} = T_j S_k for the window S_k of the last
-deg blocks.  The transfer blocks T_0 .. T_{m-1}, an (m n) x (deg n) integer
-matrix, are the kernel's own steps run for m degrees on the identity window
-(`_transfer`).  Each chunk of m degrees is then one product T S_k written
-into the array (`_chunks`), in float64 (BLAS) while reach(T) (max|S_k| + 1)
-< 2**53, so that every product and partial sum is an integer that a double
-holds exactly, whatever the summation order; once it is not, the solve goes
-on one degree at a time, as above.  max|S_k| is a bound proven from the
-last chunk, read from the real entries only when it trips.  An int64
-product is no alternative: numpy's integer matmul has no BLAS, and full
-solves with forced int64 chunks took 2-4.6 times as long as with float64
-ones (BENCH_25.json, `arith`: Aff-D(11) at order 158 to 2000, the Z12 CY3
+Every solve has one shape.  The degrees up to last = min(N's degree,
+order) are solved into an array of deg + last + 1 blocks.  Past last, N_k
+= 0 and the recurrence is homogeneous: S_{k+1} = C S_k for the window S_k
+of the last deg blocks, and C is invertible, since D's top coefficient is
++-1.  So a series whose window at last is zero has ended, and the solve
+stops there.  One whose window is not zero never ends (N = 1 among them,
+since S_0 holds H_0 = 1): its array grows once, to deg + order + 1 blocks,
+and the homogeneous rest runs as X_{k+j} = T_j S_k.  The transfer blocks
+T_0 .. T_{m-1}, an (m n) x (deg n) integer matrix, are the kernel's own
+steps run for m degrees on the identity window (`_transfer`).  Each chunk
+of m degrees is then one product T S_k written into the array (`_chunks`),
+in float64 (BLAS) while reach(T) (max|S_k| + 1) < 2**53, so that every
+product and partial sum is an integer that a double holds exactly,
+whatever the summation order; once it is not, the solve goes on one
+degree at a time, as above.  max|S_k| is a bound proven from the last
+chunk, read from the real entries only when it trips.  An int64 product is
+no alternative: numpy's integer matmul has no BLAS, and full solves with
+forced int64 chunks took 2-4.6 times as long as with float64 ones
+(BENCH_25.json, `arith`: Aff-D(11) at order 158 to 2000, the Z12 CY3
 series at order 120).
 
-The rule for when to chunk is fixed: m = isqrt(order), and only when
-order >= _CHUNK_FROM = 24 and deg n^2 <= _CHUNK_WIDTH = 1024.  Timed on a
-2-core host (BENCH_25.json, `rule`, forced chunks against forced steps),
-with deg n^2 <= 800 chunks take 0.60-0.97 of the time at order 24,
-0.31-0.53 at order 100, and 0.90-1.26 at order 16; past that width the m
-wide steps that build T cost more than the narrow steps of a column solve
-they save: 1.01-1.34 of the time at orders 24-36 for SU3-A(8), Aff-A(30)
-and Aff-A(40).
+The rule for when to chunk is fixed: m = isqrt(order - last), and only
+when order - last >= _CHUNK_FROM = 24 and deg n^2 <= _CHUNK_WIDTH = 1024.
+Timed with N = 1 (last = 0) on a 2-core host (BENCH_25.json, `rule`,
+forced chunks against forced steps), with deg n^2 <= 800 chunks take
+0.60-0.97 of the time at order 24, 0.31-0.53 at order 100, and 0.90-1.26
+at order 16; past that width the m wide steps that build T cost more than
+the narrow steps of a column solve they save: 1.01-1.34 of the time at
+orders 24-36 for SU3-A(8), Aff-A(30) and Aff-A(40).
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .graphs import Graph
 
 _GATHER_ELEMENTS = 1 << 20      # one gather's temporary: at most 8 MB of int64
 _INT64_SAFE = 1 << 62           # reach * (bound + 1) below this: every partial sum fits
-_FIRST_BLOCKS = 16              # a full solve's first capacity, doubled as it fills
 _FLOAT_EXACT = 1 << 53          # reach * (bound + 1) below this: a float64 product is exact
 _CHUNK_FROM = 24                # the fewest homogeneous degrees solved in chunks
 _CHUNK_WIDTH = 1 << 10          # the most entries deg * n * n of one transfer block
@@ -257,17 +258,22 @@ def _solve(graph: Graph, directed: bool, order: int,
     Returns (blocks, tail): H_0 .. H_{s-1} as one (s, n, w) array, and the
     number of zero blocks after them, s + tail = order + 1.
 
-    Once k is at least N's degree and H_k and the deg - 1 blocks before it
-    are zero, H_{k+1} = N_{k+1} - sum_j D_j H_{k+1-j} is zero, and so is
-    every later block: the solve stops there.  With N = 1 that never
-    happens, since D's top coefficient is +-1 and so no column of D(t)^{-1}
-    is a polynomial: those solves hold order + 1 blocks from the start, and
-    from degree 1 on, where the recurrence is homogeneous, they run in
-    transfer-block chunks (`_chunks`).
+    The degrees 0 .. last = min(N's degree, order) are solved one at a
+    time, into an array of deg + last + 1 blocks.  Past last, N_k = 0 and
+    the recurrence is homogeneous: S_{k+1} = C S_k for the window S_k of
+    H_{k-deg+1} .. H_k, and C is invertible, since D's top coefficient is
+    +-1.  So if S_last is zero, every later block is zero and the solve
+    stops there.  If it is not, no later window is zero either, as always
+    with N = 1, where S_0 holds H_0 = 1.  Then the array grows once, to
+    deg + order + 1 blocks, and the homogeneous rest runs in transfer-block
+    chunks (`_chunks`) while they pay, then one degree at a time.
 
-    A nonzero block from degree vanish_from on raises at once.  With
-    nonnegative, a negative entry raises once the solve ends, so that a
-    later failure to vanish is still the error reported."""
+    A nonzero block from degree vanish_from on raises at once.  That is
+    checked on the degrees up to last, which covers the whole series when
+    vanish_from <= N's degree - deg + 1 (h - 1 in `hilbert_su2`): then
+    every block of S_last is checked, and every later block is zero if
+    they are.  With nonnegative, a negative entry raises once the solve
+    ends, so that a failure to vanish is still the error reported."""
     _check_order(order)
     n = graph.n_vertices
     if column is not None:
@@ -286,21 +292,23 @@ def _solve(graph: Graph, directed: bool, order: int,
     idx, mult, reach = _plan(terms, n, -1)
     dtype = np.int64 if reach < _INT64_SAFE else object
     mult = np.array(mult, dtype).reshape(n, 1, -1)
-    blocks = order + 1 if numerator is None else min(order + 1, _FIRST_BLOCKS)
-    hist = np.zeros((deg + blocks, n, 1, w), dtype)
+    last, k = min(max(num), order), 0
+    hist = np.zeros((deg + last + 1, n, 1, w), dtype)
     parts = _parts(idx, w)
     # N_d's entries as (rows, columns, values) within the solved columns
     entries = {d: _entries(rows, column) for d, rows in num.items()}
     bound, exact = 0, dtype is np.int64     # bound >= max|X| over the solved blocks
-    last, run, k = max(num), 0, 0
-    chunked = numerator is None and order >= _CHUNK_FROM and 0 < deg * n * n <= _CHUNK_WIDTH
     while k <= order:               # k: the degrees solved so far
-        if chunked and k == 1 and exact:
-            k, bound = _chunks(hist, k, deg, idx, mult, reach, bound)
-            # the zero blocks at the end of a series with N = 1 are fewer than deg
-            run = next(i for i in range(deg) if np.count_nonzero(hist[deg + k - 1 - i]))
-            if k > order:
+        if k == last + 1:
+            if not np.count_nonzero(hist[k:k + deg]):   # S_last = 0: the series has ended
                 break
+            grown = np.zeros((deg + order + 1,) + hist.shape[1:], hist.dtype)
+            grown[:len(hist)] = hist
+            hist = grown
+            if exact and order - last >= _CHUNK_FROM and 0 < deg * n * n <= _CHUNK_WIDTH:
+                k, bound = _chunks(hist, k, deg, idx, mult, reach, bound)
+                if k > order:
+                    break
         # X_k = N_k + sign * sum_j c_j D_j X_{k-j}, written into block deg + k.
         # Each step keeps bound >= max|X| by bound <- reach * bound + 1.  Only
         # when that bound leaves no headroom are the window's real entries
@@ -310,32 +318,22 @@ def _solve(graph: Graph, directed: bool, order: int,
             bound = _magnitude(hist[k:k + deg])
             if reach * (bound + 1) >= _INT64_SAFE:
                 hist, mult, exact = hist.astype(object), mult.astype(object), False
-        if deg + k == len(hist):
-            grown = np.zeros((deg + min(2 * k, order + 1),) + hist.shape[1:], hist.dtype)
-            grown[:len(hist)] = hist
-            hist = grown
         block = _step(hist, k, deg, mult, parts)
         if entries.get(k):
             i, cols, values = entries[k]
             block[i, 0, cols] += values
         if exact:
             bound = reach * bound + 1
-        if not np.count_nonzero(block):
-            run += 1
-            if run >= deg and k >= last:
-                k += 1
-                break
-        elif vanish_from is not None and k >= vanish_from:
+        if vanish_from is not None and k >= vanish_from and np.count_nonzero(block):
             raise FailedIdentityError(
                 f"{graph.id}: pre-projective series fails to terminate at degree {k}")
-        else:
-            run = 0
         k += 1
-    solved = k - run
-    out = hist[deg:deg + solved].reshape(solved, n, w)
+    while not np.count_nonzero(hist[deg + k - 1]):     # H_0 = 1 ends the zero run
+        k -= 1
+    out = hist[deg:deg + k].reshape(k, n, w)
     if nonnegative and out.min() < 0:
         raise FailedIdentityError(f"{graph.id}: negative Hilbert coefficient")
-    return out, order + 1 - solved
+    return out, order + 1 - k
 
 
 def _multiply(graph: Graph, directed: bool, series) -> list:
@@ -368,10 +366,8 @@ def _multiply(graph: Graph, directed: bool, series) -> list:
     gather = (np.arange(count).reshape(count, 1, 1) * n + idx).reshape(count * n, -1)
     mult = np.tile(np.array(mult, dtype).reshape(n, 1, -1), (count, 1, 1))
     out = np.empty((count * n, 1, w), dtype)
-    chunk = max(1, _GATHER_ELEMENTS // (gather.shape[1] * w))
-    for lo in range(0, count * n, chunk):
-        np.matmul(mult[lo:lo + chunk], flat.take(gather[lo:lo + chunk], axis=0),
-                  out=out[lo:lo + chunk])
+    for rows, at in _parts(gather, w):
+        np.matmul(mult[rows], flat.take(at, axis=0), out=out[rows])
     zero = ((0,) * w,) * n
     return ([tuple(map(tuple, m)) for m in out.reshape(count, n, w).tolist()]
             + [zero] * (solved + tail - count))

@@ -35,11 +35,20 @@ from .graphs import by_id, eigendata, parse_id
 from .paths import moment_table_csv, moments
 
 
+def _open(path: str, mode: str):
+    """open(path, mode), with a path that no file can have (one holding a
+    NUL byte) rejected as a usage error rather than a ValueError."""
+    try:
+        return open(path, mode)
+    except ValueError as exc:
+        raise InvalidParameterError(f"{path!r}: {exc}") from None
+
+
 def _load_config(path: str) -> list:
     """The config file's lines `key = value` as the flags `--key=value`;
     '#' starts a comment, and the keys config and help are skipped."""
     flags = []
-    with open(path) as fh:
+    with _open(path, "r") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line or "=" not in line:
@@ -198,7 +207,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     else:
         text = payload
     if args.out:
-        with open(args.out, "w") as fh:
+        with _open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

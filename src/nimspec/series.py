@@ -14,10 +14,11 @@ inside int64; the real entries are read only when that bound runs out of
 headroom, and the array switches to Python ints only if they are too large
 as well.  With `column=j` the same kernel solves only column j, on n x 1
 blocks, for the identities that read one column (the CY3 Molien check,
-F_id = H_{id,id}, the Kostant numerators).  Every solve stops at the first
-degree from which every later block is provably zero.  The termination
-check runs on each block as it is solved, and the sign check once on the
-solved blocks.  A `MatrixSeries` holds the block array and the length of
+F_id = H_{id,id}, the Kostant numerators).  Every solve stops at its
+numerator's degree if the last blocks there are zero, since then every
+later block is, and runs to its order otherwise.  The termination check
+runs on each block as it is solved, and the sign check once on the solved
+blocks.  A `MatrixSeries` holds the block array and the length of
 its zero tail; its tuple rows (`mats`) are built only when read, and
 `su2_numerator`/`su3_numerator` multiply the array, one batched gather over
 all degrees.  `generalized_t`, the independent route to the same series on
@@ -40,7 +41,7 @@ import numpy as np
 
 from ._recurrence import _check_order, _identity_rows, _multiply, _solve, _stack
 from .errors import FailedIdentityError, InvalidParameterError, TruncationError, require_int
-from .graphs import Graph, _dense, _graph_from, _out_edges, _su3_rotation_rows, by_id, parse_id
+from .graphs import Graph, _dense, _graph_from, _su3_rotation_rows, by_id, parse_id
 
 Number = Union[int, Fraction, float, complex]
 
@@ -427,29 +428,19 @@ def su2_numerator(hs: MatrixSeries, graph: Graph) -> List[Matrix]:
 # SU(3) Hilbert series
 # ---------------------------------------------------------------------------
 
-def hilbert_su3(graph: Graph, p: Optional[Matrix] = None,
-                order: Optional[int] = None, column: Optional[int] = None) -> MatrixSeries:
+def hilbert_su3(graph: Graph, order: Optional[int] = None,
+                column: Optional[int] = None) -> MatrixSeries:
     """(1 - P t^h)(1 - Delta t + Delta^T t^2 - t^3)^{-1} for a directed
-    SU(3) fusion graph with Coxeter number h, to order 3h by default; P is
-    an n x n permutation matrix commuting with Delta, by default the
-    triangle rotation for A^(l) and the identity for A^(l)*.  With a column
-    index, only that column is solved and checked."""
+    SU(3) fusion graph with Coxeter number h, to order 3h by default.  P is
+    the family's permutation commuting with Delta: the triangle rotation
+    for A^(l) and the identity for A^(l)*.  With a column index, only that
+    column is solved and checked."""
     _check_untruncated(graph)
-    n = graph.n_vertices
     h = graph.coxeter_h
     if h is None:
         raise InvalidParameterError("hilbert_su3 needs the Coxeter number h")
-    if p is None:
-        p_rows = (_su3_rotation_rows(graph) if graph.family == "SU3-A"
-                  else _identity_rows(n))
-    else:
-        try:
-            p_rows = _out_edges(p) if len(p) == n and all(len(row) == n for row in p) else ()
-        except TypeError:           # p or one of its rows is not a sequence
-            p_rows = ()
-        if (sorted(p_rows) != [((j, 1),) for j in range(n)]
-                or any(type(a) is not int for row in p_rows for _, a in row)):
-            raise InvalidParameterError(f"P must be an {n}x{n} permutation matrix of ints")
+    p_rows = (_su3_rotation_rows(graph) if graph.family == "SU3-A"
+              else _identity_rows(graph.n_vertices))
     minus_p = tuple(((j, -a),) for (j, a), in p_rows)   # each row of P holds one entry
     blocks, tail = _solve(graph, True, 3 * h if order is None else order, (h, minus_p),
                           column, nonnegative=True)

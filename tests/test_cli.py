@@ -499,7 +499,8 @@ def _rejected(result) -> bool:
     ["export", "graph:A(2)", "--order", "abc"], ["export", "graph:A(2)", "--order"],
     ["export", "graph:A(2)", "--bogus"], ["export", "graph:A(2)", "--o", "3"],
     ["export", "graph:A(2)", "--format", "csv"], ["export", "graph:A(2)", "a\nb"],
-    ["verify", "hilbert", "--tol", "x"]])
+    ["verify", "hilbert", "--tol", "x"], ["export", "graph:A(2)", "--out", "a\x00b"],
+    ["verify", "all", "--config", "a\x00b"]])
 def test_every_rejected_argv_is_one_error_line(argv):
     assert _rejected(_run_main(argv))
 

@@ -334,21 +334,6 @@ def test_su3_astar_hilbert_dimension_observation():
         assert 6 * hilbert_su3(by_id(f"SU3-Astar({l})")).total_at_one() == six_h, l
 
 
-def test_su3_symmetry_validation():
-    g = by_id("SU3-A(5)")
-    with pytest.raises(InvalidParameterError):
-        hilbert_su3(g, p=mat_identity(g.n_vertices - 1))
-    float_identity = tuple(tuple(float(x) for x in row) for row in mat_identity(g.n_vertices))
-    for not_a_matrix in (5, [5] * g.n_vertices, float_identity):
-        with pytest.raises(InvalidParameterError):
-            hilbert_su3(g, p=not_a_matrix)
-    swapped = list(list(r) for r in mat_identity(g.n_vertices))
-    swapped[0][0], swapped[0][1] = 0, 1
-    swapped[1][1], swapped[1][0] = 0, 1
-    with pytest.raises(SymmetryError):
-        hilbert_su3(g, p=tuple(tuple(r) for r in swapped))
-
-
 def _swap01(n):
     """The permutation matrix that swaps vertices 0 and 1."""
     rows = [list(r) for r in mat_identity(n)]
@@ -363,9 +348,6 @@ def test_a_numerator_that_does_not_commute_is_rejected(gid, directed, column):
     q = _swap01(g.n_vertices)
     with pytest.raises(SymmetryError, match="does not commute"):
         _solve(g, directed, 12, (5, _out_edges(q)), column)
-    if directed:
-        with pytest.raises(SymmetryError, match="does not commute"):
-            hilbert_su3(g, p=q, order=12, column=column)
 
 
 @pytest.mark.parametrize("q_rows", [
@@ -637,7 +619,8 @@ def test_su3_columns_equal_the_full_solve_and_raise_only_where_it_is_negative(l)
             assert unchecked == full.mats
             assert [hilbert_su3(g, order=3 * l, column=c).mats for c in range(n)] == want
         for c in range(n):
-            assert _outcome(lambda: hilbert_su3(g, p=p, order=3 * l, column=c).mats) == want[c]
+            assert _outcome(lambda: _solve(g, True, 3 * l, (l, _out_edges(mat_scale(-1, p))), c,
+                                           nonnegative=True)) == want[c]
     # with P = 1 the full call raises, but on SU3-A(6) one column stays nonnegative
     if l == 6:
         assert [w is FailedIdentityError for w in want].count(False) == 1
@@ -776,7 +759,7 @@ def test_full_solves_past_int64_equal_the_dense_oracle():
     assert cy3.mats == dense_hilbert(digraph, 40, True)
     assert max(cy3.mats[40][0]) > 2 ** 63
     assert _numerator_is(su3_numerator(cy3, su3), 5)
-    su3_hs = hilbert_su3(su3, p=mat_identity(5), order=40)
+    su3_hs = hilbert_su3(su3, order=40)        # a graph with no family: P = 1
     assert su3_hs.mats == dense_hilbert(digraph, 40, True, (6, minus_one))
     assert _numerator_is(su3_numerator(su3_hs, su3), 5, 6, minus_one)
     heavy = ((0, 2 ** 70), (2 ** 70, 0))
@@ -863,38 +846,50 @@ def test_a_long_affine_solve_rereads_its_magnitude_only_when_the_bound_trips(mon
 
 
 @st.composite
-def unnumerated_case(draw):
-    """(adjacency, directed, order): a weighted graph on 1..6 vertices, its
-    weights c * 2**e with c <= 2, and an order up to 200.  At e = 0 the
-    entries often pass 2**53 and 2**63 on the way; at e = 20 and 40 they
-    start near them."""
+def solve_case(draw):
+    """(adjacency, directed, order, numerator): a weighted graph on 1..6
+    vertices, its weights c * 2**e with c <= 2, an order up to 200, and
+    numerator None (N = 1) or (h, s) for N = 1 + s t^h with h = 1..4 and
+    s = +-1, since +-1 commutes with every Delta.  At e = 0 the entries
+    often pass 2**53 and 2**63 on the way; at e = 20 and 40 they start near
+    them."""
     n = draw(st.integers(1, 6))
     directed = draw(st.booleans())
     scale = 2 ** draw(st.sampled_from([0, 0, 20, 40]))
     rows = [[draw(st.integers(0, 2)) * scale for _ in range(n)] for _ in range(n)]
     if not directed:
         rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    return tuple(map(tuple, rows)), directed, draw(st.integers(0, 200))
+    sign = draw(st.sampled_from([None, 1, -1]))
+    numerator = None if sign is None else (draw(st.integers(1, 4)), sign)
+    return tuple(map(tuple, rows)), directed, draw(st.integers(0, 200)), numerator
 
 
 @settings(max_examples=60, deadline=None)
-@given(unnumerated_case())
-@example((_weighted_complete(5, 1, 1), False, 100))  # float64 chunks, then steps into Python ints
-@example((((0, 1), (1, 0)), True, 200))
-@example((((0,),), False, 25))                       # 1/(1 + t^2): one zero block at the end
-@example((((0,),), True, 26))                        # 1/(1 - t^3): two
-def test_unnumerated_solves_equal_the_dense_oracle_in_its_integers(case):
-    """N = 1 solves, full and of every column, at every order 0..200: the
-    blocks equal dense_hilbert's up to its trailing zero blocks, hold Python
-    ints when read, and are int64 while the proven bound leaves room, Python
-    ints past 2**63."""
-    adj, directed, order = case
+@given(solve_case())
+@example((_weighted_complete(5, 1, 1), False, 100, None))  # float64 chunks, then Python ints
+@example((((0, 1), (1, 0)), True, 200, None))
+@example((((0,),), False, 25, None))                       # 1/(1 + t^2): one zero block at the end
+@example((((0,),), True, 26, None))                        # 1/(1 - t^3): two
+@example((((0,),), False, 30, (2, 1)))                     # (1 + t^2)/(1 + t^2) = 1
+@example((((0,),), True, 30, (3, -1)))                     # (1 - t^3)/(1 - t^3) = 1
+@example((((0,),), False, 30, (2, -1)))                    # (1 - t^2)/(1 + t^2): in chunks
+def test_solves_equal_the_dense_oracle_in_its_integers(case):
+    """Solves with N = 1 or N = 1 +- t^h, full and of every column, at
+    every order 0..200: the blocks equal dense_hilbert's up to its trailing
+    zero blocks, hold Python ints when read, and are int64 while the proven
+    bound leaves room, Python ints past 2**63."""
+    adj, directed, order, numerator = case
     n = len(adj)
     g = Graph("g", tuple(range(n)), _out_edges(adj), 0, symmetric=not directed)
-    want = dense_hilbert(adj, order, directed)
+    at = None
+    if numerator is not None:
+        h, sign = numerator
+        at = (h, mat_scale(sign, mat_identity(n)))
+        numerator = (h, _out_edges(at[1]))
+    want = dense_hilbert(adj, order, directed, at)
     reach = _recurrence._plan(_recurrence._denominator(g, directed), n, -1)[2]
     for column in [None, *range(n)]:
-        blocks, tail = _recurrence._solve(g, directed, order, column=column)
+        blocks, tail = _recurrence._solve(g, directed, order, numerator, column)
         mats = want if column is None else _cut(want, column)
         assert MatrixSeries("g", blocks, tail=tail).mats == mats
         assert tail == len(mats) - max(k + 1 for k, m in enumerate(mats) if any(map(any, m)))
@@ -910,8 +905,9 @@ def test_unnumerated_solves_equal_the_dense_oracle_in_its_integers(case):
 def test_long_unnumerated_solves_run_in_transfer_chunks(monkeypatch):
     """Aff-D(11) at order 158 and the Z12 CY3 series at order 120 are
     solved in isqrt(order)-degree chunks, one float64 product each; once
-    the entries pass 2**53 the solve goes on one degree at a time.  Short
-    and numerated solves never chunk."""
+    the entries pass 2**53 the solve goes on one degree at a time.  So is
+    (1 + t^9)/(1 - Delta t + t^2) on A(8), which never ends, from degree 10
+    on.  Short solves and series that end never chunk."""
     products = []
     product = _recurrence._product
     monkeypatch.setattr(_recurrence, "_product",
@@ -930,6 +926,11 @@ def test_long_unnumerated_solves_run_in_transfer_chunks(monkeypatch):
     hs = _solve(Graph("K5", tuple(range(5)), _out_edges(k5), 0, symmetric=True), False, 100)
     assert hs == dense_hilbert(k5, 100)
     assert products == [np.float64, np.float64]
+    products.clear()
+    a8 = by_id("A(8)")
+    assert _solve(a8, False, 400, (9, _out_edges(mat_identity(8)))) == \
+        dense_hilbert(a8.adjacency, 400, False, (9, mat_identity(8)))
+    assert products == [np.float64] * math.ceil(391 / math.isqrt(391))
     products.clear()
     hilbert_su2(g, 23)
     hilbert_su2(by_id("E(8)"), 120)
@@ -952,6 +953,17 @@ def test_row_chunked_gathers_equal_the_dense_oracle(monkeypatch, elements):
     hs = hilbert_su2(g, 30)
     assert hs.mats == dense_hilbert(g.adjacency, 30)
     assert _numerator_is(su2_numerator(hs, g), g.n_vertices)
+
+
+@pytest.mark.parametrize("gid, order", [("D(12)", 160), ("E(8)", 120), ("SU3-A(21)", 63)])
+def test_a_series_that_ends_holds_only_its_blocks_up_to_the_numerator_degree(gid, order):
+    """The array behind the blocks of a series that ends holds deg + h + 1
+    blocks: the deg zero blocks before H_0, then H_0 .. H_h."""
+    g = by_id(gid)
+    directed = not g.symmetric
+    hs = hilbert_su3(g, order=order) if directed else hilbert_su2(g, order)
+    assert hs.tail > 0
+    assert len(hs.blocks.base) <= (3 if directed else 2) + g.coxeter_h + 1
 
 
 def test_a_long_terminating_solve_holds_only_its_ring_and_one_zero_block():
