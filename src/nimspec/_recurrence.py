@@ -69,11 +69,6 @@ _CHUNK_FROM = 24                # the fewest homogeneous degrees solved in chunk
 _CHUNK_WIDTH = 1 << 10          # the most entries deg * n * n of one transfer block
 
 
-def _check_order(order: int) -> None:
-    if require_int("series order", order) < 0:
-        raise InvalidParameterError(f"series order must be non-negative, got {order}")
-
-
 def _identity_rows(n: int) -> tuple:
     return tuple(((i, 1),) for i in range(n))
 
@@ -274,7 +269,7 @@ def _solve(graph: Graph, directed: bool, order: int,
     every block of S_last is checked, and every later block is zero if
     they are.  With nonnegative, a negative entry raises once the solve
     ends, so that a failure to vanish is still the error reported."""
-    _check_order(order)
+    order = require_int("series order", order, 0)
     n = graph.n_vertices
     if column is not None:
         column = require_int("column", column)
@@ -284,8 +279,7 @@ def _solve(graph: Graph, directed: bool, order: int,
     num = {0: terms[-1][2]}         # N_0 = 1, the rows of D's top coefficient
     if numerator is not None:
         h, q_rows = numerator
-        if h < 1:                   # t^0 would overwrite N_0 = 1
-            raise InvalidParameterError(f"numerator degree h = {h} must be at least 1")
+        h = require_int("numerator degree h", h, 1)    # t^0 would overwrite N_0 = 1
         _check_numerator(q_rows, graph.out_edges, n)
         num[h] = q_rows
     deg, w = terms[-1][0], n if column is None else 1

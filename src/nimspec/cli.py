@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import deltoid, measures, series, subgroups, suites
-from .errors import InvalidParameterError, NimspecError
+from .errors import InvalidParameterError, NimspecError, require_int
 from .graphs import by_id, eigendata, parse_id
 from .paths import moment_table_csv, moments
 
@@ -104,9 +104,8 @@ def _export_payload(spec: str, args: argparse.Namespace):
         return mu.to_json(), "json"
     if spec.startswith("moments:"):
         g = by_id(spec[8:])
-        if args.depth < 0:
-            raise InvalidParameterError(f"--depth must be non-negative, got {args.depth}")
-        upper = args.depth if g.trunc_depth else 2 * args.depth
+        depth = require_int("--depth", args.depth, 0)
+        upper = depth if g.trunc_depth else 2 * depth
         table = moments(g, [(m, n) for m in range(upper + 1)
                             for n in range(1 if g.symmetric else upper - m + 1)])
         return moment_table_csv(table), "csv-text"

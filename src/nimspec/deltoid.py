@@ -23,7 +23,7 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from .errors import FailedIdentityError, InvalidParameterError
+from .errors import FailedIdentityError, InvalidParameterError, require_int
 
 Angle = Union[Fraction, float]
 TorusPoint = Tuple[Angle, Angle]
@@ -269,8 +269,7 @@ def dl_numerators(l: int) -> np.ndarray:
     """D_l as integer numerators over 3l: the (3 l^2, 2) array of all
     (q1, q2) with q1 + q2 = 0 mod 3, q1 outer and q2 inner.  For each q1
     these are q2 = (-q1 mod 3) + 3j, j = 0 .. l - 1, written directly."""
-    if l < 4:
-        raise InvalidParameterError("D_l grid needs l >= 4")
+    l = require_int("D_l grid: l", l, 4)
     q1 = np.arange(3 * l)
     q = np.empty((3 * l, l, 2), q1.dtype)
     q[:, :, 0] = q1[:, None]
@@ -302,8 +301,7 @@ def density_grid(n: int) -> np.ndarray:
     the marked points are recomputed with ``discriminant``, so each |J| has
     the bits of the scalar route.
     """
-    if n < 2:
-        raise InvalidParameterError(f"density grid needs n >= 2 points a side, got {n}")
+    n = require_int("density grid: n", n, 2)
     axis = [-3.0 + 6.0 * i / (n - 1) for i in range(n)]
     grid = np.full((n * n, 4), np.nan)
     grid[:, 0] = np.repeat(axis, n)

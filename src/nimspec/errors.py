@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the integer check that
-raises one of them."""
+"""Exception types shared across the package, and `require_int`, the one
+check of an integer argument (an order, a size or a count): every route
+that takes one accepts and rejects the same values."""
 
 import numbers
+from typing import Optional
 
 
 class NimspecError(Exception):
@@ -9,16 +11,25 @@ class NimspecError(Exception):
 
 
 class InvalidParameterError(NimspecError, ValueError):
-    """A constructor argument is outside its documented range."""
+    """An argument is outside its documented range."""
 
 
-def require_int(what: str, value) -> int:
-    """value as an int, or InvalidParameterError naming it (bools are refused)."""
-    if type(value) is int:          # the common case, without the ABC check
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+def require_int(what: str, value, least: Optional[int] = None) -> int:
+    """value as an int, or InvalidParameterError naming what and the value.
+
+    Bools and non-integers are refused; an integral type such as numpy.int64
+    is accepted as its int.  With least given, a value below it is refused
+    too: "{what} must be non-negative" when least is 0, "{what} must be at
+    least {least}" otherwise.
+    """
+    if type(value) is not int:      # the common case skips the ABC check
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise InvalidParameterError(f"{what} must be {bound}, got {value}")
+    return value
 
 
 class DataUnavailableError(NimspecError, KeyError):

@@ -31,7 +31,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import deltoid
-from .errors import DataUnavailableError, FailedIdentityError, InvalidParameterError
+from .errors import (DataUnavailableError, FailedIdentityError, InvalidParameterError,
+                     require_int)
 
 Exponent = Union[int, tuple, str]
 
@@ -528,6 +529,7 @@ def eigendata(graph_id: str) -> EigenData:
 
 def eigen_moment(ed: EigenData, m: int, n: int = 0) -> complex:
     """Sum over exponents of mult * weight * beta^m * conj(beta)^n."""
+    m, n = require_int("a moment order", m, 0), require_int("a moment order", n, 0)
     return sum(
         e.multiplicity * e.weight * e.eigenvalue ** m * e.eigenvalue.conjugate() ** n
         for e in ed.entries

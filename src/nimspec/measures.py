@@ -276,8 +276,7 @@ def combine(*terms) -> DiscreteMeasure:
 
 def uniform_roots(n_roots: int) -> DiscreteMeasure:
     """Uniform measure on the n-th roots of unity."""
-    if require_int("the number of roots", n_roots) < 1:
-        raise InvalidParameterError("need at least one root of unity")
+    n_roots = require_int("the number of roots", n_roots, 1)
     return DiscreteMeasure(
         1, lambda: {Fraction(j, n_roots): Fraction(1, n_roots) for j in range(n_roots)},
         f"u[{n_roots}]",
@@ -287,8 +286,7 @@ def uniform_roots(n_roots: int) -> DiscreteMeasure:
 
 def d_measure(n: int) -> DiscreteMeasure:
     """d_n: uniform on the 2n-th roots of unity."""
-    if require_int("d_n: n", n) < 1:
-        raise InvalidParameterError("d_n needs n >= 1")
+    n = require_int("d_n: n", n, 1)
     mu = uniform_roots(2 * n)
     mu.provenance = f"d_{n}"
     return mu
@@ -335,9 +333,7 @@ def with_alpha(mu: DiscreteMeasure, j: int = 1) -> DiscreteMeasure:
     """Multiply a 1D measure by the density alpha_j."""
     if mu.dimension != 1:
         raise InvalidParameterError("alpha densities act on circle measures")
-    j = require_int("alpha_j: j", j)
-    if j < 1:
-        raise InvalidParameterError(f"alpha_j needs j >= 1, got {j}")
+    j = require_int("alpha_j: j", j, 1)
     fr = None
     if mu.fourier is not None:
         # alpha_j(u) = 1 - (u^{2j} + u^{-2j})/2 acts as a Fourier convolution:
@@ -366,7 +362,7 @@ def product_measure(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure
 def dl_measure(l: int) -> DiscreteMeasure:
     """d^(l): uniform measure on the 3 l^2 points of the grid D_l, held as
     integer numerators over 3l."""
-    q = deltoid.dl_numerators(require_int("d^(l): l", l))
+    q = deltoid.dl_numerators(l)
     w = Fraction(1, len(q))
     return DiscreteMeasure.on_grid(q, 3 * l, np.full(len(q), float(w)), f"d^({l})",
                                    exact_weight=w)
@@ -422,11 +418,6 @@ def make_measure(spec) -> DiscreteMeasure:
 
 # -- moment evaluation -------------------------------------------------------
 
-def _check_orders(*orders: int) -> None:
-    if any(require_int("a moment order", k) < 0 for k in orders):
-        raise InvalidParameterError("moment orders must be non-negative")
-
-
 def _power_stack(z: np.ndarray, top: int, lower: Sequence[np.ndarray] = ()) -> list:
     """[z^0 .. z^top], each power the product of the one before it and z.
     The powers in lower, the first ones already taken, are reused, not
@@ -451,8 +442,7 @@ def moments_t(mu: DiscreteMeasure, orders: Iterable[int],
     call.  Every order is checked first."""
     if mu.dimension != 1:
         raise InvalidParameterError("moment_t needs a circle measure")
-    orders = list(orders)
-    _check_orders(*orders)
+    orders = [require_int("a moment order", m, 0) for m in orders]
     u = np.exp(2j * np.pi * mu.angle_array[:, 0])
     powers = _power_stack(u + 1 / u + shift, max(orders, default=0))
     terms = _power_terms(powers, mu.weight_array, [(m, 0) for m in orders])
@@ -478,7 +468,7 @@ def moment_t_exact(mu: DiscreteMeasure, m: int, shift: int = 0) -> Optional[Frac
     (u + u^{-1} + shift)^m is a Laurent polynomial sum_r P_r u^r, |r| <= m,
     so the moment is sum_r P_r c-hat(r), with each c-hat(r) read once.
     """
-    _check_orders(m)
+    m = require_int("a moment order", m, 0)
     if mu.fourier is None:
         return None
     s = Fraction(shift)
@@ -496,6 +486,7 @@ def circle_series(mu: DiscreteMeasure, order: int) -> list:
     moments int u^m d mu for m = 0..order; exact when possible."""
     if mu.dimension != 1:
         raise InvalidParameterError("circle_series needs a circle measure")
+    order = require_int("series order", order, 0)
     if mu.fourier is not None:
         nums, den = mu.fourier.numerators(0, order)
         return [Fraction(c, den) for c in nums]
@@ -521,8 +512,8 @@ def moments_t2(mu: DiscreteMeasure,
     """
     if mu.dimension != 2:
         raise InvalidParameterError("moment_t2 needs a torus measure")
-    pairs = list(pairs)
-    _check_orders(*(k for pair in pairs for k in pair))
+    pairs = [(require_int("a moment order", m, 0), require_int("a moment order", n, 0))
+             for m, n in pairs]
     top = max((max(p) for p in pairs), default=0)
     terms = _power_terms(mu._phi_powers(top), mu.weight_array, pairs)
     return {pair: complex(np.sum(t)) for pair, t in zip(pairs, terms)}

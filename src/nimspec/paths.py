@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, List, Tuple
 
-from .errors import FailedIdentityError, InvalidParameterError, TruncationError
+from .errors import FailedIdentityError, InvalidParameterError, TruncationError, require_int
 from .graphs import Graph
 
 
@@ -45,10 +45,9 @@ def moments(graph: Graph, pairs: Iterable[Tuple[int, int]]) -> Dict[Tuple[int, i
     m and n with a common endpoint, so every entry is read off one forward
     walk of max(m, n) steps.  Every pair is checked before the walk starts.
     """
-    pairs = list(pairs)
+    pairs = [(require_int("a moment order", m, 0), require_int("a moment order", n, 0))
+             for m, n in pairs]
     for m, n in pairs:
-        if m < 0 or n < 0:
-            raise InvalidParameterError("moment orders must be non-negative")
         if graph.trunc_depth is not None and m + n > graph.trunc_depth:
             raise TruncationError(
                 f"moment ({m},{n}) exceeds safe depth {graph.trunc_depth} of {graph.id}"
@@ -73,6 +72,7 @@ def moment_path_count(graph: Graph, m: int, n: int = 0):
 def moment_table(graph: Graph, max_m: int, max_n: int = 0) -> Dict[Tuple[int, int], int]:
     """All moments (m, n) with m <= max_m, n <= max_n as a dict: the Gram
     matrix of one forward walk."""
+    max_m, max_n = require_int("max_m", max_m, 0), require_int("max_n", max_n, 0)
     return moments(graph, [(m, n) for m in range(max_m + 1) for n in range(max_n + 1)])
 
 
@@ -89,8 +89,7 @@ def moment_table_csv(table: Dict[Tuple[int, int], int]) -> str:
 
 def combinatorial_dimension(kind: str, k: int):
     """Dimension of the k-th level of the relevant fixed-point path algebra."""
-    if k < 0:
-        raise InvalidParameterError("k must be non-negative")
+    k = require_int("k", k, 0)
     if kind == "su2_torus":
         return math.comb(2 * k, k)
     if kind == "su2_group":
@@ -111,21 +110,26 @@ def multinomial(a: int, b: int, c: int):
     )
 
 
-def moment_formula_su3_A6inf(m: int, n: int):
-    """Closed-form moment of the hexagonal-lattice graph: a double sum of
-    products of multinomial coefficients; zero unless m = n mod 3."""
-    if m < 0 or n < 0:
-        raise InvalidParameterError("moment orders must be non-negative")
-    if (m - n) % 3 != 0:
-        return 0
-    r = (n - m) // 3
+def _multinomial_sum(m: int, r: int, b1: int = 0, b2: int = 0) -> int:
+    """sum over k1 + k2 <= m of (k1, k2, m-k1-k2)! times
+    (k1+r+b1, k2+r-b2, m+r-b1+b2-k1-k2)!: the double sum of both SU(3)
+    lattice closed forms, skipping the terms whose second factor is zero."""
     total = 0
     for k1 in range(m + 1):
         for k2 in range(m + 1 - k1):
-            total += multinomial(k1, k2, m - k1 - k2) * multinomial(
-                k1 + r, k2 + r, m + r - k1 - k2
-            )
+            second = multinomial(k1 + r + b1, k2 + r - b2, m + r - b1 + b2 - k1 - k2)
+            if second:
+                total += multinomial(k1, k2, m - k1 - k2) * second
     return total
+
+
+def moment_formula_su3_A6inf(m: int, n: int):
+    """Closed-form moment of the hexagonal-lattice graph: a double sum of
+    products of multinomial coefficients; zero unless m = n mod 3."""
+    m, n = require_int("a moment order", m, 0), require_int("a moment order", n, 0)
+    if (m - n) % 3 != 0:
+        return 0
+    return _multinomial_sum(m, (n - m) // 3)
 
 
 @lru_cache(maxsize=None)
@@ -152,8 +156,7 @@ def _gamma_coefficients() -> Dict[Tuple[int, int], int]:
 def moment_formula_su3_Ainf(m: int, n: int):
     """Closed-form moment of the SU(3) quadrant graph via the J^2-weighted
     uniform measure; the signed sum is asserted divisible by -6."""
-    if m < 0 or n < 0:
-        raise InvalidParameterError("moment orders must be non-negative")
+    m, n = require_int("a moment order", m, 0), require_int("a moment order", n, 0)
     if (m - n) % 3 != 0:
         return 0
     r = (n - m) // 3
@@ -164,16 +167,7 @@ def moment_formula_su3_Ainf(m: int, n: int):
             raise FailedIdentityError("gamma support must have a1 = a2 mod 3")
         b1 = (2 * a1 + a2) // 3
         b2 = (a1 + 2 * a2) // 3
-        for k1 in range(m + 1):
-            for k2 in range(m + 1 - k1):
-                first = multinomial(k1, k2, m - k1 - k2)
-                if not first:
-                    continue
-                second = multinomial(
-                    k1 + r + b1, k2 + r - b2, m + r - b1 + b2 - k1 - k2
-                )
-                if second:
-                    signed += g * first * second
+        signed += g * _multinomial_sum(m, r, b1, b2)
     if signed % 6 != 0:
         raise FailedIdentityError(f"signed moment sum {signed} is not divisible by 6")
     value = -signed // 6
@@ -184,8 +178,7 @@ def moment_formula_su3_Ainf(m: int, n: int):
 
 def su3_path_count_formula(n: int, l1: int, l2: int):
     """Number of length-n paths (0,0) -> (l1,l2) on the SU(3) quadrant graph."""
-    if n < 0 or l1 < 0 or l2 < 0:
-        raise InvalidParameterError("arguments must be non-negative")
+    n, l1, l2 = (require_int(w, v, 0) for w, v in zip(("n", "l1", "l2"), (n, l1, l2)))
     num = (l1 + 1) * (l2 + 1) * (l1 + l2 + 2) * math.factorial(n)
     parts = (n + 2 * l1 + l2 + 6, n - l1 + l2 + 3, n - l1 - 2 * l2)
     den = 1
@@ -202,6 +195,7 @@ def su3_path_count_formula(n: int, l1: int, l2: int):
 def hecke_dimension(n: int, p1: int, p2: int, method: str = "determinantal"):
     """Dimension of the Hecke algebra irreducible for the <=3-row diagram
     (p1, p2, n-p1-p2); determinantal and multinomial routes agree exactly."""
+    n, p1, p2 = (require_int(w, v, 0) for w, v in zip(("n", "p1", "p2"), (n, p1, p2)))
     p3 = n - p1 - p2
     if not (p1 >= p2 >= p3 >= 0):
         raise InvalidParameterError(
@@ -239,6 +233,7 @@ def hecke_dimension(n: int, p1: int, p2: int, method: str = "determinantal"):
 
 def hecke_shapes(n: int):
     """All <=3-row shapes (p1, p2) of n with n - p1 <= 2 p2 ordering."""
+    n = require_int("n", n, 0)
     return [
         (p1, p2)
         for p1 in range(n + 1)

@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ._recurrence import _check_order, _identity_rows, _multiply, _solve, _stack
+from ._recurrence import _identity_rows, _multiply, _solve, _stack
 from .errors import FailedIdentityError, InvalidParameterError, TruncationError, require_int
 from .graphs import Graph, _dense, _graph_from, _su3_rotation_rows, by_id, parse_id
 
@@ -59,6 +59,7 @@ class TruncatedSeries:
 
     @staticmethod
     def zero(order: int, var: str = "q") -> "TruncatedSeries":
+        order = require_int("series order", order, 0)
         return TruncatedSeries([Fraction(0)] * (order + 1), var)
 
     @staticmethod
@@ -78,6 +79,7 @@ class TruncatedSeries:
     @staticmethod
     def inverse_quadratic(chi: Number, order: int, var: str = "t") -> "TruncatedSeries":
         """1 / (1 - chi t + t^2)."""
+        order = require_int("series order", order, 0)
         a = [1, chi]
         for k in range(2, order + 1):
             a.append(chi * a[k - 1] - a[k - 2])
@@ -122,22 +124,11 @@ class TruncatedSeries:
     def inverse(self) -> "TruncatedSeries":
         """1 / self to the same order; the constant term must be nonzero.
 
-        With rational coefficients a = A / L, the inverse is b_k =
-        L B_k / A_0^(k+1) for the integers B_0 = 1 and
-        B_k = -sum_{j>=1} A_j A_0^(j-1) B_{k-j}; any float or complex
-        coefficient selects the direct recurrence."""
+        The recurrence b_0 = 1 / a_0, b_k = -b_0 sum_{j>=1} a_j b_{k-j}, exact
+        on int and Fraction coefficients."""
         a0 = self.coeffs[0]
         if a0 == 0:
             raise InvalidParameterError("series inverse needs a unit constant term")
-        # No library route inverts a rational series yet; inverse is a kernel.
-        if _rational(self.coeffs):
-            a, den = _integer_numerators(self.coeffs)
-            terms = [(j, aj * a[0] ** (j - 1)) for j, aj in enumerate(a) if j and aj]
-            big = [1]
-            for k in range(1, len(a)):
-                big.append(-sum(c * big[k - j] for j, c in terms if j <= k))
-            return TruncatedSeries([Fraction(den * bk, a[0] ** (k + 1))
-                                    for k, bk in enumerate(big)], self.var)
         inv0 = Fraction(1, 1) / a0 if isinstance(a0, (int, Fraction)) else 1.0 / a0
         out = [inv0]
         for k in range(1, self.order + 1):
@@ -263,11 +254,10 @@ def _integer_numerators(coeffs) -> Tuple[List[int], int]:
 def _factor_product(factors: Sequence[Tuple[int, int]], order: int) -> List[int]:
     """The integer coefficients of prod (1 + sign * q^k) to the order: each
     factor is a shift-add, p_i += sign * p_{i-k} from the top down."""
-    _check_order(order)
+    order = require_int("series order", order, 0)
     p = [1] + [0] * order
     for sign, k in factors:
-        if k < 1:
-            raise InvalidParameterError(f"factor 1 + sign q^k needs k >= 1, got k = {k}")
+        k = require_int("factor 1 + sign q^k: k", k, 1)
         for i in range(order, k - 1, -1):
             p[i] += sign * p[i - k]
     return p
@@ -463,9 +453,7 @@ def _weights_mod(weights: Tuple[int, int, int], m: int,
                  least: int = 1) -> Tuple[int, int, int]:
     """The character weights (a, b, c), each reduced mod m, once m is checked
     as a cyclic subgroup order >= least."""
-    m = require_int("cyclic subgroup order", m)
-    if m < least:
-        raise InvalidParameterError(f"cyclic subgroup needs order >= {least}, got {m}")
+    m = require_int("cyclic subgroup order", m, least)
     try:
         a, b, c = weights
     except (TypeError, ValueError):
@@ -495,7 +483,7 @@ def molien_abelian(m: int, weights: Tuple[int, int, int], j: int,
     """
     weights = _weights_mod(weights, m)
     j = require_int("character j", j) % m
-    _check_order(order)
+    order = require_int("series order", order, 0)
     return TruncatedSeries(_monomial_characters(m, weights, order)[:, j].tolist(), "t")
 
 
@@ -528,7 +516,7 @@ def molien_abelian_det(m: int, weights: Tuple[int, int, int], j: int,
     det(1 - conj(rho(g)) t), in complex floats; a cross-check route."""
     # No suite reads this yet: it is the tests' reference for molien_abelian.
     a, b, c = _weights_mod(weights, m)
-    _check_order(order)
+    order = require_int("series order", order, 0)
     coeffs = [0j] * (order + 1)
     for g in range(m):
         eps = [cmath.exp(-2j * math.pi * g * w / m) for w in (a, b, c)]
@@ -556,6 +544,7 @@ def loop_series(graph: Graph, order: int) -> TruncatedSeries:
     forward walk of 2 * order steps)."""
     from .paths import moments
 
+    order = require_int("series order", order, 0)
     loops = moments(graph, [(2 * k, 0) for k in range(order + 1)])
     return TruncatedSeries([Fraction(loops[(2 * k, 0)]) for k in range(order + 1)], "z")
 
@@ -602,7 +591,7 @@ def t_series(graph_id: str, order: int = 40, route: str = "closed_form") -> Trun
     """T series of a graph by one of three routes: the tabulated closed form,
     the circle-moment series of the canonical measure, or composition of the
     loop series with q/(1+q)^2."""
-    _check_order(order)
+    order = require_int("series order", order, 0)
     if route == "closed_form":
         return t_closed_form(graph_id, order)
     if route == "measure":
@@ -626,7 +615,7 @@ def theta_series(graph_id: str, order: int = 24, route: str = "measure") -> Trun
     Theta(q) = q + (1 - q) T(q), from T's measure route ("measure") or its
     f_compose route ("f")."""
     routes = {"measure": "measure", "f": "f_compose"}
-    _check_order(order)
+    order = require_int("series order", order, 0)
     if route not in routes:
         raise InvalidParameterError(f"unknown Theta route {route!r}")
     t = t_series(graph_id, order, routes[route]).coeffs
@@ -647,7 +636,7 @@ def generalized_t(graph: Graph, order: int = 24) -> MatrixSeries:
     """
     if not graph.symmetric:
         raise InvalidParameterError("generalized T series needs an unoriented graph")
-    _check_order(order)
+    order = require_int("series order", order, 0)
     n = graph.n_vertices
     coeff = [[(-1) ** ((d - k) // 2) * math.comb((d + k) // 2, k) if (d - k) % 2 == 0 else 0
               for k in range(d + 1)] + [0] * (order - d) for d in range(order + 1)]
@@ -685,7 +674,7 @@ def g_composition_route(cd, order: int) -> TruncatedSeries:
     multiplied by 1 / (1 + t^2) on integers; each coefficient is then one
     correctly rounded int / int division.
     """
-    _check_order(order)
+    order = require_int("series order", order, 0)
     scale = 10 ** 40
     rows = [(r.size, round(r.chi_rho * scale)) for r in cd.rows]
     # G = sum_r (size_r / n) / (1 - chi_r q) with chi_r = c_r / 10^40, so

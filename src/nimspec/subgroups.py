@@ -22,7 +22,7 @@ from .errors import (
     InvalidParameterError,
     require_int,
 )
-from .series import TruncatedSeries, _check_order
+from .series import TruncatedSeries
 
 
 # One row per catalogue group: its n in words, whether it accepts n (None
@@ -274,8 +274,7 @@ def class_data(group: FiniteMatrixGroup) -> ClassData:
 
 def subgroup_moment(cd: ClassData, m: int) -> float:
     """m-th moment of the fundamental character in the vacuum state."""
-    if m < 0:
-        raise InvalidParameterError("moment orders must be non-negative")
+    m = require_int("a moment order", m, 0)
     order = cd.order
     return sum(r.size / order * r.chi_rho ** m for r in cd.rows)
 
@@ -286,7 +285,6 @@ def molien_series_trivial(group: FiniteMatrixGroup, order: int) -> TruncatedSeri
     For SU(2) the conjugate representation has the same determinant
     polynomial 1 - chi t + t^2, which is asserted per element.
     """
-    _check_order(order)
     total = TruncatedSeries.zero(order)
     for g in group.elements:
         gc = g.conj()
@@ -301,7 +299,6 @@ def molien_series_trivial(group: FiniteMatrixGroup, order: int) -> TruncatedSeri
 def kostant_trivial(cd: ClassData, order: int) -> TruncatedSeries:
     """sum_j (|G_j|/|G|) / (1 - t chi_j + t^2): multiplicity series of the
     trivial representation in restricted SU(2) irreducibles."""
-    _check_order(order)
     total = TruncatedSeries.zero(order)
     n = cd.order
     for r in cd.rows:

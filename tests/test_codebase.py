@@ -1,8 +1,8 @@
 """Guards on the source tree itself, read with ast and tokenize: every public
 top-level function and public method in src/nimspec has a caller, no check
 there is a bare assert (python -O strips those), no module outgrows the
-parser's first token block, and the suites read kernels through their
-modules."""
+parser's first token block, the suites read kernels through their modules,
+and no lower bound on an integer is checked outside `errors.require_int`."""
 
 import ast
 import tokenize
@@ -134,3 +134,32 @@ def test_the_suites_import_modules_not_kernel_names():
              if isinstance(node, ast.ImportFrom) and node.level for alias in node.names]
     assert bound and [(mod, name) for mod, name in bound
                       if mod != "errors" and not (mod is None and name in modules)] == []
+
+
+def _is_int_bound(test: ast.expr) -> bool:
+    """test is `x < c` or `c < x` for an int constant c, or such compares
+    joined by `or`."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
+        return all(map(_is_int_bound, test.values))
+    return (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], ast.Lt)
+            and any(isinstance(side, ast.Constant) and type(side.value) is int
+                    for side in (test.left, test.comparators[0])))
+
+
+def _raises_invalid_parameter(body) -> bool:
+    return any(isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+               and isinstance(node.exc.func, ast.Name)
+               and node.exc.func.id == "InvalidParameterError"
+               for stmt in body for node in ast.walk(stmt))
+
+
+def test_integer_bounds_are_checked_by_require_int_alone():
+    """A lower bound on an integer argument is `errors.require_int`'s `least`,
+    so every route accepts and rejects the same values: no hand-written
+    `if x < c: raise InvalidParameterError(...)` outside errors.py."""
+    found = [f"{mod}.py:{node.lineno}" for mod, tree in _modules().items() if mod != "errors"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.If) and _is_int_bound(node.test)
+             and _raises_invalid_parameter(node.body)]
+    assert found == []
