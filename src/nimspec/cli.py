@@ -31,7 +31,7 @@ import numpy as np
 
 from . import deltoid, measures, series, subgroups, suites
 from .errors import InvalidParameterError, NimspecError, require_int
-from .graphs import by_id, eigendata, parse_id
+from .graphs import _is_su3, by_id, eigendata, parse_id
 from .paths import moment_table_csv, moments
 
 
@@ -118,7 +118,7 @@ def _export_payload(spec: str, args: argparse.Namespace):
         if kind == "hilbert":
             g = by_id(gid)
             # by family, not by symmetric: A^(l)* is undirected but an SU(3) graph
-            hs = series.hilbert_su3(g, order=args.order) if "SU3" in g.family else \
+            hs = series.hilbert_su3(g, order=args.order) if _is_su3(g.family) else \
                 series.hilbert_su2(g, args.order)
             return hs.to_json(), "json"
         raise InvalidParameterError(f"unknown series kind {kind!r}")

@@ -2,6 +2,10 @@
 SU(3) fusion graphs, and closed-form eigendata (exponents, eigenvalues,
 squared first-entry weights) for each of them.
 
+Eigendata have one shape: an entry is an exponent, its copies and a weight
+per copy.  Every ADE weight comes from one formula (`_su2_eigendata`), and
+SU3-A and SU3-D from one pass over the alcove (`_su3_alcove`).
+
 Vertex conventions follow the usual diagram pictures: for A_n the
 distinguished vertex * is the endpoint 1, for D_n it is the tail-end vertex n
 (the two fork tips are vertices 1 and 2), for E_n it is the degree-1 vertex of
@@ -21,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -75,10 +80,13 @@ class Graph:
 
 @dataclass(frozen=True)
 class EigenEntry:
+    """One exponent: `multiplicity` copies of the eigenvalue, each with `weight`
+    = |psi_*|^2 of its own eigenvector.  Over a graph's entries the copies sum
+    to its vertex count, and weight * multiplicity sums to 1."""
     exponent: Exponent
     eigenvalue: complex
-    weight: float             # |psi^exponent_*|^2
-    multiplicity: int = 1
+    weight: float             # per copy
+    multiplicity: int = 1     # copies
 
 
 @dataclass(frozen=True)
@@ -285,69 +293,30 @@ def su3_rotation(graph: Graph) -> tuple:
 # Eigendata
 # ---------------------------------------------------------------------------
 
-def _su2_eigendata_an(n: int) -> list:
-    h = n + 1
-    return [
-        EigenEntry(j, complex(2 * math.cos(j * math.pi / h)),
-                   (2.0 / h) * math.sin(j * math.pi / h) ** 2, 1)
-        for j in range(1, n + 1)
-    ]
-
-
-def _su2_eigendata_dn(n: int) -> list:
-    h = 2 * n - 2
-    out = []
-    if n % 2 == 0:
-        mid = n - 1                       # doubled odd exponent
-        for j in range(1, 2 * n - 2, 2):
-            w = (2.0 / h) * math.sin(j * math.pi / h) ** 2
-            if j == mid:
-                out.append(EigenEntry((j, "pm"), complex(2 * math.cos(j * math.pi / h)), w, 2))
-            else:
-                out.append(EigenEntry(j, complex(2 * math.cos(j * math.pi / h)), 2 * w, 1))
-    else:
-        for j in range(1, 2 * n - 2, 2):
-            w = (4.0 / h) * math.sin(j * math.pi / h) ** 2
-            out.append(EigenEntry(j, complex(2 * math.cos(j * math.pi / h)), w, 1))
-        # exponent n-1 is even; its eigenvector vanishes at the tail vertex
-        out.append(EigenEntry(n - 1, complex(0.0), 0.0, 1))
-    return out
-
-
+# the E_n exponents, and the vertices P of A_{h-1} that E_n's * lifts to
 _E_EXPONENTS = {6: (1, 4, 5, 7, 8, 11), 7: (1, 5, 7, 9, 11, 13, 17),
                 8: (1, 7, 11, 13, 17, 19, 23, 29)}
-_E_FUSION_P = {7: (1, 9, 17), 8: (1, 11, 19, 29)}
+_E_FUSION_P = {6: (1, 7), 7: (1, 9, 17), 8: (1, 11, 19, 29)}
 
 
-def _su2_eigendata_en(n: int) -> list:
-    h = {6: 12, 7: 18, 8: 30}[n]
-    out = []
-    if n == 6:
-        w = {1: (3 - math.sqrt(3)) / 24, 11: (3 - math.sqrt(3)) / 24,
-             4: 0.25, 8: 0.25,
-             5: (3 + math.sqrt(3)) / 24, 7: (3 + math.sqrt(3)) / 24}
-        for j in _E_EXPONENTS[6]:
-            out.append(EigenEntry(j, complex(2 * math.cos(j * math.pi / 12)), w[j], 1))
-        return out
-    ps = _E_FUSION_P[n]
-
+def _su2_eigendata(h: int, exponents: Sequence[int], p: Sequence[int]) -> list:
+    """The eigendata of an ADE graph with Coxeter number h, from its
+    exponents (a repeated exponent j is c copies of j, labelled (j, "pm")
+    when c = 2) and the vertices P of A_{h-1} that its * lifts to: j gets
+    eigenvalue 2 cos(j pi/h) and weight per copy s_1j sum_{i in P} s_ij / c,
+    with s_ij = sqrt(2/h) sin(ij pi/h) the eigenvector entries of A_{h-1}."""
     def s(i, j):
         return math.sqrt(2.0 / h) * math.sin(i * j * math.pi / h)
 
-    for j in _E_EXPONENTS[n]:
-        weight = s(1, j) * sum(s(i, j) for i in ps)
-        out.append(EigenEntry(j, complex(2 * math.cos(j * math.pi / h)), weight, 1))
-    return out
+    return [EigenEntry(j if c == 1 else (j, "pm"), complex(2 * math.cos(j * math.pi / h)),
+                       s(1, j) * sum(s(i, j) for i in p) / c, c)
+            for j, c in Counter(exponents).items()]
 
 
 def su3_exponent_angles(l: int, lam: tuple) -> tuple:
     """(theta1, theta2) of an SU(3) exponent (l1,l2) at level l-3, exact."""
     l1, l2 = lam
     return (Fraction(l1 + 2 * l2 + 3, 3 * l), Fraction(2 * l1 + l2 + 3, 3 * l))
-
-
-def su3_eigenvalue(l: int, lam: tuple) -> complex:
-    return deltoid.phi(su3_exponent_angles(l, lam))
 
 
 def su3_psi_star(l: int, lam: tuple) -> float:
@@ -359,38 +328,36 @@ def su3_psi_star(l: int, lam: tuple) -> float:
     )
 
 
+def _su3_alcove(l: int, step: int = 1):
+    """Each exponent lam = (l1, l2) of level l - 3 (l1 + l2 <= l - 3), with
+    its angles and the sine-product Jacobian J there; step 3 keeps the
+    exponents of triality 0 (l1 = l2 mod 3) alone."""
+    for l1 in range(l - 2):
+        for l2 in range(l1 % step, l - 2 - l1, step):
+            lam = (l1, l2)
+            t = su3_exponent_angles(l, lam)
+            yield lam, t, deltoid.jacobian(t, "sine_product")
+
+
 def _su3_eigendata_a(l: int) -> list:
     out = []
-    for l1 in range(l - 2):
-        for l2 in range(l - 2 - l1):
-            lam = (l1, l2)
-            t1, t2 = su3_exponent_angles(l, lam)
-            jv = deltoid.jacobian((t1, t2), "sine_product")
-            w = jv * jv / (12 * math.pi ** 4 * l * l)
-            psi = su3_psi_star(l, lam)
-            jpsi = -jv / (2 * math.sqrt(3) * math.pi ** 2 * l)
-            if abs(psi - jpsi) > 1e-12:
-                raise FailedIdentityError(
-                    f"eigenvector/Jacobian mismatch at {lam}: {psi} vs {jpsi}"
-                )
-            out.append(EigenEntry(lam, su3_eigenvalue(l, lam), w, 1))
+    for lam, t, jv in _su3_alcove(l):
+        psi = su3_psi_star(l, lam)
+        jpsi = -jv / (2 * math.sqrt(3) * math.pi ** 2 * l)
+        if abs(psi - jpsi) > 1e-12:
+            raise FailedIdentityError(f"eigenvector/Jacobian mismatch at {lam}: {psi} vs {jpsi}")
+        out.append(EigenEntry(lam, deltoid.phi(t), jv * jv / (12 * math.pi ** 4 * l * l), 1))
     return out
 
 
 def _su3_eigendata_d(n: int) -> list:
     k = n // 3
-    out = []
-    total = 0.0
-    for l1 in range(n - 2):
-        for l2 in range(n - 2 - l1):
-            if (l1 - l2) % 3 != 0 or (l1, l2) == (k - 1, k - 1):
-                continue
-            lam = (l1, l2)
-            t1, t2 = su3_exponent_angles(n, lam)
-            jv = deltoid.jacobian((t1, t2), "sine_product")
+    out, total = [], 0.0
+    for lam, t, jv in _su3_alcove(n, step=3):
+        if lam != (k - 1, k - 1):
             w = jv * jv / (4 * math.pi ** 4 * n * n)
             total += w
-            out.append(EigenEntry(lam, su3_eigenvalue(n, lam), w, 1))
+            out.append(EigenEntry(lam, deltoid.phi(t), w, 1))
     # the triple exponent (k-1,k-1) sits at eigenvalue 0, so only the sum of
     # its three weights is determined; unitarity fixes it
     out.append(EigenEntry((k - 1, k - 1), complex(0.0), (1.0 - total) / 3.0, 3))
@@ -398,12 +365,9 @@ def _su3_eigendata_d(n: int) -> list:
 
 
 def _su3_eigendata_astar(l: int) -> list:
-    out = []
-    for j in range((l - 3) // 2 + 1):
-        beta = 2 * math.cos(2 * math.pi * (j + 1) / l) + 1
-        w = (4.0 / l) * math.sin(2 * math.pi * (j + 1) / l) ** 2
-        out.append(EigenEntry((j, j), complex(beta), w, 1))
-    return out
+    return [EigenEntry((j, j), complex(2 * math.cos(2 * math.pi * (j + 1) / l) + 1),
+                       (4.0 / l) * math.sin(2 * math.pi * (j + 1) / l) ** 2, 1)
+            for j in range((l - 3) // 2 + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -451,9 +415,14 @@ class Family:
 
 FAMILIES: Dict[str, Family] = {f.name: f for f in (
     Family("A", "n >= 1", lambda n: n >= 1,
-           lambda n: _path_graph(f"A({n})", n, h=n + 1), _su2_eigendata_an),
-    Family("D", "n >= 4", lambda n: n >= 4, _dn_graph, _su2_eigendata_dn),
-    Family("E", "n in {6, 7, 8}", lambda n: n in (6, 7, 8), _en_graph, _su2_eigendata_en),
+           lambda n: _path_graph(f"A({n})", n, h=n + 1),
+           lambda n: _su2_eigendata(n + 1, range(1, n + 1), (1,))),
+    # D(n)'s exponents are the odd j < h = 2n - 2 and n - 1, which is odd
+    # (so doubled) for even n; * lifts to both ends of A_{h-1}
+    Family("D", "n >= 4", lambda n: n >= 4, _dn_graph,
+           lambda n: _su2_eigendata(2 * n - 2, [*range(1, 2 * n - 2, 2), n - 1], (1, 2 * n - 3))),
+    Family("E", "n in {6, 7, 8}", lambda n: n in (6, 7, 8), _en_graph,
+           lambda n: _su2_eigendata(_E_SHAPES[n][1], _E_EXPONENTS[n], _E_FUSION_P[n])),
     Family("Tad", "n >= 1", lambda n: n >= 1,
            lambda n: _path_graph(f"Tad({n})", n, h=2 * n + 1, loops=(n,))),
     Family("Aff-A", "n >= 2", lambda n: n >= 2, _cycle_graph),
@@ -480,6 +449,11 @@ FAMILIES: Dict[str, Family] = {f.name: f for f in (
            lambda d: _su3_triangle(f"Trunc-SU3Ainf({d})", d, depth=d)),
     Family("Trunc-SU3A6inf", "n >= 1", lambda n: n >= 1, _trunc_su3a6inf_graph),
 )}
+
+
+def _is_su3(family: Optional[str]) -> bool:
+    """Whether a graph's family is an SU(3) one (SU3-A, SU3-Astar, SU3-D, ...)."""
+    return (family or "").startswith("SU3-")
 
 
 def parse_id(graph_id: str, check: bool = True) -> Tuple[str, int]:
@@ -515,7 +489,7 @@ def by_id(graph_id: str) -> Graph:
 
 
 def eigendata(graph_id: str) -> EigenData:
-    """Closed-form (exponent, eigenvalue, |psi_*|^2, multiplicity) data."""
+    """Closed-form (exponent, eigenvalue, |psi_*|^2 per copy, copies) data."""
     name, n = parse_id(graph_id)
     eigen = FAMILIES[name].eigen
     if eigen is None:
@@ -528,7 +502,7 @@ def eigendata(graph_id: str) -> EigenData:
 
 
 def eigen_moment(ed: EigenData, m: int, n: int = 0) -> complex:
-    """Sum over exponents of mult * weight * beta^m * conj(beta)^n."""
+    """Sum over exponents of copies * weight * beta^m * conj(beta)^n."""
     m, n = require_int("a moment order", m, 0), require_int("a moment order", n, 0)
     return sum(
         e.multiplicity * e.weight * e.eigenvalue ** m * e.eigenvalue.conjugate() ** n

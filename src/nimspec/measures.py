@@ -44,7 +44,7 @@ import numpy as np
 
 from . import deltoid
 from .errors import FailedIdentityError, InvalidParameterError, NoClosedFormError, require_int
-from .graphs import eigendata, parse_id, su3_exponent_angles
+from .graphs import _is_su3, eigendata, parse_id, su3_exponent_angles
 
 Weight = Union[Fraction, float]
 
@@ -608,7 +608,7 @@ def exceptional_measure_atoms(graph_id: str) -> DiscreteMeasure:
     eigendata.  It exists for the exceptional graphs (their measures are not
     root-of-unity combinations; this is their atom-list representation)."""
     name, l = parse_id(graph_id)
-    if name not in ("SU3-A", "SU3-Astar", "SU3-D", "SU3-E", "SU3-E1"):
+    if not _is_su3(name):
         raise InvalidParameterError(f"{graph_id} has no SU(3) exponents")
     ed = eigendata(graph_id)
     atoms: dict = {}

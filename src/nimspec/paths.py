@@ -101,7 +101,7 @@ def combinatorial_dimension(kind: str, k: int):
     raise InvalidParameterError(f"unknown dimension kind {kind!r}")
 
 
-def multinomial(a: int, b: int, c: int):
+def _multinomial(a: int, b: int, c: int) -> int:
     """(a,b,c)! = (a+b+c)!/(a! b! c!), zero if any part is negative."""
     if a < 0 or b < 0 or c < 0:
         return 0
@@ -117,9 +117,9 @@ def _multinomial_sum(m: int, r: int, b1: int = 0, b2: int = 0) -> int:
     total = 0
     for k1 in range(m + 1):
         for k2 in range(m + 1 - k1):
-            second = multinomial(k1 + r + b1, k2 + r - b2, m + r - b1 + b2 - k1 - k2)
+            second = _multinomial(k1 + r + b1, k2 + r - b2, m + r - b1 + b2 - k1 - k2)
             if second:
-                total += multinomial(k1, k2, m - k1 - k2) * second
+                total += _multinomial(k1, k2, m - k1 - k2) * second
     return total
 
 
@@ -221,12 +221,12 @@ def hecke_dimension(n: int, p1: int, p2: int, method: str = "determinantal"):
         return int(val)
     if method == "multinomial":
         return (
-            multinomial(p1, p2, p3)
-            - multinomial(p1, p2 + 1, p3 - 1)
-            + multinomial(p1 + 1, p2 + 1, p3 - 2)
-            - multinomial(p1 + 1, p2 - 1, p3)
-            + multinomial(p1 + 2, p2 - 1, p3 - 1)
-            - multinomial(p1 + 2, p2, p3 - 2)
+            _multinomial(p1, p2, p3)
+            - _multinomial(p1, p2 + 1, p3 - 1)
+            + _multinomial(p1 + 1, p2 + 1, p3 - 2)
+            - _multinomial(p1 + 1, p2 - 1, p3)
+            + _multinomial(p1 + 2, p2 - 1, p3 - 1)
+            - _multinomial(p1 + 2, p2, p3 - 2)
         )
     raise InvalidParameterError(f"unknown method {method!r}")
 

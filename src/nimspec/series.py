@@ -41,7 +41,7 @@ import numpy as np
 
 from ._recurrence import _identity_rows, _multiply, _solve, _stack
 from .errors import FailedIdentityError, InvalidParameterError, TruncationError, require_int
-from .graphs import Graph, _dense, _graph_from, _su3_rotation_rows, by_id, parse_id
+from .graphs import Graph, _dense, _graph_from, _is_su3, _su3_rotation_rows, by_id, parse_id
 
 Number = Union[int, Fraction, float, complex]
 
@@ -73,6 +73,7 @@ class TruncatedSeries:
                     var: str = "q") -> "TruncatedSeries":
         c = list(coeffs)
         if order is not None:
+            order = require_int("series order", order, 0)
             c = (c + [0] * (order + 1))[: order + 1]
         return TruncatedSeries(c, var)
 
@@ -379,11 +380,16 @@ def _su2_involution_rows(graph: Graph) -> tuple:
     return tuple(((j, 1),) for j in perm)
 
 
-def _check_untruncated(graph: Graph) -> None:
-    """A truncated graph's Hilbert series is not its infinite graph's: refuse it."""
+def _check_hilbert_graph(graph: Graph, su3: bool) -> None:
+    """Refuse a truncated graph, whose series is not its infinite graph's, and a
+    family of the other group; an ad hoc graph has no family and passes."""
     if graph.trunc_depth is not None:
         raise TruncationError(f"{graph.id} is truncated at depth {graph.trunc_depth}; "
                               "a Hilbert series needs the whole graph")
+    if graph.family is not None and _is_su3(graph.family) != su3:
+        n = 3 if su3 else 2
+        raise InvalidParameterError(f"hilbert_su{n}: {graph.id} is in the family "
+                                    f"{graph.family}, not an SU({n}) family")
 
 
 def su2_involution(graph: Graph) -> Matrix:
@@ -397,8 +403,9 @@ def hilbert_su2(graph: Graph, order: int = 40,
     """Matrix Hilbert series of the pre-projective algebra of an unoriented
     graph: (1 + P t^h)(1 - Delta t + t^2)^{-1} for ADET graphs (a matrix
     polynomial of degree h - 2), (1 - Delta t + t^2)^{-1} otherwise.  With a
-    column index, only that column is solved and checked."""
-    _check_untruncated(graph)
+    column index, only that column is solved and checked.  A graph of an SU(3)
+    family is refused."""
+    _check_hilbert_graph(graph, su3=False)
     if not graph.symmetric:
         raise InvalidParameterError("hilbert_su2 needs an unoriented graph")
     adet = graph.family in ("A", "D", "E", "Tad")
@@ -424,8 +431,8 @@ def hilbert_su3(graph: Graph, order: Optional[int] = None,
     SU(3) fusion graph with Coxeter number h, to order 3h by default.  P is
     the family's permutation commuting with Delta: the triangle rotation
     for A^(l) and the identity for A^(l)*.  With a column index, only that
-    column is solved and checked."""
-    _check_untruncated(graph)
+    column is solved and checked.  A graph of any other family is refused."""
+    _check_hilbert_graph(graph, su3=True)
     h = graph.coxeter_h
     if h is None:
         raise InvalidParameterError("hilbert_su3 needs the Coxeter number h")

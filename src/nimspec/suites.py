@@ -112,15 +112,28 @@ def _suite_su2_measures(tol: float, rng: random.Random) -> List[Check]:
 
         checks.append((f"measure-vs-path:{gid}", run))
 
+    for gid in _su2_catalogue():
+        if graphs.FAMILIES[graphs.parse_id(gid)[0]].eigen is None:
+            continue
+
+        def run(gid=gid):
+            ed = graphs.eigendata(gid)
+            counts = paths.moments(graphs.by_id(gid), [(m, 0) for m in range(13)])
+            err = max(abs(graphs.eigen_moment(ed, m) - counts[(m, 0)]) for m in range(13))
+            return _case_max_err(err, tol, "eigendata moments = path counts, m <= 12")
+
+        checks.append((f"eigendata-vs-path:{gid}", run))
+
     def alpha_p(which: str):
         data = {
-            "E(7)": (18, [0.4076, 2.7057, -0.1133, 4.0],
+            "E(7)": ([0.4076, 2.7057, -0.1133, 4.0],
                      [1, 5, 7, 9], lambda u: 2 * (u ** 2).imag ** 2, 9.0, (9, 27)),
-            "E(8)": (30, [0.4038, 3.5135, 2.0511, 4.5316],
+            "E(8)": ([0.4038, 3.5135, 2.0511, 4.5316],
                      [1, 7, 11, 13],
                      lambda u: 2 * u.imag ** 2 + 2 * (u ** 3).imag ** 2, 15.0, ()),
         }
-        h, table, reps, dens, ident_const, skip = data[which]
+        table, reps, dens, ident_const, skip = data[which]
+        h = graphs.by_id(which).coxeter_h
         ed = {e.exponent: e.weight for e in graphs.eigendata(which).entries}
         import cmath
         ut = cmath.exp(1j * math.pi / h)
@@ -370,9 +383,10 @@ def _suite_su3_measures(tol: float, rng: random.Random) -> List[Check]:
 # su3-obstructions
 # ---------------------------------------------------------------------------
 
-def _e_atoms(which: str, h: int) -> measures.DiscreteMeasure:
-    """The circle atoms of an E-type graph from its eigendata: weight psi^2/2
-    at p/2h for each p in 1..2h-1 with p or 2h-p an exponent, in ascending p."""
+def _e_atoms(which: str) -> measures.DiscreteMeasure:
+    """The circle atoms of an E-type graph with Coxeter number h, from its eigendata:
+    weight psi^2/2 at p/2h for each p < 2h with p or 2h-p an exponent, in ascending p."""
+    h = graphs.by_id(which).coxeter_h
     ed = {e.exponent: e.weight for e in graphs.eigendata(which).entries}
     atoms = {Fraction(p, 2 * h): ed[min(p, 2 * h - p)] / 2
              for p in range(1, 2 * h) if p in ed or 2 * h - p in ed}
@@ -383,9 +397,10 @@ def _suite_su3_obstructions(tol: float, rng: random.Random) -> List[Check]:
     checks: List[Check] = []
 
     def e6_fit():
-        target = _e_atoms("E(6)", 12)
-        basis = [measures.with_alpha(measures.d_measure(12)), measures.d_measure(12),
-                 measures.d_measure(6), measures.d_measure(4), measures.d_measure(3)]
+        target = _e_atoms("E(6)")
+        h = graphs.by_id("E(6)").coxeter_h
+        basis = [measures.with_alpha(measures.d_measure(h)),
+                 *(measures.d_measure(h // k) for k in (1, 2, 3, 4))]
         fit = measures.cyclotomic_fit(target, basis, tol=1e-9)
         want = [Fraction(1), Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2)]
         got = [Fraction(c).limit_denominator(10 ** 6) for c in fit.coefficients or []]
@@ -395,14 +410,15 @@ def _suite_su3_obstructions(tol: float, rng: random.Random) -> List[Check]:
 
     checks.append(("E6-cyclotomic-decomposition", e6_fit))
 
-    def infeasible(which: str, h: int):
-        fit = measures.cyclotomic_fit(_e_atoms(which, h), measures.cyclotomic_basis(h), tol=1e-9)
+    def infeasible(which: str):
+        basis = measures.cyclotomic_basis(graphs.by_id(which).coxeter_h)
+        fit = measures.cyclotomic_fit(_e_atoms(which), basis, tol=1e-9)
         ok = (not fit.feasible) and fit.residual > 1e-2
         return (ok, f"least-squares residual {fit.residual:.3e}",
                 "infeasible with residual > 1e-2", 1e-2)
 
-    checks.append(("E7-not-cyclotomic", lambda: infeasible("E(7)", 18)))
-    checks.append(("E8-not-cyclotomic", lambda: infeasible("E(8)", 30)))
+    checks.append(("E7-not-cyclotomic", lambda: infeasible("E(7)")))
+    checks.append(("E8-not-cyclotomic", lambda: infeasible("E(8)")))
 
     def exceptional(graph_id: str, expected_res: float):
         rows, rhs = measures.exceptional_obstruction_system(graph_id)

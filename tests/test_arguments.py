@@ -95,6 +95,17 @@ def test_a_numpy_integer_argument_gives_the_ints_result(name):
     assert _values(call(np.int64(good))) == _values(call(good))
 
 
+@pytest.mark.parametrize("bad", [b for b in BAD if b is not None], ids=repr)
+def test_from_coeffs_holds_a_given_order_to_the_contract(bad):
+    """from_coeffs's order may be None, which keeps every coefficient; any
+    other order is an integer argument like the rest."""
+    with pytest.raises(InvalidParameterError) as info:
+        series.TruncatedSeries.from_coeffs([1, 2], order=bad)
+    assert repr(bad) in str(info.value)
+    assert series.TruncatedSeries.from_coeffs([1, 2], order=None).coeffs == [1, 2]
+    assert series.TruncatedSeries.from_coeffs([1, 2], order=np.int64(3)).coeffs == [1, 2, 0, 0]
+
+
 def test_batched_moments_are_keyed_by_the_callers_orders():
     orders = [np.int64(3), 1, np.int16(2)]
     pairs = [(np.int64(2), 1), (0, np.int32(3))]

@@ -37,7 +37,7 @@ def test_verify_all_passes_every_case():
     # the whole headline, not only the suites the CLI tests run
     report = run_suite("all")
     assert [(c.case_id, c.measured) for c in report.cases if c.status != "pass"] == []
-    assert len(report.cases) == 141
+    assert len(report.cases) == 157
     assert {c.case_id.split(":")[0] for c in report.cases} == set(SUITE_NAMES)
 
 

@@ -186,9 +186,74 @@ def test_exceptional_eigendata_tables():
     assert abs(w[(0, 0)] - (2 - math.sqrt(2)) / 24) < 1e-15
     assert abs(w[(5, 0)] - w[(0, 5)]) < 1e-15
     ed12 = eigendata("SU3-E1(12)")
-    w12 = {tuple(e.exponent): e.weight for e in ed12.entries}
+    copies12 = {tuple(e.exponent): (e.multiplicity, e.weight) for e in ed12.entries}
     for lam in [(2, 2), (5, 2), (2, 5)]:
-        assert abs(w12[lam] - 2 / 9) < 1e-15
+        copies, weight = copies12[lam]
+        assert copies == 2 and abs(weight - 1 / 9) < 1e-15
+        assert abs(copies * weight - 2 / 9) < 1e-15
+
+
+_BUILT_EIGEN_IDS = ([f"A({n})" for n in range(1, 13)] + [f"D({n})" for n in range(4, 13)]
+                    + ["E(6)", "E(7)", "E(8)"] + [f"SU3-A({l})" for l in range(4, 10)]
+                    + [f"SU3-Astar({l})" for l in range(4, 13)])
+
+
+@pytest.mark.parametrize("gid", _BUILT_EIGEN_IDS)
+def test_eigendata_copies_are_the_graphs_spectrum(gid):
+    """multiplicity counts copies: they sum to the vertex count, and the
+    eigenvalues with their copies give tr(A^k), an exact integer trace."""
+    g, ed = by_id(gid), eigendata(gid)
+    assert sum(e.multiplicity for e in ed.entries) == g.n_vertices
+    a = np.array(g.adjacency, dtype=object)
+    power = np.identity(g.n_vertices, dtype=int).astype(object)
+    for k in range(7):
+        trace = int(np.trace(power))
+        listed = sum(e.multiplicity * e.eigenvalue ** k for e in ed.entries)
+        assert abs(listed - trace) < 1e-9, (k, listed, trace)
+        power = power.dot(a)
+
+
+@pytest.mark.parametrize("gid", ["SU3-E(8)", "SU3-E1(12)"])
+def test_exceptional_tables_count_twelve_copies(gid):
+    """Both exceptional graphs have 12 vertices: their tables' copies sum to
+    12, and weight per copy times copies sums to 1."""
+    entries = eigendata(gid).entries
+    assert sum(e.multiplicity for e in entries) == 12
+    assert abs(sum(e.multiplicity * e.weight for e in entries) - 1) < 1e-12
+
+
+def _su2_closed_forms(gid):
+    """exponent -> weight per copy, from the closed forms of each family:
+    (2/h) sin^2(j pi/h) on A; on D, twice that on the odd exponents, once
+    for each copy of the doubled one of even n, and 0 on the even n - 1 of
+    odd n; (3 -+ sqrt 3)/24 and 1/4 on E(6)."""
+    name, n = graphs.parse_id(gid)
+    if name == "E":
+        low, high = (3 - math.sqrt(3)) / 24, (3 + math.sqrt(3)) / 24
+        return {1: low, 11: low, 4: 0.25, 8: 0.25, 5: high, 7: high}
+    h = n + 1 if name == "A" else 2 * n - 2
+
+    def w(j):
+        return (2 / h) * math.sin(j * math.pi / h) ** 2
+
+    if name == "A":
+        return {j: w(j) for j in range(1, n + 1)}
+    forms = {j: 2 * w(j) for j in range(1, h, 2)}
+    if n % 2 == 0:
+        del forms[n - 1]
+        forms[(n - 1, "pm")] = w(n - 1)
+    else:
+        forms[n - 1] = 0.0
+    return forms
+
+
+@pytest.mark.parametrize("gid", [f"A({n})" for n in range(1, 13)]
+                         + [f"D({n})" for n in range(4, 13)] + ["E(6)"])
+def test_su2_weights_equal_their_closed_forms(gid):
+    got = {e.exponent: e.weight for e in eigendata(gid).entries}
+    want = _su2_closed_forms(gid)
+    assert got.keys() == want.keys()
+    assert max(abs(got[j] - want[j]) for j in want) < 1e-15
 
 
 def test_eigendata_unavailable():

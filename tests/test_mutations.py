@@ -41,6 +41,7 @@ def _patch_moments(*modules):
 # every case that reads a count of m + n = 2
 _MOMENT_CASES = (
     "su2-measures:binomial-catalan-dimensions", "su2-measures:measure-vs-path:",
+    "su2-measures:eigendata-vs-path:",
     "su2-subgroups:", "series-theorems:T-series:", "su3-dimensions:moments:",
     "su3-dimensions:five-way-identity:n=1", "su3-measures:measure:SU3-A(",
     "su3-measures:measure:SU3-Astar(",
@@ -89,6 +90,17 @@ def _scaled_e8_eigenvalue(monkeypatch):
     first, *rest = tables["SU3-E(8)"]
     tables["SU3-E(8)"] = (dataclasses.replace(first, eigenvalue=first.eigenvalue * 1.001), *rest)
     monkeypatch.setattr(graphs, "_exceptional_tables", lambda: tables)
+
+
+_real_su2_eigendata = graphs._su2_eigendata
+
+
+def _d_without_far_end(monkeypatch):
+    """D's P set {1, h - 1} without h - 1: * lifts to one end of A_{h-1}."""
+    def eigendata(h, exponents, p):
+        return _real_su2_eigendata(h, exponents, (1,) if p == (1, h - 1) else p)
+
+    monkeypatch.setattr(graphs, "_su2_eigendata", eigendata)
 
 
 _real_product = _recurrence._product
@@ -178,6 +190,9 @@ ROWS = {
     "deltoid._polish -> identity": Row(
         _unpolished_roots, lambda: deltoid._polish(np.array([1.01 + 0j]), np.array([0j])).tolist(),
         ("deltoid-geometry",), {"deltoid-geometry:invert-phi-roundtrip"}.__contains__),
+    "D's P set without h - 1": Row(
+        _d_without_far_end, lambda: graphs.FAMILIES["D"].eigen(5), ("su2-measures",),
+        lambda case: case.startswith("su2-measures:eigendata-vs-path:D(")),
     "SU3-E(8) table eigenvalue x 1.001": Row(
         _scaled_e8_eigenvalue, lambda: graphs.eigendata("SU3-E(8)").entries,
         ("su3-obstructions",), {"su3-obstructions:atoms-vs-eigendata:SU3-E(8)"}.__contains__),

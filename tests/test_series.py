@@ -427,6 +427,20 @@ def test_a_numerator_degree_below_1_is_rejected(gid, route, h):
         route(replace(by_id(gid), coxeter_h=h))
 
 
+@pytest.mark.parametrize("gid, route", [
+    *((gid, lambda g: hilbert_su2(g, 12)) for gid in ("SU3-Astar(8)", "SU3-A(5)")),
+    *((gid, lambda g: hilbert_su3(g, order=12))
+      for gid in ("A(5)", "D(5)", "E(6)", "Tad(3)", "Aff-A(4)"))])
+def test_a_hilbert_route_refuses_the_other_groups_graphs(gid, route):
+    """hilbert_su2 takes no SU3- family and hilbert_su3 no other family; each
+    refuses with one line naming the family.  Graphs with no family, built
+    directly, are taken by both (the dense-oracle tests below)."""
+    g = by_id(gid)
+    with pytest.raises(InvalidParameterError) as info:
+        route(g)
+    assert f"the family {g.family}," in str(info.value) and "\n" not in str(info.value)
+
+
 # -- CY3 / abelian subgroups --------------------------------------------------
 
 def test_abelian_mckay_shapes():
